@@ -3,7 +3,7 @@
 Single-graph analyses print JSON (schema "cover-spectra/1", keys sorted);
 sweeps print CSV. All failures exit nonzero after a one-line
 "error: <reason>" on stderr. Identical argv and seeds produce byte-identical
-output. COVER_SPECTRA_THREADS bounds the experiment runner's fan-out.
+output.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .cover import backtracking_walk_profile, orbit_distribution
@@ -287,13 +285,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if not sizes:
         raise ValueError("need at least one size")
-    jobs = [(n, seed) for n in sizes for seed in seeds]
-    threads = max(1, int(os.environ.get("COVER_SPECTRA_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda j: _experiment_row(args, *j), jobs))
-    else:
-        rows = [_experiment_row(args, *j) for j in jobs]
+    rows = [_experiment_row(args, n, seed) for n in sizes for seed in seeds]
     rows.sort(key=lambda r: (r["n"], r["seed"]))
     buf = io.StringIO()
     writer = csv.DictWriter(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .multigraph import MultiGraph, require_connected
+from .multigraph import MultiGraph, refine, require_connected
 
 TREE_BALL_NODE_CAP = 20_000_000
 
@@ -166,28 +166,6 @@ def backtracking_walk_count(g: MultiGraph, v: int, k: int) -> int:
     return backtracking_walk_profile(g, v, k)[k]
 
 
-def tree_ball_walk_count(g: MultiGraph, v: int, k: int, cap: int = TREE_BALL_NODE_CAP) -> int:
-    """Closed walks of length k at the root of the materialized radius k/2
-    tree ball. Same quantity as backtracking_walk_count by a different route;
-    kept as a cross-check (cost is exponential in max degree)."""
-    if k < 0 or k % 2 != 0:
-        raise ValueError(f"walk length must be even and nonnegative, got {k}")
-    tb = tree_ball(g, v, k // 2, cap=cap)
-    x = [0] * tb.node_count
-    x[0] = 1
-    for _ in range(k):
-        y = [0] * tb.node_count
-        for node in range(tb.node_count):
-            xn = x[node]
-            if xn:
-                if tb.parent[node] >= 0:
-                    y[tb.parent[node]] += xn
-                for c in tb.children[node]:
-                    y[c] += xn
-        x = y
-    return x[0]
-
-
 # -- orbit distribution --------------------------------------------------------
 
 
@@ -216,22 +194,9 @@ class OrbitDistribution:
 
 
 def orbit_distribution(g: MultiGraph) -> OrbitDistribution:
-    """Refine vertex colors by (own color, multiset of neighbor colors over
-    half-edges) until stable."""
+    """Colour refinement from the uniform colouring (multigraph.refine)."""
     require_connected(g, "orbit_distribution")
-    colors = [0] * g.n
-    rounds = 0
-    while True:
-        sigs = []
-        for v in range(g.n):
-            nbr = tuple(sorted(colors[g.targets[h]] for h in g.half_edges_at[v]))
-            sigs.append((colors[v], nbr))
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = [palette[s] for s in sigs]
-        rounds += 1
-        if new_colors == colors:
-            break
-        colors = new_colors
+    colors, rounds = refine(g, [0] * g.n)
 
     members: dict[int, list[int]] = {}
     for v, c in enumerate(colors):

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .multigraph import MultiGraph
+from .multigraph import MultiGraph, canonical_code
 
 RANDOM_REGULAR_RETRIES = 200
 
@@ -182,21 +182,12 @@ def random_lift(base: MultiGraph, n: int, seed: int) -> tuple[MultiGraph, LiftSp
     return MultiGraph(base.n * n, tuple(edges)), LiftSpec(base, n, perms, seed)
 
 
-def canonical_key(g: MultiGraph) -> tuple[int, int, tuple[int, ...]]:
-    """Isomorphism-invariant key by minimizing the packed edge list over all
-    vertex relabelings. Factorial in n; guarded for small graphs only."""
-    if g.n > 8:
-        raise ValueError("canonical_key is exhaustive; needs n <= 8")
-    edges = g.edges
-    best = None
-    for p in itertools.permutations(range(g.n)):
-        packed = sorted(
-            (a * 16 + b if a <= b else b * 16 + a)
-            for a, b in ((p[u], p[v]) for u, v in edges)
-        )
-        if best is None or packed < best:
-            best = packed
-    return g.n, len(edges), tuple(best)
+def canonical_key(g: MultiGraph) -> tuple[int, int, str]:
+    """Isomorphism-invariant key (n, m, canonical code from the uniform
+    colouring); equal keys iff the graphs are isomorphic. No size limit: the
+    individualization-refinement search is cheap unless g is highly
+    symmetric (see multigraph.canonical_code)."""
+    return g.n, g.m, canonical_code(g, [0] * g.n)
 
 
 @lru_cache(maxsize=4)
@@ -209,7 +200,9 @@ def small_connected_multigraphs(
 
     Enumerates edge multisets over the n(n+1)/2 vertex-pair slots, filters
     for connectivity with a union-find, and dedups via canonical_key. The
-    default bounds scan roughly 200k labeled candidates.
+    default bounds scan roughly 200k labeled candidates. Each class keeps
+    the first labelling seen, which is its lexicographically smallest edge
+    list, and classes come in order of n, then m, then that edge list.
     """
     out: dict[tuple, MultiGraph] = {}
     for n in range(1, max_vertices + 1):
@@ -240,4 +233,4 @@ def small_connected_multigraphs(
                 key = canonical_key(g)
                 if key not in out:
                     out[key] = g
-    return tuple(out[k] for k in sorted(out))
+    return tuple(out.values())

@@ -18,13 +18,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multigraph import MultiGraph, ball, is_tree, require_connected
+from .multigraph import MultiGraph, ball, canonical_code, is_tree, require_connected
 
 CANON_CAP = 64
-
-# individualization-refinement leaves explored before giving up; only very
-# symmetric non-tree balls (complete bipartite cores and the like) get close
-_CANON_LEAF_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -230,72 +226,11 @@ def _ahu_code(b: MultiGraph, root: int) -> str:
     return codes[root]
 
 
-def _refine(b: MultiGraph, colors: list[int]) -> list[int]:
-    """Equitable refinement; color ids are re-ranked by signature each round,
-    so equal inputs (up to iso) end in identical id sequences."""
-    while True:
-        sigs = [
-            (
-                colors[v],
-                tuple(sorted(colors[b.targets[h]] for h in b.half_edges_at[v])),
-            )
-            for v in range(b.n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [palette[sigs[v]] for v in range(b.n)]
-        if len(set(new)) == len(set(colors)):
-            return new
-        colors = new
-
-
-def _code_for_order(b: MultiGraph, pos: list[int]) -> str:
-    pairs = sorted(
-        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in b.edges
-    )
-    return f"{b.n};" + ",".join(f"{a}-{c}" for a, c in pairs)
-
-
-def _canonical_code(b: MultiGraph, root: int) -> str:
-    """Minimal edge-list code over root-fixing orderings, searched by
-    individualization-refinement: refine, branch on every member of the
-    first non-singleton class, keep the lexicographically smallest leaf."""
-    seed = [int(d) for d in b.distances_from(root)]
-    best: str | None = None
-    budget = _CANON_LEAF_BUDGET
-
-    def search(colors: list[int]) -> None:
-        nonlocal best, budget
-        colors = _refine(b, colors)
-        cells: dict[int, list[int]] = defaultdict(list)
-        for v, c in enumerate(colors):
-            cells[c].append(v)
-        target = next(
-            (cells[c] for c in sorted(cells) if len(cells[c]) > 1), None
-        )
-        if target is None:
-            budget -= 1
-            if budget < 0:  # pragma: no cover - symmetric beyond any real ball
-                raise RuntimeError("ball canonicalization budget exceeded")
-            pos = [0] * b.n
-            for i, v in enumerate(sorted(range(b.n), key=colors.__getitem__)):
-                pos[v] = i
-            code = _code_for_order(b, pos)
-            if best is None or code < best:
-                best = code
-            return
-        for m in target:
-            child = [2 * c for c in colors]
-            child[m] = 2 * colors[m] - 1
-            search(child)
-
-    search(seed)
-    return best
-
-
 def ball_code(g: MultiGraph, v: int, r: int, cap: int = CANON_CAP) -> str:
     """Canonical code of the rooted induced ball B_r(v); equal codes iff the
-    rooted balls are isomorphic. Tree balls use the linear parenthesis form,
-    anything with a cycle goes through the backtracking canonizer."""
+    rooted balls are isomorphic. Tree balls use the linear parenthesis form;
+    anything with a cycle goes through canonical_code, coloured by distance
+    from the centre."""
     nbh = ball(g, v, r)
     b = nbh.graph
     if b.n > cap:
@@ -304,7 +239,7 @@ def ball_code(g: MultiGraph, v: int, r: int, cap: int = CANON_CAP) -> str:
         )
     if is_tree(b):
         return "t" + _ahu_code(b, nbh.center_index)
-    return "g" + _canonical_code(b, nbh.center_index)
+    return "g" + canonical_code(b, b.distances_from(nbh.center_index))
 
 
 def bs_histogram(g: MultiGraph, r: int, cap: int = CANON_CAP) -> dict[str, int]:

@@ -10,15 +10,17 @@ fixed point and every supersolution. A positive F with
     1 / (t - continuation sums) <= F   and   sum of F at each vertex <= t
 
 certifies a positive function Z on the cover tree with (A Z)(x) <= t Z(x)
-everywhere, hence rho(T) <= t; those two inequalities are checked exactly
-before any probe is declared feasible. In the other direction, a
-supersolution's entries never exceed t and dominate every iterate, so an
-iterate escaping above t, or a collapsing denominator, refutes feasibility
-outright. Bisection over t then brackets rho(T).
+everywhere, hence rho(T) <= t; those two inequalities are checked before
+any probe is declared feasible. The check runs in float64 without outward
+rounding, so hi is an upper bound only up to rounding error; making the
+check exact is the "Make the rho bracket true" item of ROADMAP.md. In the
+other direction, a supersolution's entries never exceed t and dominate
+every iterate, so an iterate escaping above t, or a collapsing denominator,
+refutes feasibility outright. Bisection over t then brackets rho(T).
 
 Near the threshold plain iteration is slow from both sides, so each probe
 escalates: a damped Newton solve of the fixed-point system runs on a doubling
-schedule, and its result counts only if the padded output passes the exact
+schedule, and its result counts only if the padded output passes the
 certificate check. When Newton keeps failing and the measured contraction
 rate projects convergence far past the iteration cap, the probe gives up and
 is classified infeasible the way a cap hit would be; these ambiguous exits
@@ -113,8 +115,9 @@ class _System:
 
 
 def _is_supersolution(sys: _System, t: float, f: np.ndarray) -> float | None:
-    """Exact certificate check. Returns the minimal vertex slack when f is a
-    positive supersolution with nonnegative slack, else None."""
+    """Certificate check, evaluated in float64. Returns the minimal vertex
+    slack when f is a positive supersolution with nonnegative slack, else
+    None."""
     if f.min() <= 0.0:
         return None
     vsum = sys.sums(f)
@@ -161,14 +164,14 @@ def _solve(jac, rhs: np.ndarray, hh: int) -> np.ndarray | None:
 
 
 def _pad_certify(sys: _System, t: float, f: np.ndarray) -> np.ndarray | None:
-    """Nudge an approximate fixed point upward until the exact supersolution
+    """Nudge an approximate fixed point upward until the supersolution
     inequalities hold.
 
     A constant bump fails wherever a Jacobian row sums above 1 (hub
     half-edges), so the bump direction u solves (I - J) u = 1: then u >= 1
     and J u = u - 1 < u componentwise, which is exactly the strict room the
     branch inequality needs to absorb the residual. Every candidate is still
-    checked exactly; the direction is only a guess."""
+    checked by _is_supersolution; the direction is only a guess."""
     resid = sys.residual(t, f)
     if resid is None or f.min() <= 0.0:
         return None
@@ -187,7 +190,7 @@ def _pad_certify(sys: _System, t: float, f: np.ndarray) -> np.ndarray | None:
 def _newton_certify(
     sys: _System, t: float, f0: np.ndarray, max_steps: int = 40
 ) -> np.ndarray | None:
-    """Damped Newton on phi(f) - f = 0 from f0, then exact pad certification.
+    """Damped Newton on phi(f) - f = 0 from f0, then pad certification.
     Steps are halved until they keep every denominator positive and reduce
     the residual, so near-critical systems cannot fling the iterate out of
     the feasible region. Returns a certified vector or None; this routine
@@ -309,21 +312,10 @@ def feasibility_probe(
     conv_tol: float = CONVERGENCE_TOL,
 ) -> ProbeReport:
     """Classify a single threshold t for rho(T) <= t. Feasible answers carry
-    an exactly verified certificate vector; infeasible answers may be
-    cap-limited (see ProbeReport.ambiguous)."""
+    a certificate vector that passed _is_supersolution; infeasible answers
+    may be cap-limited (see ProbeReport.ambiguous)."""
     require_connected(g, "feasibility_probe")
     return _probe(_System(g), float(t), iter_cap, conv_tol)
-
-
-def _walk_root_lower_bound(g: MultiGraph, depth: int) -> float:
-    best = 0.0
-    for v in range(g.n):
-        profile = backtracking_walk_profile(g, v, 2 * depth)
-        for k in range(1, depth + 1):
-            count = profile[2 * k]
-            if count > 0:
-                best = max(best, math.exp(math.log(count) / (2 * k)))
-    return best
 
 
 def rho_tree(
@@ -346,7 +338,8 @@ def rho_tree(
 
     sys = _System(g)
     delta_max = float(g.max_degree)
-    lo = min(_walk_root_lower_bound(g, lower_depth), delta_max)
+    walk_root = max(max(rho_lower_sequence(g, v, lower_depth)) for v in range(g.n))
+    lo = min(walk_root, delta_max)
     hi = delta_max
 
     probes: list[tuple[float, bool, str]] = []

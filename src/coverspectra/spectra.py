@@ -92,28 +92,16 @@ def closed_walk_count(g: MultiGraph, v: int, k: int) -> int:
     Each walk step picks a half-edge at the current vertex, so a loop offers
     two continuations per visit.
     """
-    require_connected(g, "closed_walk_count")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if k < 0:
-        raise ValueError("walk length must be nonnegative")
-    nbr = g.neighbor_multiplicities
-    x = [0] * g.n
-    x[v] = 1
-    for _ in range(k):
-        y = [0] * g.n
-        for u in range(g.n):
-            xu = x[u]
-            if xu:
-                for w, mult in nbr[u]:
-                    y[w] += xu * mult
-        x = y
-    return x[v]
+    return closed_walk_profile(g, v, k)[k]
 
 
 def closed_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
     """[closed_walk_count(g, v, k) for k in 0..k_max] in one sweep."""
     require_connected(g, "closed_walk_profile")
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range")
+    if k_max < 0:
+        raise ValueError("walk length must be nonnegative")
     nbr = g.neighbor_multiplicities
     x = [0] * g.n
     x[v] = 1

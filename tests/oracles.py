@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from coverspectra.cover import tree_ball
 from coverspectra.multigraph import MultiGraph
 
 
@@ -53,3 +54,23 @@ def matrix_walk_count(g: MultiGraph, v: int, k: int) -> int:
     for _ in range(k):
         out = out @ a
     return int(out[v][v])
+
+
+def tree_ball_walk_count(g: MultiGraph, v: int, k: int) -> int:
+    """Closed walks of length k (even) at the root of the materialized radius
+    k/2 cover-tree ball: the same quantity as backtracking_walk_count by a
+    third route. Cost is exponential in the max degree."""
+    tb = tree_ball(g, v, k // 2)
+    x = [0] * tb.node_count
+    x[0] = 1
+    for _ in range(k):
+        y = [0] * tb.node_count
+        for node in range(tb.node_count):
+            xn = x[node]
+            if xn:
+                if tb.parent[node] >= 0:
+                    y[tb.parent[node]] += xn
+                for c in tb.children[node]:
+                    y[c] += xn
+        x = y
+    return x[0]

@@ -8,13 +8,12 @@ from coverspectra.cover import (
     backtracking_walk_profile,
     orbit_distribution,
     tree_ball,
-    tree_ball_walk_count,
 )
 from coverspectra.multigraph import MultiGraph, is_tree
 from coverspectra.spectra import closed_walk_profile
 from coverspectra.generators import biregular, bowtie, complete, cycle, path, star
 
-from oracles import stack_walk_profile
+from oracles import stack_walk_profile, tree_ball_walk_count
 
 
 # -- tree balls --------------------------------------------------------------------

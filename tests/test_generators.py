@@ -1,11 +1,13 @@
+import hashlib
 import math
+import random
 
 import pytest
 
 from coverspectra.cover import orbit_distribution
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.rho import rho_tree
-from coverspectra.spectra import eigen_spectrum
+from coverspectra.spectra import closed_walk_profile, eigen_spectrum
 from coverspectra.generators import (
     biregular,
     bowtie,
@@ -209,6 +211,12 @@ def test_corpus_has_no_isomorphic_duplicates(small_corpus):
 def test_corpus_is_deterministic(corpus):
     again = small_connected_multigraphs(5, 7)
     assert [g.edges for g in again] == [g.edges for g in corpus]
+    # pins the members, their edge tuples and their order, which corpus
+    # slices and samples depend on
+    listing = repr([(g.n, g.edges) for g in corpus]).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "507dd318aaca3ff2f3c6e52d859a4f67736ea6602db5ed62446ba07539422042"
+    )
 
 
 def test_corpus_contains_the_named_small_graphs(corpus, small_corpus):
@@ -220,6 +228,35 @@ def test_corpus_contains_the_named_small_graphs(corpus, small_corpus):
         assert canonical_key(named) in full_keys
 
 
-def test_canonical_key_guard():
-    with pytest.raises(ValueError, match="n <= 8"):
-        canonical_key(cycle(9))
+def _relabel(g: MultiGraph, seed: int) -> MultiGraph:
+    p = list(range(g.n))
+    random.Random(seed).shuffle(p)
+    edges = [(p[u], p[v]) for u, v in g.edges]
+    random.Random(seed + 1).shuffle(edges)
+    return MultiGraph.from_edges(g.n, edges)
+
+
+def _walk_invariant(g: MultiGraph) -> list[tuple[int, ...]]:
+    # exact isomorphism invariant: the multiset of closed-walk profiles
+    return sorted(tuple(closed_walk_profile(g, v, 8)) for v in range(g.n))
+
+
+def test_canonical_key_past_eight_vertices():
+    c9 = cycle(9)
+    assert canonical_key(_relabel(c9, 3)) == canonical_key(c9)
+    for k in (3, 4, 6):
+        lifts = []
+        for seed in range(12):
+            lift, _ = random_lift(bowtie(), k, seed)
+            if lift.is_connected:
+                lifts.append(lift)
+        keys = [canonical_key(g) for g in lifts]
+        for seed, (g, key) in enumerate(zip(lifts, keys)):
+            assert canonical_key(_relabel(g, seed)) == key
+        pairs_apart = 0
+        for i in range(len(lifts)):
+            for j in range(i):
+                if _walk_invariant(lifts[i]) != _walk_invariant(lifts[j]):
+                    assert keys[i] != keys[j]
+                    pairs_apart += 1
+        assert pairs_apart > 0

@@ -11,7 +11,7 @@ from coverspectra.spectra import (
     eigen_spectrum,
     wr_fraction,
 )
-from coverspectra.generators import bowtie, complete, cycle, star
+from coverspectra.generators import bowtie, complete, cycle, path, star
 
 from oracles import matrix_walk_count
 
@@ -120,6 +120,15 @@ def test_triangle_walk_examples():
 def test_loop_walk_example():
     g = MultiGraph(1, ((0, 0),))
     assert closed_walk_count(g, 0, 3) == 8
+
+
+@pytest.mark.parametrize("v, k_max", [(-1, 4), (3, 4), (0, -1)])
+def test_walk_profile_rejects_bad_input(v, k_max):
+    g = path(3)
+    with pytest.raises(ValueError):
+        closed_walk_profile(g, v, k_max)
+    with pytest.raises(ValueError):
+        closed_walk_count(g, v, k_max)
 
 
 def test_walks_match_matrix_powers(small_corpus):
