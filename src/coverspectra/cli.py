@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .cover import backtracking_walk_profile, orbit_distribution
 from .gapcert import certify_gap, unicyclic_defect
-from .generators import make, random_lift, small_connected_multigraphs
+from .generators import _FAMILIES, make, random_lift, small_connected_multigraphs
 from .localstats import bs_histogram, find_bouquet, tree_fraction, tv_distance
 from .multigraph import (
     CyclomaticClass,
@@ -32,16 +33,12 @@ from .twocore import two_core
 
 SCHEMA = "cover-spectra/1"
 
+# the parameters each family builder requires, in signature order
 _FAMILY_PARAMS = {
-    "cycle": ("n",),
-    "path": ("n",),
-    "complete": ("n",),
-    "star": ("k",),
-    "bowtie": (),
-    "theta": ("a", "b", "c"),
-    "biregular": ("a", "b"),
-    "two_cycles_glued": ("p", "q"),
-    "random_regular": ("n", "d", "seed"),
+    name: tuple(
+        p.name for p in inspect.signature(builder).parameters.values() if p.default is p.empty
+    )
+    for name, builder in _FAMILIES.items()
 }
 
 

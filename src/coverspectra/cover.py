@@ -119,7 +119,9 @@ def tree_ball(g: MultiGraph, v: int, radius: int, cap: int = TREE_BALL_NODE_CAP)
 # exact integers.
 
 
-@lru_cache(maxsize=100_000)
+# callers reuse one graph's tables across its vertices; a few entries cover
+# that without holding on to every graph of a sweep
+@lru_cache(maxsize=8)
 def _branch_tables(g: MultiGraph, k_max: int) -> tuple[tuple[int, ...], ...]:
     hh = g.num_half_edges
     continuations = [

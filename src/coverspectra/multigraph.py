@@ -219,14 +219,25 @@ def ball(g: MultiGraph, v: int, r: int) -> Neighborhood:
         raise ValueError(f"vertex {v} out of range")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    dist = g.distances_from(v)
-    chosen = sorted(u for u in range(g.n) if 0 <= dist[u] <= r)
+    # BFS that stops expanding at depth r, so the cost is the ball's, not g's
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        if dist[u] == r:
+            continue
+        for h in g.half_edges_at[u]:
+            w = g.targets[h]
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    chosen = sorted(dist)
     index = {u: i for i, u in enumerate(chosen)}
-    sub_edges = [
-        (index[a], index[b])
-        for (a, b) in g.edges
-        if a in index and b in index
-    ]
+    # sorted edge ids keep the edges in g's order
+    edge_ids = sorted(
+        {h >> 1 for u in chosen for h in g.half_edges_at[u] if g.targets[h] in index}
+    )
+    sub_edges = [(index[a], index[b]) for a, b in (g.edges[i] for i in edge_ids)]
     return Neighborhood(MultiGraph.from_edges(len(chosen), sub_edges), tuple(chosen), index[v])
 
 

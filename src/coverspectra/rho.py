@@ -1,53 +1,81 @@
 """Certified spectral radius of the universal cover tree.
 
-For a probe value t, iterate the branch growth system over half-edges
+For a threshold t, the branch growth map over half-edges is
 
-    F[h] <- 1 / (t - sum of F[h'] over continuations h' of h)
+    phi(F)[h] = 1 / (t - sum of F[h'] over continuations h' of h).
 
-from F = 0. The map is monotone, so iterates stay below every admissible
-fixed point and every supersolution. A positive F with
+A positive F with
 
-    1 / (t - continuation sums) <= F   and   sum of F at each vertex <= t
+    phi(F) <= F   and   sum of F at each vertex <= t
 
-certifies a positive function Z on the cover tree with (A Z)(x) <= t Z(x)
-everywhere, hence rho(T) <= t; those two inequalities are checked before
-any probe is declared feasible. The check runs in float64 without outward
-rounding, so hi is an upper bound only up to rounding error; making the
-check exact is the "Make the rho bracket true" item of ROADMAP.md. In the
-other direction, a supersolution's entries never exceed t and dominate
-every iterate, so an iterate escaping above t, or a collapsing denominator,
-refutes feasibility outright. Bisection over t then brackets rho(T).
+(a supersolution) certifies a positive function Z on the cover tree with
+(A Z)(x) <= t Z(x) everywhere, hence rho(T) <= t. Its entries never exceed
+t. Both inequalities are checked before any probe is declared feasible. The
+check runs in float64 without outward rounding, so hi is an upper bound
+only up to rounding error; making the check exact is the "Make the rho
+bracket true" item of ROADMAP.md.
 
-Near the threshold plain iteration is slow from both sides, so each probe
-escalates: a damped Newton solve of the fixed-point system runs on a doubling
-schedule, and its result counts only if the padded output passes the
-certificate check. When Newton keeps failing and the measured contraction
-rate projects convergence far past the iteration cap, the probe gives up and
-is classified infeasible the way a cap hit would be; these ambiguous exits
-are counted and reported, and can bias the bracket's lower edge only.
+Quotient. Let the vertex colours be the degree refinement (refine from the
+uniform colouring; Leighton, JCTB 1982) and the class of a half-edge the
+pair (colour of its source, colour of its target). The partition is
+equitable: every class-a half-edge has exactly C[a, b] continuations in
+class b, and every colour-c vertex carries D[c, a] half-edges of class a.
+Iterates from F = 0 stay constant on classes, so probes run on C and D,
+whose size is the number of classes (1 on a regular graph).
 
-t = max degree is always feasible (F identically 1 is a supersolution), so
-the initial upper endpoint needs no probe.
+Probe. Monotone Newton (Esparza, Kiefer and Luttenberger, SIAM J. Comput.
+2010): phi = phi(F), r = phi - F, J = diag(phi^2) C, and F += d where
+(I - J) d = r. phi is monotone and convex, so for a subsolution F below a
+supersolution G, G - F >= r + J (G - F), hence G - F >= sum_k J^k r = d:
+every iterate is again a subsolution below every supersolution. The first
+probe starts at F = 0 and later ones at Newton's iterate at hi, which lies
+below every supersolution at any t < hi. A probe ends in one of three
+statuses:
+
+* diverged: a denominator is <= 0 or phi exceeds t, which no iterate below
+  a supersolution can do (its entries are at most t), so rho(T) > t; or
+  (I - J) e = 1 has a solution with a negative entry. Then x = max(-e, 0)
+  has J x >= x + 1 on its support; J x >= x is checked, and it gives
+  rho(J) >= 1 (Collatz-Wielandt). For t > rho(T) the least fixed point F*
+  is a supersolution with rho(J(F*)) < 1 (it reaches 1 only at the fold
+  t = rho(T)), and J(F) <= J(F*) below it, so t <= rho(T). By convexity
+  this is how a probe below the fold ends: within a few steps Newton
+  reaches an iterate where I - J stops being an M-matrix. No eigensolve is
+  needed.
+* certified: Newton converged, and the fixed point at t (1 - eta), for the
+  first eta of a short ladder, passes the supersolution check at t.
+* uncertified: Newton converged but no certificate was found. Then rho(T)
+  is within rounding of t, and rho_tree probes t -/+ tol / 4 and stops.
+
+So lo moves only on a refutation and hi only on a checked certificate.
+rho_tree bisects between the best walk-count root and the max degree, where
+F = 1 is a supersolution, so neither initial endpoint needs a probe. The
+final certificate is lifted to every half-edge and checked again on the
+full graph, so hi never rests on the quotient code alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cover import backtracking_walk_profile, tree_ball, TREE_BALL_NODE_CAP
-from .multigraph import MultiGraph, require_connected
+from .multigraph import MultiGraph, refine, require_connected
 
-ITERATION_CAP = 100_000
-CONVERGENCE_TOL = 1e-12
 BISECTION_TOL = 1e-9
 LOWER_BOUND_DEPTH = 6
 
 _DENSE_SOLVE_CAP = 256
-
-_AMBIGUOUS = ("iteration-cap", "projected-cap", "uncertified")
+# relative shifts eta of the certificate's fixed point t (1 - eta): the
+# smallest one whose margin clears rounding in the check wins
+_CERT_SHIFTS = (1e-13, 1e-12, 1e-11, 1e-10)
+# monotone Newton gains about a bit per step even at the fold, so a probe
+# that has not stopped by then is stuck in rounding
+_NEWTON_STEPS = 200
+# a step of a few units in the last place is rounding, not progress
+_ROUNDING = 4 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -61,7 +89,7 @@ class ProbeReport:
 
     @property
     def ambiguous(self) -> bool:
-        return self.status in _AMBIGUOUS
+        return self.status == "uncertified"
 
 
 @dataclass(frozen=True)
@@ -81,254 +109,188 @@ class RhoResult:
         return self.hi - self.lo
 
 
-class _System:
-    """Precomputed index arrays for one graph."""
+def _matrix(rows: list[int], cols: list[int], shape: tuple[int, int], dense: bool):
+    if dense:
+        out = np.zeros(shape)
+        np.add.at(out, (rows, cols), 1.0)
+        return out
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+
+
+class _Quotient:
+    """Half-edge classes of the degree refinement: cls maps each half-edge to
+    its class, C counts continuations between classes, D counts the classes
+    at one vertex of each colour, and color_reps lists those vertices."""
 
     def __init__(self, g: MultiGraph):
-        self.g = g
-        self.n = g.n
-        self.hh = g.num_half_edges
-        self.src = np.array(g.sources, dtype=np.intp)
-        self.tgt = np.array(g.targets, dtype=np.intp)
-        self.inv = np.arange(self.hh, dtype=np.intp) ^ 1
-        self.max_degree = g.max_degree
-        rows: list[int] = []
-        cols: list[int] = []
-        for h in range(self.hh):
+        colors, _ = refine(g, [0] * g.n)
+        ids: dict[tuple[int, int], int] = {}
+        cls = [
+            ids.setdefault((colors[u], colors[v]), len(ids))
+            for u, v in zip(g.sources, g.targets)
+        ]
+        self.cls = np.array(cls, dtype=np.intp)
+        self.size = k = len(ids)
+        self.dense = k <= _DENSE_SOLVE_CAP
+
+        first_color: dict[int, int] = {}
+        for v, c in enumerate(colors):
+            first_color.setdefault(c, v)
+        self.color_reps = tuple(first_color.values())
+        rows, cols = [], []
+        for c, v in enumerate(first_color.values()):
+            for h in g.half_edges_at[v]:
+                rows.append(c)
+                cols.append(cls[h])
+        self.D = _matrix(rows, cols, (len(first_color), k), self.dense)
+
+        first_class: dict[int, int] = {}
+        for h, a in enumerate(cls):
+            first_class.setdefault(a, h)
+        rows, cols = [], []
+        for a, h in first_class.items():
             for h2 in g.half_edges_at[g.targets[h]]:
-                if h2 != (h ^ 1):
-                    rows.append(h)
-                    cols.append(h2)
-        self.jac_rows = np.array(rows, dtype=np.intp)
-        self.jac_cols = np.array(cols, dtype=np.intp)
+                if h2 != h ^ 1:
+                    rows.append(a)
+                    cols.append(cls[h2])
+        self.C = _matrix(rows, cols, (k, k), self.dense)
 
-    def sums(self, f: np.ndarray) -> np.ndarray:
-        return np.bincount(self.src, weights=f, minlength=self.n)
+    def factor(self, w: np.ndarray):
+        """A solver for (I - diag(w) C) x = b: dense up to _DENSE_SOLVE_CAP
+        classes, from one sparse LU factorization above. A singular matrix
+        gives non-finite solutions."""
+        if self.dense:
+            a = np.eye(self.size) - w[:, None] * self.C
 
-    def residual(self, t: float, f: np.ndarray) -> np.ndarray | None:
-        """phi(f) - f, or None when a denominator is not positive."""
-        vsum = self.sums(f)
-        den = t - (vsum[self.tgt] - f[self.inv])
-        if den.min() <= 0.0:
-            return None
-        return 1.0 / den - f
+            def solve(b):
+                try:
+                    return np.linalg.solve(a, b)
+                except np.linalg.LinAlgError:  # exactly singular
+                    return np.full(b.shape, np.nan)
+
+            return solve
+        from scipy.sparse import diags, identity
+        from scipy.sparse.linalg import splu
+
+        try:
+            return splu((identity(self.size) - diags(w) @ self.C).tocsc()).solve
+        except RuntimeError:  # exactly singular
+            return lambda b: np.full(b.shape, np.nan)
 
 
-def _is_supersolution(sys: _System, t: float, f: np.ndarray) -> float | None:
-    """Certificate check, evaluated in float64. Returns the minimal vertex
-    slack when f is a positive supersolution with nonnegative slack, else
-    None."""
+def _supersolution_slack(t, f, vertex_sums, continuation_sums) -> float | None:
+    """Minimal vertex slack t - (sum of f at a vertex) when f is a positive
+    supersolution at t, else None. Evaluated in float64."""
     if f.min() <= 0.0:
         return None
-    vsum = sys.sums(f)
-    slack = t - float(vsum.max())
+    slack = t - float(vertex_sums.max())
     if slack < 0.0:
         return None
-    den = t - (vsum[sys.tgt] - f[sys.inv])
-    if den.min() <= 0.0:
-        return None
-    if not np.all(1.0 / den <= f):
+    den = t - continuation_sums
+    if den.min() <= 0.0 or not np.all(1.0 / den <= f):
         return None
     return slack
 
 
-def _jacobian(sys: _System, phi: np.ndarray):
-    # (row, col) pairs in the continuation pattern are distinct, so plain
-    # fancy-index subtraction is safe on the dense path
-    data = (phi ** 2)[sys.jac_rows]
-    if sys.hh <= _DENSE_SOLVE_CAP:
-        jac = np.eye(sys.hh)
-        jac[sys.jac_rows, sys.jac_cols] -= data
-        return jac
-    from scipy.sparse import csr_matrix, identity
-
-    return identity(sys.hh, format="csr") - csr_matrix(
-        (data, (sys.jac_rows, sys.jac_cols)), shape=(sys.hh, sys.hh)
-    )
+def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray) -> float | None:
+    """The supersolution check on every half-edge of g."""
+    vsum = np.bincount(np.array(g.sources), weights=f, minlength=g.n)
+    inv = np.arange(g.num_half_edges) ^ 1
+    return _supersolution_slack(t, f, vsum, vsum[np.array(g.targets)] - f[inv])
 
 
-def _solve(jac, rhs: np.ndarray, hh: int) -> np.ndarray | None:
-    try:
-        if hh <= _DENSE_SOLVE_CAP:
-            out = np.linalg.solve(jac, rhs)
-        else:
-            from scipy.sparse.linalg import bicgstab, spsolve
+def _newton(q: _Quotient, t: float, f: np.ndarray, solve=None):
+    """Monotone Newton at t from a subsolution f below every supersolution.
+    Returns (diverged, last iterate, steps, solver): diverged is True on one
+    of the refutations of the module docstring and False once Newton has
+    converged, that is, once a step is down to rounding.
 
-            out, info = bicgstab(jac, rhs, rtol=1e-12, maxiter=1000)
-            if info != 0:
-                # direct factorization is slow here but only a fallback
-                out = spsolve(jac.tocsc(), rhs)
-    except Exception:
-        return None
-    return out if np.all(np.isfinite(out)) else None
-
-
-def _pad_certify(sys: _System, t: float, f: np.ndarray) -> np.ndarray | None:
-    """Nudge an approximate fixed point upward until the supersolution
-    inequalities hold.
-
-    A constant bump fails wherever a Jacobian row sums above 1 (hub
-    half-edges), so the bump direction u solves (I - J) u = 1: then u >= 1
-    and J u = u - 1 < u componentwise, which is exactly the strict room the
-    branch inequality needs to absorb the residual. Every candidate is still
-    checked by _is_supersolution; the direction is only a guess."""
-    resid = sys.residual(t, f)
-    if resid is None or f.min() <= 0.0:
-        return None
-    jac = _jacobian(sys, f + resid)
-    u = _solve(jac, np.ones(sys.hh), sys.hh)
-    if u is None or u.min() <= 0.0:
-        return None
-    base = max(float(resid.max()), 0.0) + 1e-16
-    for eps in (2 * base, 8 * base, 64 * base, 1024 * base, 1e-10, 1e-7, 1e-5):
-        cand = f + eps * u
-        if _is_supersolution(sys, t, cand) is not None:
-            return cand
-    return None
-
-
-def _newton_certify(
-    sys: _System, t: float, f0: np.ndarray, max_steps: int = 40
-) -> np.ndarray | None:
-    """Damped Newton on phi(f) - f = 0 from f0, then pad certification.
-    Steps are halved until they keep every denominator positive and reduce
-    the residual, so near-critical systems cannot fling the iterate out of
-    the feasible region. Returns a certified vector or None; this routine
-    never classifies anything by itself."""
-    hh = sys.hh
-    f = f0.copy()
-    resid = sys.residual(t, f)
-    if resid is None:
-        return None
-    res = float(np.abs(resid).max())
-
-    for _ in range(max_steps):
-        if res < 1e-13 * max(1.0, float(np.abs(f).max())):
-            break
-        step = _solve(_jacobian(sys, f + resid), resid, hh)
-        if step is None:
-            break
-        improved = False
-        # near-singular solves can return directions many orders of magnitude
-        # too long, so the halving scan has to go deep before giving up.
-        # No stall heuristic: genuine near-critical convergence can creep at
-        # a few percent per damped step for dozens of steps, which is
-        # indistinguishable from a ghost-root plateau until it finishes.
-        for damp in range(30):
-            cand = f + step * (0.5 ** damp)
-            if cand.min() < 0.0 or cand.max() > 2.0 * t:
-                continue
-            rc = sys.residual(t, cand)
-            if rc is None:
-                continue
-            rn = float(np.abs(rc).max())
-            if rn < res:
-                f, resid, res = cand, rc, rn
-                improved = True
-                break
-        if not improved:
-            break
-
-    return _pad_certify(sys, t, f)
-
-
-def _probe(sys: _System, t: float, iter_cap: int, conv_tol: float) -> ProbeReport:
-    hh = sys.hh
-    f = np.zeros(hh)
-    newton_due = 64
-    newton_failures = 0
-    window: list[tuple[int, float]] = []
-
-    for it in range(1, iter_cap + 1):
-        vsum = sys.sums(f)
-        den = t - (vsum[sys.tgt] - f[sys.inv])
+    A factorization of I - J is reused while each step at least halves the
+    residual, starting with solve when given. J only grows along the
+    iterates and as t falls, so a step d with an older J0 <= J is still
+    safe: (I - J0)^-1 <= (I - J)^-1 keeps F + d below every supersolution,
+    and r + J d >= r + J0 d = d keeps it a subsolution."""
+    last = math.inf
+    for step in range(1, _NEWTON_STEPS + 1):
+        den = t - q.C @ f
         if den.min() <= 0.0:
-            return ProbeReport(t, False, "diverged", it, None, None)
-        fn = 1.0 / den
-        if fn.max() > t:
-            # supersolutions dominate every iterate and stay at or below t
-            return ProbeReport(t, False, "diverged", it, None, None)
-        delta = float(np.abs(fn - f).max())
-        f = fn
-        if delta < conv_tol:
-            cert = _pad_certify(sys, t, f)
-            if cert is not None:
-                slack = _is_supersolution(sys, t, cert)
-                return ProbeReport(t, True, "converged", it, slack, cert)
-            cert = _newton_certify(sys, t, f)
-            if cert is not None:
-                slack = _is_supersolution(sys, t, cert)
-                return ProbeReport(t, True, "certified", it, slack, cert)
-            slack = t - float(sys.sums(f).max())
-            if slack < 0.0:
-                return ProbeReport(t, False, "slack-negative", it, slack, f)
-            return ProbeReport(t, False, "uncertified", it, slack, f)
-
-        if it % 25 == 0:
-            window.append((it, delta))
-            if len(window) > 3:
-                window.pop(0)
-            # a rising update norm means the iterate is escaping past the
-            # ghost root; the f > t divergence test will fire on its own
-            escaping = len(window) >= 2 and window[-1][1] > window[-2][1]
-            if it >= newton_due and not escaping:
-                newton_due *= 2
-                cert = _newton_certify(sys, t, f, max_steps=60)
-                if cert is not None:
-                    slack = _is_supersolution(sys, t, cert)
-                    return ProbeReport(t, True, "certified", it, slack, cert)
-                newton_failures += 1
-            # exits before it=600 would skip the rescue attempts seeded from
-            # closer iterates, which are the ones that convert feasible
-            # near-critical probes with tiny Newton basins
-            if newton_failures >= 2 and it >= 600 and len(window) >= 2:
-                it0, d0 = window[0]
-                rate = (delta / d0) ** (1.0 / (it - it0)) if d0 > 0 else 0.0
-                if rate >= 1.0:
-                    projected = math.inf
-                else:
-                    projected = math.log(max(delta / conv_tol, 1.0)) / -math.log(rate)
-                # flat horizon: once two Newton rescues have failed there is
-                # no point crawling thousands of iterations toward a ghost
-                # root, whatever the remaining budget is
-                if projected > min(2_000.0, 1.5 * (iter_cap - it)):
-                    cert = _newton_certify(sys, t, f, max_steps=80)
-                    if cert is not None:
-                        slack = _is_supersolution(sys, t, cert)
-                        return ProbeReport(t, True, "certified", it, slack, cert)
-                    return ProbeReport(t, False, "projected-cap", it, None, None)
-
-    cert = _newton_certify(sys, t, f, max_steps=80)
-    if cert is not None:
-        slack = _is_supersolution(sys, t, cert)
-        return ProbeReport(t, True, "certified", iter_cap, slack, cert)
-    return ProbeReport(t, False, "iteration-cap", iter_cap, None, None)
+            return True, f, step, solve
+        phi = 1.0 / den
+        if phi.max() > t:
+            return True, f, step, solve
+        r = phi - f
+        w = phi * phi
+        # t - C f is off by about eps t, which moves phi by about eps t w
+        if np.all(r <= _ROUNDING * t * w):
+            return False, f, step, solve
+        if solve is None or r.max() > 0.5 * last:
+            solve = q.factor(w)
+            # (I - J) e = 1 with e < 0 somewhere gives the witness
+            # x = max(-e, 0): J x >= x + 1 on its support
+            x = np.maximum(-solve(np.ones(q.size)), 0.0)
+            if x.max() > 0.0 and np.all(w * (q.C @ x) >= x):
+                return True, f, step, solve
+        last = r.max()
+        # with J0 the factorized Jacobian, r + J0 max(d, r) >= max(d, r)
+        # keeps F a subsolution; below a supersolution d = sum_k J0^k r >= r,
+        # so taking max(d, r) only repairs rounding, which I - J0 amplifies
+        d = np.maximum(np.maximum(solve(r), r), 0.0)
+        if not np.all(np.isfinite(d)) or np.all(d <= _ROUNDING * f):
+            return False, f, step, solve
+        f = f + d
+    return False, f, _NEWTON_STEPS, solve
 
 
-def feasibility_probe(
-    g: MultiGraph,
-    t: float,
-    iter_cap: int = ITERATION_CAP,
-    conv_tol: float = CONVERGENCE_TOL,
-) -> ProbeReport:
-    """Classify a single threshold t for rho(T) <= t. Feasible answers carry
-    a certificate vector that passed _is_supersolution; infeasible answers
-    may be cap-limited (see ProbeReport.ambiguous)."""
+def _probe(q: _Quotient, t: float, start: np.ndarray, solve=None):
+    """Classify t from a subsolution start below every supersolution at t,
+    reusing solve (a factorization at start or below) if given. Also
+    returns Newton's last iterate at t and its solver."""
+    diverged, f, steps, solve = _newton(q, t, start, solve)
+    if diverged:
+        return ProbeReport(t, False, "diverged", steps, None, None), f, solve
+    # f and its solver serve every t' < t too, so they start the ladder
+    for eta in _CERT_SHIFTS:
+        diverged, cert, more, _ = _newton(q, t * (1.0 - eta), f, solve)
+        steps += more
+        if diverged:
+            break
+        slack = _supersolution_slack(t, cert, q.D @ cert, q.C @ cert)
+        if slack is not None:
+            return ProbeReport(t, True, "certified", steps, slack, cert), f, solve
+    return ProbeReport(t, False, "uncertified", steps, None, None), f, solve
+
+
+def _lift_certificate(g: MultiGraph, q: _Quotient, t: float, f: np.ndarray):
+    """Per-half-edge certificate and its full-graph slack; raises if the
+    lifted vector fails the check the quotient passed."""
+    lifted = f[q.cls]
+    slack = _is_supersolution(g, t, lifted)
+    if slack is None:
+        raise RuntimeError(f"certificate at t = {t!r} fails the full-graph check")
+    return lifted, slack
+
+
+def feasibility_probe(g: MultiGraph, t: float) -> ProbeReport:
+    """Classify a single threshold t for rho(T) <= t. Certified answers carry
+    a per-half-edge certificate that passed _is_supersolution on g."""
     require_connected(g, "feasibility_probe")
-    return _probe(_System(g), float(t), iter_cap, conv_tol)
+    q = _Quotient(g)
+    rep, _, _ = _probe(q, float(t), np.zeros(q.size))
+    if not rep.feasible:
+        return rep
+    lifted, slack = _lift_certificate(g, q, rep.t, rep.fixed_point)
+    return replace(rep, fixed_point=lifted, slack_min=slack)
 
 
-def rho_tree(
-    g: MultiGraph,
-    tol: float = BISECTION_TOL,
-    iter_cap: int = ITERATION_CAP,
-    lower_depth: int = LOWER_BOUND_DEPTH,
-) -> RhoResult:
+def rho_tree(g: MultiGraph, tol: float = BISECTION_TOL) -> RhoResult:
     """Bracket the cover tree's spectral radius to width tol by bisection.
 
     The initial bracket is [best walk-count root, max degree]; both endpoints
     are certified without probes (walk roots never exceed rho, and F = 1 is a
-    supersolution at t = max degree).
+    supersolution at t = max degree). lo moves only on a diverged probe and
+    hi only on a certified one.
     """
     require_connected(g, "rho_tree")
     if tol <= 0:
@@ -336,49 +298,50 @@ def rho_tree(
     if g.m == 0:
         return RhoResult(0.0, 0.0, 0.0, tol, {}, 0.0, (), 0, ())
 
-    sys = _System(g)
+    q = _Quotient(g)
     delta_max = float(g.max_degree)
-    walk_root = max(max(rho_lower_sequence(g, v, lower_depth)) for v in range(g.n))
+    # walk profiles depend only on the colour, so one vertex per colour will do
+    walk_root = max(max(rho_lower_sequence(g, v, LOWER_BOUND_DEPTH)) for v in q.color_reps)
     lo = min(walk_root, delta_max)
     hi = delta_max
 
-    probes: list[tuple[float, bool, str]] = []
-    iterations: list[int] = []
-    ambiguous = 0
+    reports: list[ProbeReport] = []
     best: ProbeReport | None = None
+    # Newton's iterate at hi: a subsolution at every t < hi that lies below
+    # F*(hi), hence below every supersolution at t, so probes start there,
+    # with the factorization made at or below it
+    start, solve = np.zeros(q.size), None
 
-    while hi - lo > tol and len(probes) < 200:
+    def probe(t: float) -> str:
+        nonlocal lo, hi, best, start, solve
+        rep, f, factored = _probe(q, t, start, solve)
+        reports.append(rep)
+        if rep.status == "certified":
+            hi, best, start, solve = t, rep, f, factored
+        elif rep.status == "diverged":
+            lo = t
+        return rep.status
+
+    while hi - lo > tol and len(reports) < 200:
         mid = 0.5 * (lo + hi)
-        rep = _probe(sys, mid, iter_cap, CONVERGENCE_TOL)
-        probes.append((mid, rep.feasible, rep.status))
-        iterations.append(rep.iterations)
-        if rep.ambiguous:
-            ambiguous += 1
-        if rep.feasible:
-            hi = mid
-            best = rep
-        else:
-            lo = mid
+        if probe(mid) == "uncertified":
+            probe(mid - 0.25 * tol)
+            probe(mid + 0.25 * tol)
+            break
 
-    if best is not None:
-        fixed = {h: float(best.fixed_point[h]) for h in range(sys.hh)}
-        slack_min = float(best.slack_min)
-    else:
-        # hi never moved off the a priori endpoint: F = 1 certifies t = max degree
-        fixed = {h: 1.0 for h in range(sys.hh)}
-        slack_min = delta_max - float(max(g.degrees))
-
-    value = 0.5 * (lo + hi)
+    # hi still at the max degree means F = 1 is the certificate
+    cert = best.fixed_point if best is not None else np.ones(q.size)
+    fixed, slack_min = _lift_certificate(g, q, hi, cert)
     return RhoResult(
-        value,
+        0.5 * (lo + hi),
         lo,
         hi,
         tol,
-        fixed,
+        dict(enumerate(fixed.tolist())),
         slack_min,
-        tuple(iterations),
-        ambiguous,
-        tuple(probes),
+        tuple(r.iterations for r in reports),
+        sum(r.ambiguous for r in reports),
+        tuple((r.t, r.feasible, r.status) for r in reports),
     )
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from coverspectra.cover import tree_ball
-from coverspectra.multigraph import MultiGraph
+from coverspectra.multigraph import MultiGraph, Neighborhood
 
 
 def stack_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
@@ -74,3 +74,18 @@ def tree_ball_walk_count(g: MultiGraph, v: int, k: int) -> int:
                     y[c] += xn
         x = y
     return x[0]
+
+
+def ball_by_full_bfs(g: MultiGraph, v: int, r: int) -> Neighborhood:
+    """The induced radius-r ball around v, built from a BFS over the whole
+    graph and a scan of every edge: a reference for multigraph.ball, which
+    visits only the ball."""
+    dist = g.distances_from(v)
+    chosen = sorted(u for u in range(g.n) if 0 <= dist[u] <= r)
+    index = {u: i for i, u in enumerate(chosen)}
+    sub_edges = [
+        (index[a], index[b])
+        for (a, b) in g.edges
+        if a in index and b in index
+    ]
+    return Neighborhood(MultiGraph.from_edges(len(chosen), sub_edges), tuple(chosen), index[v])

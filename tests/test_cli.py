@@ -200,6 +200,22 @@ def test_gen_errors(capsys):
     assert "requires --c" in err
 
 
+def test_gen_family_parameters_follow_the_builders(capsys):
+    """The CLI reads each family's required parameters off its builder's
+    signature; optional ones such as random_regular's retries stay hidden."""
+    err = run_error(capsys, ["gen", "--family", "petersen"])
+    assert err.strip().endswith(
+        "choose from: biregular, bowtie, complete, cycle, path, random_regular, "
+        "star, theta, two_cycles_glued"
+    )
+    err = run_error(capsys, ["gen", "--family", "random_regular", "--n", "10", "--d", "3"])
+    assert "family 'random_regular' requires --seed" in err
+    err = run_error(capsys, ["gen", "--family", "star"])
+    assert "family 'star' requires --k" in err
+    err = run_error(capsys, ["experiment", "--family", "bowtie", "--sizes", "5", "--seeds", "1"])
+    assert "family 'bowtie' has no size parameter" in err
+
+
 def test_lift_deterministic(capsys, write_graph):
     argv = ["lift", write_graph(bowtie()), "--n", "3", "--seed", "1"]
     code = main(argv)

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import ball_by_full_bfs
+
 from coverspectra.multigraph import (
     CyclomaticClass,
     GraphParseError,
@@ -10,7 +12,7 @@ from coverspectra.multigraph import (
     is_tree,
     load_graph,
 )
-from coverspectra.generators import bowtie, cycle, path
+from coverspectra.generators import bowtie, cycle, path, random_regular
 
 
 # -- parsing -------------------------------------------------------------------
@@ -179,6 +181,16 @@ def test_ball_is_distance_induced(corpus):
                 tuple(sorted(e)) for e in g.edges if dist[e[0]] <= r and dist[e[1]] <= r
             )
             assert got == expect
+
+
+def test_ball_matches_full_bfs_construction(corpus):
+    """The depth-limited BFS gives the same Neighborhood, edge order
+    included, as a BFS over the whole graph followed by an edge scan."""
+    rr, _ = random_regular(250, 3, 7)
+    for g in (*corpus, rr):
+        for v in range(g.n):
+            for r in (1, 2, 3):
+                assert ball(g, v, r) == ball_by_full_bfs(g, v, r)
 
 
 # -- components ------------------------------------------------------------------

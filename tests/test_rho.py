@@ -1,15 +1,30 @@
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from coverspectra.multigraph import MultiGraph, is_tree
+from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class, refine
 from coverspectra.rho import (
+    _DENSE_SOLVE_CAP,
+    _Quotient,
+    _is_supersolution,
     feasibility_probe,
     rho_ball_power,
     rho_lower_sequence,
     rho_tree,
 )
-from coverspectra.generators import bowtie, complete, cycle, path, star, theta
+from coverspectra.generators import (
+    bowtie,
+    complete,
+    cycle,
+    path,
+    random_lift,
+    random_regular,
+    star,
+    theta,
+)
 
 SQRT8 = 2 * math.sqrt(2)
 
@@ -190,9 +205,100 @@ def test_sandwich(corpus, cache):
 def test_probe_reports_are_recorded(zoo_graph):
     res = rho_tree(zoo_graph)
     assert len(res.probes) == len(res.iterations_per_probe)
-    ambiguous_statuses = {"iteration-cap", "projected-cap", "uncertified"}
-    assert res.ambiguous_probes == sum(
-        1 for _, _, s in res.probes if s in ambiguous_statuses
-    )
+    statuses = [s for _, _, s in res.probes]
+    assert set(statuses) <= {"certified", "diverged", "uncertified"}
+    assert res.ambiguous_probes == statuses.count("uncertified")
     for t, feasible, status in res.probes:
-        assert feasible == (status in ("converged", "certified"))
+        assert feasible == (status == "certified")
+
+
+# -- bracket truth ----------------------------------------------------------------------
+
+
+def test_bracket_contains_lambda1_on_trees_and_unicyclic(corpus, cache):
+    """rho(T) = lambda1 when the cycle rank is at most 1, so the bracket must
+    contain lambda1. Before lo moved only on proofs, probes that gave up far
+    from convergence pushed lo above lambda1 on three unicyclic graphs with a
+    loop, by up to 4.5e-7."""
+    bad = []
+    for i, g in enumerate(corpus):
+        if cyclomatic_class(g) is CyclomaticClass.MULTICYCLIC:
+            continue
+        res, lam = cache.rho(g), cache.spectrum(g).lambda1
+        if not (res.lo <= lam + 1e-12 and res.hi >= lam - 1e-12):
+            bad.append((i, g.edges, res.lo - lam, res.hi - lam))
+    assert bad == []
+
+
+# -- the quotient the probes run on ------------------------------------------------------
+
+
+def _dense(m):
+    return m if isinstance(m, np.ndarray) else m.toarray()
+
+
+def _assert_equitable(g):
+    q = _Quotient(g)
+    c, d = _dense(q.C), _dense(q.D)
+    for h in range(g.num_half_edges):
+        counts = Counter(
+            int(q.cls[h2]) for h2 in g.half_edges_at[g.targets[h]] if h2 != h ^ 1
+        )
+        row = c[q.cls[h]]
+        assert {b: row[b] for b in np.flatnonzero(row)} == counts
+    colors, _ = refine(g, [0] * g.n)
+    row_of = {colors[v]: i for i, v in enumerate(q.color_reps)}
+    for v in range(g.n):
+        counts = Counter(int(q.cls[h]) for h in g.half_edges_at[v])
+        row = d[row_of[colors[v]]]
+        assert {a: row[a] for a in np.flatnonzero(row)} == counts
+
+
+def test_quotient_is_equitable_on_corpus(corpus):
+    for g in corpus:
+        _assert_equitable(g)
+
+
+def test_quotient_is_equitable_on_lifts_and_regular():
+    graphs = [random_regular(250, 3, 7)[0]]
+    for base, k, seed in ((bowtie(), 40, 1), (bowtie(), 150, 2), (complete(4), 50, 3),
+                          (theta(1, 2, 3), 40, 4)):
+        lift, _ = random_lift(base, k, seed)
+        graphs.append(lift)
+    for g in graphs:
+        _assert_equitable(g)
+    # the cover, not the vertex count, sets the size
+    assert _Quotient(graphs[0]).size == 1
+    assert _Quotient(graphs[2]).size == 3
+
+
+def _gnp_giant(n: int, seed: int) -> MultiGraph:
+    """Largest component of G(n, 3/n), pairs u < v scanned in order, its
+    vertices relabelled in sorted order."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 3 / n]
+    comp = max(MultiGraph.from_edges(n, edges).connected_components(), key=len)
+    index = {u: i for i, u in enumerate(comp)}
+    return MultiGraph.from_edges(
+        len(comp), [(index[a], index[b]) for a, b in edges if a in index]
+    )
+
+
+def test_sparse_quotient_path():
+    g = _gnp_giant(300, 5)
+    assert _Quotient(g).size > _DENSE_SOLVE_CAP
+    res = rho_tree(g)
+    assert res.width <= res.tol
+    walk_root = max(max(rho_lower_sequence(g, v, 6)) for v in range(g.n))
+    assert walk_root <= res.value <= g.max_degree
+    cert = np.array([res.fixed_point[h] for h in range(g.num_half_edges)])
+    assert _is_supersolution(g, res.hi, cert) is not None
+
+
+def test_feasibility_probe_certificate_covers_every_half_edge():
+    g = bowtie()
+    rep = feasibility_probe(g, 2.6)
+    assert rep.status == "certified"
+    assert len(rep.fixed_point) == g.num_half_edges
+    assert _is_supersolution(g, 2.6, rep.fixed_point) == rep.slack_min
+    assert feasibility_probe(g, 2.5).status == "diverged"
