@@ -1,5 +1,5 @@
-"""Universal cover machinery: truncated tree balls, purely backtracking
-closed-walk counts, and vertex orbit distributions.
+"""Universal cover machinery: purely backtracking closed-walk counts and
+vertex orbit distributions.
 
 The universal cover of a connected multigraph is the tree of non-backtracking
 walks from a base vertex; closed walks of the base graph that lift to closed
@@ -14,91 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .multigraph import MultiGraph, refine, require_connected
-
-TREE_BALL_NODE_CAP = 20_000_000
-
-
-class BallCapExceeded(RuntimeError):
-    """Materializing a tree ball would exceed the node cap."""
-
-
-@dataclass(frozen=True)
-class TreeBall:
-    """Truncated ball of the universal cover, rooted at node 0.
-
-    pi projects nodes to base vertices; in_half_edge[x] is the base half-edge
-    whose lift enters x from its parent (None at the root). Children of a node
-    are in bijection with the half-edges at its projection, minus the inverse
-    of the inbound one; the root's children realize every half-edge at pi(0).
-    """
-
-    graph: MultiGraph
-    center: int
-    radius: int
-    pi: tuple[int, ...]
-    parent: tuple[int, ...]
-    in_half_edge: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
-    depth: tuple[int, ...]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.pi)
-
-    def as_multigraph(self) -> MultiGraph:
-        """The ball as a plain tree on its node ids (root stays node 0)."""
-        edges = [(self.parent[x], x) for x in range(1, self.node_count)]
-        return MultiGraph.from_edges(self.node_count, edges)
-
-
-def tree_ball(g: MultiGraph, v: int, radius: int, cap: int = TREE_BALL_NODE_CAP) -> TreeBall:
-    """Materialize B_radius of the universal cover at a lift of v.
-
-    Children are generated in increasing half-edge id order, so node ids are
-    deterministic. Raises BallCapExceeded before allocating past cap nodes.
-    """
-    require_connected(g, "tree_ball")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-
-    pi = [v]
-    parent = [-1]
-    in_he = [-1]
-    depth = [0]
-    children: list[list[int]] = [[]]
-    frontier = [0]
-    for _ in range(radius):
-        next_frontier = []
-        for x in frontier:
-            banned = -1 if in_he[x] < 0 else (in_he[x] ^ 1)
-            for h in g.half_edges_at[pi[x]]:
-                if h == banned:
-                    continue
-                node = len(pi)
-                if node >= cap:
-                    raise BallCapExceeded(
-                        f"tree ball at vertex {v}, radius {radius} exceeds {cap} nodes"
-                    )
-                pi.append(g.targets[h])
-                parent.append(x)
-                in_he.append(h)
-                depth.append(depth[x] + 1)
-                children.append([])
-                children[x].append(node)
-                next_frontier.append(node)
-        frontier = next_frontier
-    return TreeBall(
-        g,
-        v,
-        radius,
-        tuple(pi),
-        tuple(parent),
-        tuple(in_he),
-        tuple(tuple(c) for c in children),
-        tuple(depth),
-    )
 
 
 # -- purely backtracking closed walks -----------------------------------------

@@ -163,11 +163,17 @@ class MassTransportReport:
 
 
 def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportReport:
-    """Exact double-counting balance for F(u, v) = 1{dist(u, v) <= R and u on
-    an l-cycle}, plus the averaged N_R lower bound when every radius-R ball
+    """Double-counting balance for F(u, v) = 1{dist(u, v) <= R and u on an
+    l-cycle}, plus the averaged N_R lower bound when every radius-R ball
     holds at least R vertices. N_R(v) counts l-cycles with some vertex within
     distance R of v; the bound check is skipped (nr_holds = None) whenever
-    the ball-size hypothesis fails."""
+    the ball-size hypothesis fails.
+
+    Mass sent (the sum of F(o, v) over pairs) and mass received (the sum of
+    F(v, o)) count the same pairs, so on a finite graph the balance is an
+    identity: it is counted once and reported as both lhs and rhs. The
+    mass-transport principle has content only on infinite unimodular
+    networks."""
     if R < 0:
         raise ValueError("radius must be nonnegative")
     require_connected(g)
@@ -175,12 +181,8 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     stats = cycle_stats(g, length)
     on_cycle = [c > 0 for c in stats.counts]
     dist = [g.distances_from(v) for v in range(n)]
-
-    lhs_total = sum(
-        1 for o in range(n) for v in range(n) if on_cycle[o] and 0 <= dist[o][v] <= R
-    )
-    rhs_total = sum(
-        1 for o in range(n) for v in range(n) if on_cycle[v] and 0 <= dist[v][o] <= R
+    mass = Fraction(
+        sum(1 for o in range(n) if on_cycle[o] for d in dist[o] if 0 <= d <= R), n
     )
 
     hypothesis = all(
@@ -200,8 +202,8 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     return MassTransportReport(
         R,
         length,
-        Fraction(lhs_total, n),
-        Fraction(rhs_total, n),
+        mass,
+        mass,
         hypothesis,
         nr_average,
         nr_bound,

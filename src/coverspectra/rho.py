@@ -10,10 +10,11 @@ A positive F with
 
 (a supersolution) certifies a positive function Z on the cover tree with
 (A Z)(x) <= t Z(x) everywhere, hence rho(T) <= t. Its entries never exceed
-t. Both inequalities are checked before any probe is declared feasible. The
-check runs in float64 without outward rounding, so hi is an upper bound
-only up to rounding error; making the check exact is the "Make the rho
-bracket true" item of ROADMAP.md.
+t. Both inequalities are checked before any probe is declared feasible, in
+float64 on the quotient (below) while probing. The certificate behind a
+reported hi is checked again on every half-edge in exact arithmetic: t and
+F are dyadic rationals, like every float, so one power of two scales them
+to integers. hi is therefore a proof, not an upper bound up to rounding.
 
 Quotient. Let the vertex colours be the degree refinement (refine from the
 uniform colouring; Leighton, JCTB 1982) and the class of a half-edge the
@@ -50,8 +51,8 @@ statuses:
 So lo moves only on a refutation and hi only on a checked certificate.
 rho_tree bisects between the best walk-count root and the max degree, where
 F = 1 is a supersolution, so neither initial endpoint needs a probe. The
-final certificate is lifted to every half-edge and checked again on the
-full graph, so hi never rests on the quotient code alone.
+final certificate is lifted to every half-edge and checked exactly on the
+full graph, so hi rests neither on the quotient code nor on rounding.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cover import backtracking_walk_profile, tree_ball, TREE_BALL_NODE_CAP
+from .cover import backtracking_walk_profile
 from .multigraph import MultiGraph, refine, require_connected
 
 BISECTION_TOL = 1e-9
@@ -195,10 +196,32 @@ def _supersolution_slack(t, f, vertex_sums, continuation_sums) -> float | None:
 
 
 def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray) -> float | None:
-    """The supersolution check on every half-edge of g."""
-    vsum = np.bincount(np.array(g.sources), weights=f, minlength=g.n)
-    inv = np.arange(g.num_half_edges) ^ 1
-    return _supersolution_slack(t, f, vsum, vsum[np.array(g.targets)] - f[inv])
+    """The supersolution check on every half-edge of g, in exact arithmetic.
+
+    Every float is a dyadic rational, so t and f are scaled by one power of
+    two, 2^k, to the Python integers T and F; then the vertex sums of F are
+    at most T, and f (t - continuation sum) >= 1 is F (T - continuation
+    sum) >= 4^k. Returns the vertex slack t - (largest vertex sum of f),
+    evaluated in float64, when f passes, else None."""
+    if not np.all(np.isfinite(f) & (f > 0.0)):
+        return None
+    ratios = [x.as_integer_ratio() for x in [t, *f.tolist()]]
+    k = max(den.bit_length() for _, den in ratios) - 1
+    big_t, *big_f = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    vsum = [0] * g.n
+    for u, x in zip(g.sources, big_f):
+        vsum[u] += x
+    if max(vsum) > big_t:
+        return None
+    # F > 0, so this also fails every non-positive denominator
+    one = 1 << (2 * k)
+    for h, (x, w) in enumerate(zip(big_f, g.targets)):
+        if x * (big_t - vsum[w] + big_f[h ^ 1]) < one:
+            return None
+    vsum_float = np.bincount(np.array(g.sources, dtype=np.intp), weights=f, minlength=g.n)
+    slack = t - float(vsum_float.max())
+    # the exact vertex sums are at most t; only float rounding can say less
+    return max(slack, 0.0)
 
 
 def _newton(q: _Quotient, t: float, f: np.ndarray, solve=None):
@@ -362,40 +385,48 @@ def rho_lower_sequence(g: MultiGraph, v: int, depth: int) -> list[float]:
     return out
 
 
-def rho_ball_power(
-    g: MultiGraph,
-    v: int,
-    radius: int,
-    cap: int = TREE_BALL_NODE_CAP,
-    tol: float = 1e-11,
-    max_iterations: int = 50_000,
-) -> float:
-    """Rayleigh-quotient estimate of the top eigenvalue of the truncated cover
-    ball, by shifted power iteration. The returned value is the quotient of
-    the final iterate, hence always a valid lower bound for rho(T)."""
+def rho_ball_power(g: MultiGraph, v: int, radius: int) -> float:
+    """Top eigenvalue of the radius-`radius` ball of the cover tree at a lift
+    of v, a lower bound for rho(T).
+
+    Eliminating t I - A_ball from the leaves (LDL^T) leaves the pivot
+    1 / F[a, j] at a node whose in-half-edge has class a and which has j
+    levels below it, where F[a, 0] = 1 / t and F[a, j] = 1 / (t - (C F[j-1])[a]);
+    the root's pivot is t minus the sum of F[radius - 1] over the half-edges
+    at v. By Sylvester's law t exceeds the top eigenvalue exactly when every
+    pivot is positive, so t is bisected on [0, max degree] to float
+    precision and the last t that failed is returned. Only the classes
+    present at a depth are tested: a class that no node there carries can
+    have a non-positive pivot of its own.
+    """
     require_connected(g, "rho_ball_power")
-    tb = tree_ball(g, v, radius, cap=cap)
-    size = tb.node_count
-    if size == 1:
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if radius == 0 or g.m == 0:  # a single node
         return 0.0
 
-    from scipy.sparse import coo_matrix
+    q = _Quotient(g)
+    at_root = np.bincount(q.cls[list(g.half_edges_at[v])], minlength=q.size)
+    # present[d - 1]: the classes of the half-edges entering depth d
+    present = [at_root > 0]
+    for _ in range(1, radius):
+        present.append(q.C.T @ present[-1].astype(float) > 0.0)
 
-    child = np.arange(1, size, dtype=np.intp)
-    par = np.array(tb.parent[1:], dtype=np.intp)
-    rows = np.concatenate([par, child])
-    cols = np.concatenate([child, par])
-    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size)).tocsr()
+    def exceeds_top(t: float) -> bool:
+        f = np.zeros(q.size)
+        for p in reversed(present):
+            den = np.where(p, t - q.C @ f, 1.0)
+            if den.min() <= 0.0:
+                return False
+            f = p / den
+        return t - at_root @ f > 0.0
 
-    x = np.full(size, 1.0 / math.sqrt(size))
-    rayleigh = 0.0
-    for _ in range(max_iterations):
-        ax = adj @ x
-        new_rayleigh = float(x @ ax)
-        y = ax + x  # shift by +1 keeps the top eigenvalue strictly dominant
-        x = y / np.linalg.norm(y)
-        if abs(new_rayleigh - rayleigh) < tol:
-            rayleigh = new_rayleigh
-            break
-        rayleigh = new_rayleigh
-    return rayleigh
+    lo, hi = 0.0, float(g.max_degree)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if exceeds_top(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo

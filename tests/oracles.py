@@ -6,10 +6,98 @@ recomputed from first principles so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 
-from coverspectra.cover import tree_ball
-from coverspectra.multigraph import MultiGraph, Neighborhood
+from coverspectra.multigraph import MultiGraph, Neighborhood, require_connected
+
+
+TREE_BALL_NODE_CAP = 20_000_000
+
+
+class BallCapExceeded(RuntimeError):
+    """Materializing a tree ball would exceed the node cap."""
+
+
+@dataclass(frozen=True)
+class TreeBall:
+    """Truncated ball of the universal cover, rooted at node 0.
+
+    pi projects nodes to base vertices; in_half_edge[x] is the base half-edge
+    whose lift enters x from its parent (-1 at the root). Children of a node
+    are in bijection with the half-edges at its projection, minus the inverse
+    of the inbound one; the root's children realize every half-edge at pi(0).
+    """
+
+    graph: MultiGraph
+    center: int
+    radius: int
+    pi: tuple[int, ...]
+    parent: tuple[int, ...]
+    in_half_edge: tuple[int, ...]
+    children: tuple[tuple[int, ...], ...]
+    depth: tuple[int, ...]
+
+    @property
+    def node_count(self) -> int:
+        return len(self.pi)
+
+    def as_multigraph(self) -> MultiGraph:
+        """The ball as a plain tree on its node ids (root stays node 0)."""
+        edges = [(self.parent[x], x) for x in range(1, self.node_count)]
+        return MultiGraph.from_edges(self.node_count, edges)
+
+
+def tree_ball(g: MultiGraph, v: int, radius: int, cap: int = TREE_BALL_NODE_CAP) -> TreeBall:
+    """Materialize B_radius of the universal cover at a lift of v.
+
+    Children are generated in increasing half-edge id order, so node ids are
+    deterministic. Raises BallCapExceeded before allocating past cap nodes.
+    """
+    require_connected(g, "tree_ball")
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} out of range")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+
+    pi = [v]
+    parent = [-1]
+    in_he = [-1]
+    depth = [0]
+    children: list[list[int]] = [[]]
+    frontier = [0]
+    for _ in range(radius):
+        next_frontier = []
+        for x in frontier:
+            banned = -1 if in_he[x] < 0 else (in_he[x] ^ 1)
+            for h in g.half_edges_at[pi[x]]:
+                if h == banned:
+                    continue
+                node = len(pi)
+                if node >= cap:
+                    raise BallCapExceeded(
+                        f"tree ball at vertex {v}, radius {radius} exceeds {cap} nodes"
+                    )
+                pi.append(g.targets[h])
+                parent.append(x)
+                in_he.append(h)
+                depth.append(depth[x] + 1)
+                children.append([])
+                children[x].append(node)
+                next_frontier.append(node)
+        frontier = next_frontier
+    return TreeBall(
+        g,
+        v,
+        radius,
+        tuple(pi),
+        tuple(parent),
+        tuple(in_he),
+        tuple(tuple(c) for c in children),
+        tuple(depth),
+    )
 
 
 def stack_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
@@ -89,3 +177,47 @@ def ball_by_full_bfs(g: MultiGraph, v: int, r: int) -> Neighborhood:
         if a in index and b in index
     ]
     return Neighborhood(MultiGraph.from_edges(len(chosen), sub_edges), tuple(chosen), index[v])
+
+
+def tree_ball_top_eigenvalue(tb: TreeBall, radius: int) -> float:
+    """Top adjacency eigenvalue of the materialized ball cut at radius (node
+    ids grow with depth, so the cut is a prefix): dense eigvalsh up to 200
+    nodes, Lanczos (scipy eigsh) on larger balls, which reach 433,175 nodes
+    on the corpus at radius 5."""
+    size = sum(1 for d in tb.depth if d <= radius)
+    if size == 1:
+        return 0.0
+    child = np.arange(1, size)
+    par = np.array(tb.parent[1:size])
+    if size <= 200:
+        adj = np.zeros((size, size))
+        adj[par, child] = adj[child, par] = 1.0
+        return float(np.linalg.eigvalsh(adj)[-1])
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.linalg import eigsh
+
+    rows = np.concatenate([par, child])
+    cols = np.concatenate([child, par])
+    adj = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(size, size)).tocsr()
+    return float(eigsh(adj, k=1, which="LA", return_eigenvectors=False)[0])
+
+
+def supersolution_by_fractions(g: MultiGraph, t: float, f) -> bool:
+    """The supersolution check of rho._is_supersolution in Fraction
+    arithmetic, one half-edge at a time: f > 0, every vertex sum of f is at
+    most t, and 1 / (t - continuation sum) <= f[h] with a positive
+    denominator."""
+    t = Fraction(t)
+    fr = [Fraction(x) for x in f]
+    if any(x <= 0 for x in fr):
+        return False
+    vsum = [Fraction(0)] * g.n
+    for h, x in enumerate(fr):
+        vsum[g.source(h)] += x
+    if max(vsum) > t:
+        return False
+    for h, x in enumerate(fr):
+        den = t - (vsum[g.target(h)] - fr[MultiGraph.inv(h)])
+        if den <= 0 or 1 / den > x:
+            return False
+    return True

@@ -3,17 +3,15 @@ from fractions import Fraction
 import pytest
 
 from coverspectra.cover import (
-    BallCapExceeded,
     backtracking_walk_count,
     backtracking_walk_profile,
     orbit_distribution,
-    tree_ball,
 )
 from coverspectra.multigraph import MultiGraph, is_tree
 from coverspectra.spectra import closed_walk_profile
 from coverspectra.generators import biregular, bowtie, complete, cycle, path, star
 
-from oracles import stack_walk_profile, tree_ball_walk_count
+from oracles import BallCapExceeded, stack_walk_profile, tree_ball, tree_ball_walk_count
 
 
 # -- tree balls --------------------------------------------------------------------

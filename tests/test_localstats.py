@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from coverspectra.cover import orbit_distribution, tree_ball
+from coverspectra.cover import orbit_distribution
 from coverspectra.localstats import (
     CANON_CAP,
     ball_code,
@@ -17,6 +17,8 @@ from coverspectra.localstats import (
 )
 from coverspectra.multigraph import MultiGraph, is_tree
 from coverspectra.generators import bowtie, complete, cycle, path, random_regular, star
+
+from oracles import tree_ball
 
 
 def _girth(g):

@@ -2,8 +2,12 @@ import math
 import random
 from collections import Counter
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+
+from oracles import supersolution_by_fractions, tree_ball, tree_ball_top_eigenvalue
 
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class, refine
 from coverspectra.rho import (
@@ -161,7 +165,7 @@ def test_lower_sequence_validation():
         rho_lower_sequence(cycle(3), 0, 0)
 
 
-# -- truncated-ball power iteration ---------------------------------------------------
+# -- cover-ball eigenvalue -------------------------------------------------------------
 
 
 def test_ball_power_cycle_closed_form():
@@ -188,6 +192,38 @@ def test_ball_power_is_lower_bound_and_monotone(zoo_graph, cache):
     vals = [rho_ball_power(zoo_graph, 0, r) for r in (2, 4, 6)]
     assert all(a <= b + 1e-10 for a, b in zip(vals, vals[1:]))
     assert vals[-1] <= res.hi + 1e-9
+
+
+def _assert_matches_materialized_ball(g, radius):
+    tb = tree_ball(g, 0, radius)
+    for r in range(radius + 1):
+        want = tree_ball_top_eigenvalue(tb, r)
+        assert rho_ball_power(g, 0, r) == pytest.approx(want, abs=1e-9)
+
+
+def test_ball_power_matches_materialized_ball_on_corpus(corpus):
+    for g in corpus:
+        _assert_matches_materialized_ball(g, 5)
+
+
+def test_ball_power_matches_materialized_ball_on_zoo(zoo_graph):
+    _assert_matches_materialized_ball(zoo_graph, 6)
+
+
+def test_ball_power_tests_only_classes_present_at_each_depth():
+    """The half-edges into the four-fold edge first enter the ball at depth
+    3, so at radius 4 their classes never carry three levels below them;
+    testing their pivots anyway gave 3.0455 at radius 4."""
+    g = MultiGraph.from_edges(4, ((0, 0), (0, 1), (1, 2), (2, 3), (2, 3), (2, 3), (2, 3)))
+    _assert_matches_materialized_ball(g, 6)
+    assert rho_ball_power(g, 0, 4) == pytest.approx(2.7898714397, abs=1e-9)
+
+
+def test_ball_power_validates_arguments():
+    with pytest.raises(ValueError):
+        rho_ball_power(cycle(3), 7, 1)
+    with pytest.raises(ValueError):
+        rho_ball_power(cycle(3), 0, -1)
 
 
 # -- estimator agreement ---------------------------------------------------------------
@@ -302,3 +338,51 @@ def test_feasibility_probe_certificate_covers_every_half_edge():
     assert len(rep.fixed_point) == g.num_half_edges
     assert _is_supersolution(g, 2.6, rep.fixed_point) == rep.slack_min
     assert feasibility_probe(g, 2.5).status == "diverged"
+
+
+# -- the exact supersolution check ---------------------------------------------------------
+
+
+def _one_ulp_either_side(g, t, f):
+    """Copies of f that pass and fail by one ulp at the non-loop half-edge
+    with the least room: f[h] set to the floats next to 1 / (t - continuation
+    sum), which f[h] does not enter; lowering f[h] only eases the rest."""
+    fr = [Fraction(x) for x in f]
+    vsum = [Fraction(0)] * g.n
+    for h, x in enumerate(fr):
+        vsum[g.source(h)] += x
+    rooms = [
+        (fr[h] * (Fraction(t) - vsum[g.target(h)] + fr[h ^ 1]), h)
+        for h in range(g.num_half_edges)
+        if g.source(h) != g.target(h)
+    ]
+    if not rooms:
+        return None
+    _, h = min(rooms)
+    need = 1 / (Fraction(t) - vsum[g.target(h)] + fr[h ^ 1])
+    near = float(need)
+    if Fraction(near) < need:
+        fail, ok = near, np.nextafter(near, math.inf)
+    else:
+        fail, ok = np.nextafter(near, -math.inf), near
+    passing, failing = f.copy(), f.copy()
+    passing[h], failing[h] = ok, fail
+    return passing, failing
+
+
+def test_exact_check_matches_fractions(corpus, cache):
+    perturbed = 0
+    for g in corpus:
+        res = cache.rho(g)
+        f = np.array([res.fixed_point[h] for h in range(g.num_half_edges)])
+        below = float(np.nextafter(res.hi, 0.0))
+        cases = [(res.hi, f, True), (below, f, None)]
+        pair = _one_ulp_either_side(g, res.hi, f)
+        if pair is not None:
+            perturbed += 1
+            cases += [(res.hi, pair[0], True), (res.hi, pair[1], False)]
+        for t, cert, want in cases:
+            exact = supersolution_by_fractions(g, t, cert)
+            assert want is None or exact is want
+            assert (_is_supersolution(g, t, cert) is not None) is exact
+    assert perturbed > 1000
