@@ -1,10 +1,30 @@
-"""Universal cover machinery: purely backtracking closed-walk counts and
-vertex orbit distributions.
+"""Universal cover machinery: the cover's quotient, purely backtracking
+closed-walk counts and vertex orbit distributions.
 
 The universal cover of a connected multigraph is the tree of non-backtracking
 walks from a base vertex; closed walks of the base graph that lift to closed
 walks of the tree are exactly the walks whose half-edge word reduces to the
 empty word under cancellation of adjacent inverse pairs.
+
+Quotient. Let the vertex colours be the degree refinement (refine from the
+uniform colouring; Leighton, JCTB 1982) and the class of a half-edge the
+pair (colour of its source, colour of its target). The partition is
+equitable: every class-a half-edge has exactly C[a, b] continuations in
+class b, and every colour-c vertex carries D[c, a] half-edges of class a.
+So C and D determine the cover, and the walk counts here and rho's probes
+and ball pivots run on them, at the number of classes (1 on a regular
+graph, 3 on any lift of the bowtie).
+
+Walk counts. N_k(v) counts length-k closed walks at v whose half-edge word
+cancels to the empty word: closed walks of the cover at a lift of v. With
+branch[a][s] the closed walks of length 2s at the head of a class-a
+half-edge h that stay in the branch below h (never step back along inv(h)
+at the bottom of the excursion stack), first returns give
+
+    branch[a][s] = sum over b, i + i' = s - 1 of C[a, b] branch[b][i] branch[a][i']
+    N_2s(v) = sum over a, i + i' = s - 1 of D[colour of v, a] branch[a][i] N_2i'(v)
+
+in exact integers, with no ball materialized; odd lengths give none.
 """
 
 from __future__ import annotations
@@ -12,49 +32,70 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+
+import numpy as np
 
 from .multigraph import MultiGraph, refine, require_connected
 
 
-# -- purely backtracking closed walks -----------------------------------------
-#
-# N_k(v) counts length-k closed walks at v whose half-edge word cancels to the
-# empty word, equivalently closed walks of the universal cover at a lift of v.
-# Rather than materializing a radius k/2 ball (whose size is exponential in the
-# max degree), we solve the first-return convolution system over half-edges:
-#
-#   branch[h][j] = closed walks of length j at the head of h that stay in the
-#                  branch hanging below h (never step back along inv(h) at the
-#                  bottom of the excursion stack),
-#
-#   branch[h][j] = sum over continuations h' of h, a + b = j - 2 of
-#                  branch[h'][a] * branch[h][b],
-#
-# and the same decomposition at the root over all half-edges at v. Counts are
-# exact integers.
+class Quotient:
+    """The quotient of g (module docstring). colors and rounds are refine's,
+    cls[h] is the class of half-edge h (numbered by first half-edge), and C[a]
+    and D[c] list the pairs (b, C[a, b]) and (a, D[c, a]) of nonzero counts
+    in increasing order. The walk tables only grow: branch[a][s] does not
+    depend on how deep they go."""
+
+    def __init__(self, g: MultiGraph):
+        colors, self.rounds = refine(g, [0] * g.n)
+        self.colors = tuple(colors)
+        ids: dict[tuple[int, int], int] = {}
+        cls = [
+            ids.setdefault((colors[u], colors[v]), len(ids)) for u, v in zip(g.sources, g.targets)
+        ]
+        self.cls = np.array(cls, dtype=np.intp)
+        self.size = len(ids)
+
+        def counts(half_edges, skip: int = -1) -> tuple[tuple[int, int], ...]:
+            out: dict[int, int] = {}
+            for h in half_edges:
+                if h != skip:
+                    out[cls[h]] = out.get(cls[h], 0) + 1
+            return tuple(sorted(out.items()))
+
+        # any member of a colour or a class will do: the partition is equitable
+        color_rep = {c: v for v, c in enumerate(colors)}
+        self.D = tuple(counts(g.half_edges_at[color_rep[c]]) for c in range(len(color_rep)))
+        class_rep = {a: h for h, a in enumerate(cls)}  # keys in class order
+        self.C = tuple(counts(g.half_edges_at[g.targets[h]], h ^ 1) for h in class_rep.values())
+        self._branch = [[1] for _ in range(self.size)]
+
+    def walk_profile(self, color: int, k_max: int) -> list[int]:
+        """[N_k(v) for k in 0..k_max] at any vertex v of the colour."""
+        half = k_max // 2
+        branch = self._branch
+        for s in range(len(branch[0]) if branch else 1, half + 1):
+            for row, continuations in zip(branch, self.C):
+                # row holds branch[a][:s]; map stops at the end of rev
+                rev = row[::-1]
+                total = 0
+                for b, m in continuations:
+                    total += m * sum(map(mul, branch[b], rev))
+                row.append(total)
+        roots = [1]
+        for s in range(1, half + 1):
+            rev = roots[::-1]
+            roots.append(sum(m * sum(map(mul, branch[a], rev)) for a, m in self.D[color]))
+        counts = [0] * (k_max + 1)
+        counts[::2] = roots
+        return counts
 
 
-# callers reuse one graph's tables across its vertices; a few entries cover
-# that without holding on to every graph of a sweep
+# one graph's quotient serves its vertices, rho and the orbits; a few
+# entries do that without holding on to every graph of a sweep
 @lru_cache(maxsize=8)
-def _branch_tables(g: MultiGraph, k_max: int) -> tuple[tuple[int, ...], ...]:
-    hh = g.num_half_edges
-    continuations = [
-        tuple(h2 for h2 in g.half_edges_at[g.targets[h]] if h2 != (h ^ 1))
-        for h in range(hh)
-    ]
-    branch = [[0] * (k_max + 1) for _ in range(hh)]
-    for h in range(hh):
-        branch[h][0] = 1
-    for j in range(2, k_max + 1, 2):
-        for h in range(hh):
-            total = 0
-            bh = branch[h]
-            for h2 in continuations[h]:
-                b2 = branch[h2]
-                total += sum(b2[a] * bh[j - 2 - a] for a in range(0, j - 1, 2))
-            branch[h][j] = total
-    return tuple(tuple(row) for row in branch)
+def quotient(g: MultiGraph) -> Quotient:
+    return Quotient(g)
 
 
 def backtracking_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
@@ -64,16 +105,8 @@ def backtracking_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
         raise ValueError(f"vertex {v} out of range")
     if k_max < 0:
         raise ValueError("walk length must be nonnegative")
-    branch = _branch_tables(g, k_max if k_max % 2 == 0 else k_max - 1)
-    counts = [0] * (k_max + 1)
-    counts[0] = 1
-    for k in range(2, k_max + 1, 2):
-        total = 0
-        for h in g.half_edges_at[v]:
-            bh = branch[h]
-            total += sum(bh[a] * counts[k - 2 - a] for a in range(0, k - 1, 2))
-        counts[k] = total
-    return counts
+    q = quotient(g)
+    return q.walk_profile(q.colors[v], k_max)
 
 
 def backtracking_walk_count(g: MultiGraph, v: int, k: int) -> int:
@@ -111,9 +144,11 @@ class OrbitDistribution:
 
 
 def orbit_distribution(g: MultiGraph) -> OrbitDistribution:
-    """Colour refinement from the uniform colouring (multigraph.refine)."""
+    """The colours of the cover's quotient: colour refinement from the
+    uniform colouring (multigraph.refine)."""
     require_connected(g, "orbit_distribution")
-    colors, rounds = refine(g, [0] * g.n)
+    q = quotient(g)
+    colors = q.colors
 
     members: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
@@ -122,4 +157,4 @@ def orbit_distribution(g: MultiGraph) -> OrbitDistribution:
         OrbitClass(min(vs), tuple(vs), Fraction(len(vs), g.n))
         for _, vs in sorted(members.items())
     )
-    return OrbitDistribution(classes, tuple(colors), rounds)
+    return OrbitDistribution(classes, colors, q.rounds)

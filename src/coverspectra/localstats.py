@@ -180,34 +180,16 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     n = g.n
     stats = cycle_stats(g, length)
     on_cycle = [c > 0 for c in stats.counts]
-    dist = [g.distances_from(v) for v in range(n)]
-    mass = Fraction(
-        sum(1 for o in range(n) if on_cycle[o] for d in dist[o] if 0 <= d <= R), n
-    )
-
-    hypothesis = all(
-        sum(1 for d in dist[v] if 0 <= d <= R) >= R for v in range(n)
-    )
-    nr_total = sum(
-        1
-        for v in range(n)
-        for c in stats.cycles
-        if min(dist[v][u] for u in c.vertex_set) <= R
-    )
+    # B_R(v) from a BFS that stops at depth R
+    balls = [frozenset(ball(g, v, R).vertices) for v in range(n)]
+    mass = Fraction(sum(len(balls[o]) for o in range(n) if on_cycle[o]), n)
+    hypothesis = all(len(b) >= R for b in balls)
+    nr_total = sum(1 for b in balls for c in stats.cycles if not b.isdisjoint(c.vertex_set))
     nr_average = Fraction(nr_total, n)
-    on_fraction = Fraction(sum(on_cycle), n)
-    nr_bound = Fraction(R, length) * on_fraction
+    nr_bound = Fraction(R, length) * Fraction(sum(on_cycle), n)
     nr_holds = (nr_average >= nr_bound) if hypothesis else None
-
     return MassTransportReport(
-        R,
-        length,
-        mass,
-        mass,
-        hypothesis,
-        nr_average,
-        nr_bound,
-        nr_holds,
+        R, length, mass, mass, hypothesis, nr_average, nr_bound, nr_holds
     )
 
 

@@ -10,19 +10,13 @@ A positive F with
 
 (a supersolution) certifies a positive function Z on the cover tree with
 (A Z)(x) <= t Z(x) everywhere, hence rho(T) <= t. Its entries never exceed
-t. Both inequalities are checked before any probe is declared feasible, in
-float64 on the quotient (below) while probing. The certificate behind a
-reported hi is checked again on every half-edge in exact arithmetic: t and
-F are dyadic rationals, like every float, so one power of two scales them
-to integers. hi is therefore a proof, not an upper bound up to rounding.
-
-Quotient. Let the vertex colours be the degree refinement (refine from the
-uniform colouring; Leighton, JCTB 1982) and the class of a half-edge the
-pair (colour of its source, colour of its target). The partition is
-equitable: every class-a half-edge has exactly C[a, b] continuations in
-class b, and every colour-c vertex carries D[c, a] half-edges of class a.
-Iterates from F = 0 stay constant on classes, so probes run on C and D,
-whose size is the number of classes (1 on a regular graph).
+t. Iterates from F = 0 stay constant on half-edge classes, so probes run
+on the cover's quotient (cover.quotient), with its continuation counts C
+and per-colour counts D, and check both inequalities there in float64. The
+certificate behind a reported hi is checked again on every half-edge in
+exact arithmetic: t and F are dyadic rationals, like every float, so one
+power of two scales them to integers. hi is therefore a proof, not an
+upper bound up to rounding.
 
 Probe. Monotone Newton (Esparza, Kiefer and Luttenberger, SIAM J. Comput.
 2010): phi = phi(F), r = phi - F, J = diag(phi^2) C, and F += d where
@@ -62,8 +56,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cover import backtracking_walk_profile
-from .multigraph import MultiGraph, refine, require_connected
+from .cover import Quotient, backtracking_walk_profile, quotient
+from .multigraph import MultiGraph, require_connected
 
 BISECTION_TOL = 1e-9
 LOWER_BOUND_DEPTH = 6
@@ -110,53 +104,30 @@ class RhoResult:
         return self.hi - self.lo
 
 
-def _matrix(rows: list[int], cols: list[int], shape: tuple[int, int], dense: bool):
+def _matrix(counts, shape: tuple[int, int], dense: bool):
+    rows = [i for i, row in enumerate(counts) for _ in row]
+    cols = [j for row in counts for j, _ in row]
+    vals = [float(m) for row in counts for _, m in row]
     if dense:
         out = np.zeros(shape)
-        np.add.at(out, (rows, cols), 1.0)
+        out[rows, cols] = vals
         return out
     from scipy.sparse import csr_matrix
 
-    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+    return csr_matrix((vals, (rows, cols)), shape=shape)
 
 
-class _Quotient:
-    """Half-edge classes of the degree refinement: cls maps each half-edge to
-    its class, C counts continuations between classes, D counts the classes
-    at one vertex of each colour, and color_reps lists those vertices."""
+class _Operators:
+    """The float64 view of a cover.Quotient that probes and pivots use: C
+    and D as dense arrays up to _DENSE_SOLVE_CAP classes and as CSR
+    matrices above, and solvers for I - diag(w) C."""
 
-    def __init__(self, g: MultiGraph):
-        colors, _ = refine(g, [0] * g.n)
-        ids: dict[tuple[int, int], int] = {}
-        cls = [
-            ids.setdefault((colors[u], colors[v]), len(ids))
-            for u, v in zip(g.sources, g.targets)
-        ]
-        self.cls = np.array(cls, dtype=np.intp)
-        self.size = k = len(ids)
+    def __init__(self, q: Quotient):
+        self.cls = q.cls
+        self.size = k = q.size
         self.dense = k <= _DENSE_SOLVE_CAP
-
-        first_color: dict[int, int] = {}
-        for v, c in enumerate(colors):
-            first_color.setdefault(c, v)
-        self.color_reps = tuple(first_color.values())
-        rows, cols = [], []
-        for c, v in enumerate(first_color.values()):
-            for h in g.half_edges_at[v]:
-                rows.append(c)
-                cols.append(cls[h])
-        self.D = _matrix(rows, cols, (len(first_color), k), self.dense)
-
-        first_class: dict[int, int] = {}
-        for h, a in enumerate(cls):
-            first_class.setdefault(a, h)
-        rows, cols = [], []
-        for a, h in first_class.items():
-            for h2 in g.half_edges_at[g.targets[h]]:
-                if h2 != h ^ 1:
-                    rows.append(a)
-                    cols.append(cls[h2])
-        self.C = _matrix(rows, cols, (k, k), self.dense)
+        self.C = _matrix(q.C, (k, k), self.dense)
+        self.D = _matrix(q.D, (len(q.D), k), self.dense)
 
     def factor(self, w: np.ndarray):
         """A solver for (I - diag(w) C) x = b: dense up to _DENSE_SOLVE_CAP
@@ -205,9 +176,12 @@ def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray) -> float | None:
     evaluated in float64, when f passes, else None."""
     if not np.all(np.isfinite(f) & (f > 0.0)):
         return None
-    ratios = [x.as_integer_ratio() for x in [t, *f.tolist()]]
+    # a lifted certificate has one distinct value per class: convert those
+    values, index = np.unique(f, return_inverse=True)
+    ratios = [x.as_integer_ratio() for x in [t, *values.tolist()]]
     k = max(den.bit_length() for _, den in ratios) - 1
-    big_t, *big_f = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    big_t, *big_values = [num << (k + 1 - den.bit_length()) for num, den in ratios]
+    big_f = [big_values[i] for i in index.tolist()]
     vsum = [0] * g.n
     for u, x in zip(g.sources, big_f):
         vsum[u] += x
@@ -224,7 +198,7 @@ def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray) -> float | None:
     return max(slack, 0.0)
 
 
-def _newton(q: _Quotient, t: float, f: np.ndarray, solve=None):
+def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
     """Monotone Newton at t from a subsolution f below every supersolution.
     Returns (diverged, last iterate, steps, solver): diverged is True on one
     of the refutations of the module docstring and False once Newton has
@@ -266,7 +240,7 @@ def _newton(q: _Quotient, t: float, f: np.ndarray, solve=None):
     return False, f, _NEWTON_STEPS, solve
 
 
-def _probe(q: _Quotient, t: float, start: np.ndarray, solve=None):
+def _probe(q: _Operators, t: float, start: np.ndarray, solve=None):
     """Classify t from a subsolution start below every supersolution at t,
     reusing solve (a factorization at start or below) if given. Also
     returns Newton's last iterate at t and its solver."""
@@ -285,7 +259,7 @@ def _probe(q: _Quotient, t: float, start: np.ndarray, solve=None):
     return ProbeReport(t, False, "uncertified", steps, None, None), f, solve
 
 
-def _lift_certificate(g: MultiGraph, q: _Quotient, t: float, f: np.ndarray):
+def _lift_certificate(g: MultiGraph, q: _Operators, t: float, f: np.ndarray):
     """Per-half-edge certificate and its full-graph slack; raises if the
     lifted vector fails the check the quotient passed."""
     lifted = f[q.cls]
@@ -299,7 +273,7 @@ def feasibility_probe(g: MultiGraph, t: float) -> ProbeReport:
     """Classify a single threshold t for rho(T) <= t. Certified answers carry
     a per-half-edge certificate that passed _is_supersolution on g."""
     require_connected(g, "feasibility_probe")
-    q = _Quotient(g)
+    q = _Operators(quotient(g))
     rep, _, _ = _probe(q, float(t), np.zeros(q.size))
     if not rep.feasible:
         return rep
@@ -313,7 +287,9 @@ def rho_tree(g: MultiGraph, tol: float = BISECTION_TOL) -> RhoResult:
     The initial bracket is [best walk-count root, max degree]; both endpoints
     are certified without probes (walk roots never exceed rho, and F = 1 is a
     supersolution at t = max degree). lo moves only on a diverged probe and
-    hi only on a certified one.
+    hi only on a certified one. A tol below about 1e-12 t stops wider than
+    tol: the smallest certificate shift is 1e-13 t, so probes that close to
+    rho(T) end uncertified.
     """
     require_connected(g, "rho_tree")
     if tol <= 0:
@@ -321,10 +297,12 @@ def rho_tree(g: MultiGraph, tol: float = BISECTION_TOL) -> RhoResult:
     if g.m == 0:
         return RhoResult(0.0, 0.0, 0.0, tol, {}, 0.0, (), 0, ())
 
-    q = _Quotient(g)
+    cq = quotient(g)
+    q = _Operators(cq)
     delta_max = float(g.max_degree)
     # walk profiles depend only on the colour, so one vertex per colour will do
-    walk_root = max(max(rho_lower_sequence(g, v, LOWER_BOUND_DEPTH)) for v in q.color_reps)
+    reps = {c: v for v, c in enumerate(cq.colors)}.values()
+    walk_root = max(max(rho_lower_sequence(g, v, LOWER_BOUND_DEPTH)) for v in reps)
     lo = min(walk_root, delta_max)
     hi = delta_max
 
@@ -407,8 +385,9 @@ def rho_ball_power(g: MultiGraph, v: int, radius: int) -> float:
     if radius == 0 or g.m == 0:  # a single node
         return 0.0
 
-    q = _Quotient(g)
-    at_root = np.bincount(q.cls[list(g.half_edges_at[v])], minlength=q.size)
+    cq = quotient(g)
+    q = _Operators(cq)
+    at_root = _matrix([cq.D[cq.colors[v]]], (1, q.size), True)[0]
     # present[d - 1]: the classes of the half-edges entering depth d
     present = [at_root > 0]
     for _ in range(1, radius):

@@ -6,6 +6,7 @@ recomputed from first principles so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,3 +222,44 @@ def supersolution_by_fractions(g: MultiGraph, t: float, f) -> bool:
         if den <= 0 or 1 / den > x:
             return False
     return True
+
+
+def mass_transport_by_distances(g: MultiGraph, R: int, length: int):
+    """localstats.mass_transport_check from the n x n table of BFS
+    distances over the whole graph: a reference for the version that reads
+    radius-R balls."""
+    from coverspectra.localstats import MassTransportReport, cycle_stats
+
+    n = g.n
+    stats = cycle_stats(g, length)
+    on_cycle = [c > 0 for c in stats.counts]
+    dist = [g.distances_from(v) for v in range(n)]
+    mass = Fraction(
+        sum(1 for o in range(n) if on_cycle[o] for d in dist[o] if 0 <= d <= R), n
+    )
+    hypothesis = all(sum(1 for d in dist[v] if 0 <= d <= R) >= R for v in range(n))
+    nr_total = sum(
+        1
+        for v in range(n)
+        for c in stats.cycles
+        if min(dist[v][u] for u in c.vertex_set) <= R
+    )
+    nr_average = Fraction(nr_total, n)
+    nr_bound = Fraction(R, length) * Fraction(sum(on_cycle), n)
+    nr_holds = (nr_average >= nr_bound) if hypothesis else None
+    return MassTransportReport(
+        R, length, mass, mass, hypothesis, nr_average, nr_bound, nr_holds
+    )
+
+
+def gnp_giant(n: int, seed: int) -> MultiGraph:
+    """Largest component of G(n, 3/n), pairs u < v scanned in order, its
+    vertices relabelled in sorted order: a graph whose quotient has almost
+    as many classes as half-edges."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 3 / n]
+    comp = max(MultiGraph.from_edges(n, edges).connected_components(), key=len)
+    index = {u: i for i, u in enumerate(comp)}
+    return MultiGraph.from_edges(
+        len(comp), [(index[a], index[b]) for a, b in edges if a in index]
+    )

@@ -21,3 +21,25 @@ def test_bench_smoke():
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert proc.stdout.strip().splitlines()[-1] == "smoke: ok"
+
+
+def test_bench_clears_the_quotient_cache():
+    """Bench passes start with the library's caches empty; a cache the bench
+    cannot clear would let a pass reuse the quotients of equal graphs."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, 'bench')\n"
+        "from run import clear_library_caches, import_library\n"
+        "import_library()\n"
+        "from coverspectra.cover import quotient\n"
+        "from coverspectra.generators import bowtie, complete\n"
+        "quotient(bowtie()), quotient(complete(4))\n"
+        "assert quotient.cache_info().currsize == 2\n"
+        "clear_library_caches()\n"
+        "print(quotient.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["0"]

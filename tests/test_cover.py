@@ -1,17 +1,37 @@
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coverspectra.cover import (
     backtracking_walk_count,
     backtracking_walk_profile,
     orbit_distribution,
+    quotient,
 )
-from coverspectra.multigraph import MultiGraph, is_tree
+from coverspectra.multigraph import MultiGraph, is_tree, refine
+from coverspectra.rho import _Operators
 from coverspectra.spectra import closed_walk_profile
-from coverspectra.generators import biregular, bowtie, complete, cycle, path, star
+from coverspectra.generators import (
+    biregular,
+    bowtie,
+    complete,
+    cycle,
+    path,
+    random_lift,
+    random_regular,
+    star,
+    theta,
+)
 
-from oracles import BallCapExceeded, stack_walk_profile, tree_ball, tree_ball_walk_count
+from oracles import (
+    BallCapExceeded,
+    gnp_giant,
+    stack_walk_profile,
+    tree_ball,
+    tree_ball_walk_count,
+)
 
 
 # -- tree balls --------------------------------------------------------------------
@@ -130,6 +150,79 @@ def test_growth_rate_nondecreasing(corpus, cache):
         rates = [prof[2 * k] ** (1 / (2 * k)) for k in range(1, 9)]
         assert all(a <= b + 1e-12 for a, b in zip(rates, rates[1:]))
         assert rates[-1] <= cache.rho(g).value + 1e-9
+
+
+def test_class_walk_counts_where_classes_are_almost_half_edges():
+    g = gnp_giant(300, 5)
+    assert quotient(g).size == 872
+    for v in range(g.n):
+        assert backtracking_walk_profile(g, v, 8) == stack_walk_profile(g, v, 8)
+
+
+def test_lift_vertices_have_their_base_profile():
+    for base in (bowtie(), complete(4), theta(1, 2, 3)):
+        want = [backtracking_walk_profile(base, v, 12) for v in range(base.n)]
+        for k, seed in ((40, 1), (150, 2)):
+            lift, _ = random_lift(base, k, seed)
+            # lift vertex v * k + j covers base vertex v
+            got = [backtracking_walk_profile(lift, v * k + j, 12) for v in range(base.n) for j in range(k)]
+            assert got == [p for p in want for _ in range(k)]
+
+
+def test_single_vertex_has_no_classes():
+    assert quotient(path(1)).size == 0
+    assert backtracking_walk_profile(path(1), 0, 4) == [1, 0, 0, 0, 0]
+
+
+# -- the cover's quotient ----------------------------------------------------------------
+
+
+def _dense(m):
+    return m if isinstance(m, np.ndarray) else m.toarray()
+
+
+def _rows(counts, size):
+    out = np.zeros((len(counts), size))
+    for i, row in enumerate(counts):
+        for j, m in row:
+            out[i, j] = m
+    return out
+
+
+def _assert_equitable(g):
+    q = quotient(g)
+    assert list(q.colors) == refine(g, [0] * g.n)[0]
+    for h in range(g.num_half_edges):
+        counts = Counter(
+            int(q.cls[h2]) for h2 in g.half_edges_at[g.targets[h]] if h2 != h ^ 1
+        )
+        assert dict(q.C[q.cls[h]]) == counts
+    for v in range(g.n):
+        counts = Counter(int(q.cls[h]) for h in g.half_edges_at[v])
+        assert dict(q.D[q.colors[v]]) == counts
+    # rho's float64 matrices carry the same counts
+    ops = _Operators(q)
+    assert np.array_equal(_dense(ops.C), _rows(q.C, q.size))
+    assert np.array_equal(_dense(ops.D), _rows(q.D, q.size))
+
+
+def test_quotient_is_equitable_on_corpus(corpus):
+    for g in corpus:
+        _assert_equitable(g)
+
+
+def test_quotient_is_equitable_on_lifts_and_regular():
+    graphs = [random_regular(250, 3, 7)[0]]
+    for base, k, seed in ((bowtie(), 40, 1), (bowtie(), 150, 2), (complete(4), 50, 3),
+                          (theta(1, 2, 3), 40, 4)):
+        lift, _ = random_lift(base, k, seed)
+        graphs.append(lift)
+    graphs.append(gnp_giant(300, 5))  # sparse matrices in rho
+    for g in graphs:
+        _assert_equitable(g)
+    # the cover, not the vertex count, sets the size
+    assert quotient(graphs[0]).size == 1
+    assert quotient(graphs[2]).size == 3
 
 
 # -- orbit distribution ----------------------------------------------------------------

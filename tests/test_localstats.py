@@ -16,9 +16,17 @@ from coverspectra.localstats import (
     tv_distance,
 )
 from coverspectra.multigraph import MultiGraph, is_tree
-from coverspectra.generators import bowtie, complete, cycle, path, random_regular, star
+from coverspectra.generators import (
+    bowtie,
+    complete,
+    cycle,
+    path,
+    random_lift,
+    random_regular,
+    star,
+)
 
-from oracles import tree_ball
+from oracles import mass_transport_by_distances, tree_ball
 
 
 def _girth(g):
@@ -209,6 +217,13 @@ def test_nr_bound_on_corpus(corpus):
         if rep.hypothesis_holds:
             assert rep.nr_holds is (rep.nr_average >= rep.nr_bound)
             assert rep.nr_holds
+
+
+def test_mass_transport_matches_distance_table(corpus):
+    graphs = list(corpus[::29]) + [random_regular(200, 3, 9)[0], random_lift(bowtie(), 40, 1)[0]]
+    for g in graphs:
+        for r, length in ((0, 3), (1, 3), (2, 4), (3, 2)):
+            assert mass_transport_check(g, r, length) == mass_transport_by_distances(g, r, length)
 
 
 # -- ball histograms ---------------------------------------------------------------

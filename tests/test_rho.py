@@ -1,18 +1,15 @@
 import math
-import random
-from collections import Counter
-
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import supersolution_by_fractions, tree_ball, tree_ball_top_eigenvalue
+from oracles import gnp_giant, supersolution_by_fractions, tree_ball, tree_ball_top_eigenvalue
 
-from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class, refine
+from coverspectra.cover import quotient
+from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.rho import (
     _DENSE_SOLVE_CAP,
-    _Quotient,
     _is_supersolution,
     feasibility_probe,
     rho_ball_power,
@@ -24,8 +21,6 @@ from coverspectra.generators import (
     complete,
     cycle,
     path,
-    random_lift,
-    random_regular,
     star,
     theta,
 )
@@ -266,63 +261,12 @@ def test_bracket_contains_lambda1_on_trees_and_unicyclic(corpus, cache):
     assert bad == []
 
 
-# -- the quotient the probes run on ------------------------------------------------------
-
-
-def _dense(m):
-    return m if isinstance(m, np.ndarray) else m.toarray()
-
-
-def _assert_equitable(g):
-    q = _Quotient(g)
-    c, d = _dense(q.C), _dense(q.D)
-    for h in range(g.num_half_edges):
-        counts = Counter(
-            int(q.cls[h2]) for h2 in g.half_edges_at[g.targets[h]] if h2 != h ^ 1
-        )
-        row = c[q.cls[h]]
-        assert {b: row[b] for b in np.flatnonzero(row)} == counts
-    colors, _ = refine(g, [0] * g.n)
-    row_of = {colors[v]: i for i, v in enumerate(q.color_reps)}
-    for v in range(g.n):
-        counts = Counter(int(q.cls[h]) for h in g.half_edges_at[v])
-        row = d[row_of[colors[v]]]
-        assert {a: row[a] for a in np.flatnonzero(row)} == counts
-
-
-def test_quotient_is_equitable_on_corpus(corpus):
-    for g in corpus:
-        _assert_equitable(g)
-
-
-def test_quotient_is_equitable_on_lifts_and_regular():
-    graphs = [random_regular(250, 3, 7)[0]]
-    for base, k, seed in ((bowtie(), 40, 1), (bowtie(), 150, 2), (complete(4), 50, 3),
-                          (theta(1, 2, 3), 40, 4)):
-        lift, _ = random_lift(base, k, seed)
-        graphs.append(lift)
-    for g in graphs:
-        _assert_equitable(g)
-    # the cover, not the vertex count, sets the size
-    assert _Quotient(graphs[0]).size == 1
-    assert _Quotient(graphs[2]).size == 3
-
-
-def _gnp_giant(n: int, seed: int) -> MultiGraph:
-    """Largest component of G(n, 3/n), pairs u < v scanned in order, its
-    vertices relabelled in sorted order."""
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 3 / n]
-    comp = max(MultiGraph.from_edges(n, edges).connected_components(), key=len)
-    index = {u: i for i, u in enumerate(comp)}
-    return MultiGraph.from_edges(
-        len(comp), [(index[a], index[b]) for a, b in edges if a in index]
-    )
+# -- the sparse quotient path ---------------------------------------------------------
 
 
 def test_sparse_quotient_path():
-    g = _gnp_giant(300, 5)
-    assert _Quotient(g).size > _DENSE_SOLVE_CAP
+    g = gnp_giant(300, 5)
+    assert quotient(g).size > _DENSE_SOLVE_CAP
     res = rho_tree(g)
     assert res.width <= res.tol
     walk_root = max(max(rho_lower_sequence(g, v, 6)) for v in range(g.n))
