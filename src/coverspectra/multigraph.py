@@ -47,6 +47,14 @@ class MultiGraph:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {i} = ({u}, {v}) out of range for n = {self.n}")
 
+    # the generated hash would rehash the edge tuple on every cache lookup
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.n, self.edges))
+
     @staticmethod
     def from_edges(n: int, edges) -> "MultiGraph":
         return MultiGraph(n, tuple((int(u), int(v)) for u, v in edges))

@@ -273,6 +273,11 @@ def feasibility_probe(g: MultiGraph, t: float) -> ProbeReport:
     """Classify a single threshold t for rho(T) <= t. Certified answers carry
     a per-half-edge certificate that passed _is_supersolution on g."""
     require_connected(g, "feasibility_probe")
+    if g.m == 0:  # rho(T) = 0, and the empty vector is the certificate
+        slack = _is_supersolution(g, float(t), np.zeros(0))
+        if slack is None:
+            return ProbeReport(float(t), False, "diverged", 0, None, None)
+        return ProbeReport(float(t), True, "certified", 0, slack, np.zeros(0))
     q = _Operators(quotient(g))
     rep, _, _ = _probe(q, float(t), np.zeros(q.size))
     if not rep.feasible:

@@ -224,6 +224,62 @@ def supersolution_by_fractions(g: MultiGraph, t: float, f) -> bool:
     return True
 
 
+def g_values_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, gamma, delta):
+    """gapcert.g_values one half-edge at a time: each type's parent term,
+    then the child factors of its continuations in g.half_edges_at order."""
+    from coverspectra.gapcert import ROLE_EXT, ROLE_INT, ROLE_ROOT
+
+    y = perron
+    gam = {h: float(w) for h, w in gamma_weights.items()}
+    del_ = {h: float(w) for h, w in delta_weights.items()}
+
+    def child_factor(h: int) -> float:
+        u, w = g.source(h), g.targets[h]
+        ratio = y[w] / y[u]
+        if h in gam:
+            return ratio / (1.0 + gam[h] * gamma / (y[u] * y[w]))
+        return ratio * (1.0 + del_[h] * delta / (y[u] * y[w]))
+
+    values = {}
+    for h in gamma_weights:
+        p, u = g.source(h), g.targets[h]
+        total = (y[p] / y[u]) * (1.0 + gam[h] * gamma / (y[p] * y[u]))
+        for h2 in g.half_edges_at[u]:
+            if h2 != (h ^ 1):
+                total += child_factor(h2)
+        values[(h, ROLE_INT)] = total
+    for h in delta_weights:
+        p, u = g.source(h), g.targets[h]
+        total = (y[p] / y[u]) / (1.0 + del_[h] * delta / (y[p] * y[u]))
+        for h2 in g.half_edges_at[u]:
+            if h2 != (h ^ 1):
+                total += child_factor(h2)
+        values[(h, ROLE_EXT)] = total
+
+    core_vertices = sorted({g.source(h) for h in gamma_weights})
+    for v in core_vertices:
+        values[(v, ROLE_ROOT)] = sum(child_factor(h) for h in g.half_edges_at[v])
+    return values
+
+
+def gap_search_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, lam):
+    """certify_gap's grid search point by point with g_values_by_loop: the
+    first strictly widest margin over gamma = 2^-i, delta = gamma^power.
+    Returns (margin, gamma, delta, g values)."""
+    from coverspectra.gapcert import DELTA_POWERS, GAMMA_GRID_BITS
+
+    best = None
+    for i in range(1, GAMMA_GRID_BITS + 1):
+        gamma = 2.0**-i
+        for power in DELTA_POWERS:
+            delta = gamma**power
+            vals = g_values_by_loop(g, perron, gamma_weights, delta_weights, gamma, delta)
+            margin = lam - max(vals.values())
+            if best is None or margin > best[0]:
+                best = (margin, gamma, delta, vals)
+    return best
+
+
 def mass_transport_by_distances(g: MultiGraph, R: int, length: int):
     """localstats.mass_transport_check from the n x n table of BFS
     distances over the whole graph: a reference for the version that reads

@@ -169,6 +169,17 @@ def test_lift_vertices_have_their_base_profile():
             assert got == [p for p in want for _ in range(k)]
 
 
+def test_rebuilt_equal_graph_hits_the_quotient_cache():
+    g = random_lift(bowtie(), 40, 1)[0]
+    rebuilt = MultiGraph(g.n, tuple(g.edges))
+    assert rebuilt is not g and rebuilt == g and hash(rebuilt) == hash(g)
+    assert hash(g) == hash((g.n, g.edges))
+    quotient.cache_clear()
+    first = quotient(g)
+    assert quotient(rebuilt) is first
+    assert quotient.cache_info().hits == 1
+
+
 def test_single_vertex_has_no_classes():
     assert quotient(path(1)).size == 0
     assert backtracking_walk_profile(path(1), 0, 4) == [1, 0, 0, 0, 0]

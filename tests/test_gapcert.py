@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import g_values_by_loop, gap_search_by_loop
 from coverspectra.gapcert import (
+    _GRID,
     ROLE_ROOT,
     CertificationError,
+    _Kernel,
     certify_gap,
     delta_assignment,
     g_values,
@@ -17,7 +20,15 @@ from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_clas
 from coverspectra.rho import rho_tree
 from coverspectra.twocore import two_core
 from coverspectra.spectra import eigen_spectrum
-from coverspectra.generators import bowtie, complete, cycle, path, theta, two_cycles_glued
+from coverspectra.generators import (
+    bowtie,
+    complete,
+    cycle,
+    path,
+    random_lift,
+    theta,
+    two_cycles_glued,
+)
 
 
 def _multicyclic(graphs):
@@ -151,6 +162,40 @@ def test_root_types_never_dominate(corpus, cache):
             roots = [v for (_, role), v in vals.items() if role == ROLE_ROOT]
             others = [v for (_, role), v in vals.items() if role != ROLE_ROOT]
             assert max(roots) <= max(others) + 1e-12
+
+
+def _connected_lift(base, k):
+    for seed in range(100):
+        lift, _ = random_lift(base, k, seed)
+        if lift.is_connected:
+            return lift
+    raise AssertionError("no connected lift")  # pragma: no cover
+
+
+def test_grid_matches_loop_oracle_bit_for_bit(corpus, cache):
+    """Every grid point of the one-pass evaluation equals the per-half-edge
+    loop with ==, and so do certify_gap's chosen pair, margin and g values."""
+    graphs = _multicyclic(corpus)[::5]
+    graphs.append(two_cycles_glued(20, 20))
+    graphs += [_connected_lift(base, 10) for base in (bowtie(), complete(4), theta(1, 2, 3))]
+    for g in graphs:
+        core = two_core(g)
+        gw, dw = gamma_assignment(core), delta_assignment(core)
+        spec = cache.spectrum(g)
+        kernel = _Kernel(g, spec.perron, gw, dw)
+        grid = kernel(*zip(*_GRID))
+        assert grid.shape == (120, len(kernel.keys))
+        for (gamma, delta), row in zip(_GRID, grid):
+            want = g_values_by_loop(g, spec.perron, gw, dw, gamma, delta)
+            assert list(want) == kernel.keys
+            assert row.tolist() == list(want.values())
+
+        margin, gamma, delta, vals = gap_search_by_loop(g, spec.perron, gw, dw, spec.lambda1)
+        cert = certify_gap(g, rho_result=cache.rho(g), spectrum=spec)
+        assert (cert.gamma, cert.delta, cert.margin) == (gamma, delta, margin)
+        assert cert.g_values == vals
+        assert cert.g_max == max(vals.values())
+        assert g_values(g, spec.perron, gw, dw, gamma, delta) == vals
 
 
 # -- certificates ----------------------------------------------------------------------

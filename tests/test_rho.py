@@ -284,6 +284,17 @@ def test_feasibility_probe_certificate_covers_every_half_edge():
     assert feasibility_probe(g, 2.5).status == "diverged"
 
 
+def test_feasibility_probe_without_edges_matches_rho_zero():
+    g = path(1)
+    assert rho_tree(g).hi == 0.0
+    rep = feasibility_probe(g, 1.0)
+    assert (rep.feasible, rep.status, rep.slack_min) == (True, "certified", 1.0)
+    assert len(rep.fixed_point) == 0
+    assert feasibility_probe(g, 0.0).feasible
+    rep = feasibility_probe(g, -1.0)
+    assert (rep.feasible, rep.status) == (False, "diverged")
+
+
 # -- the exact supersolution check ---------------------------------------------------------
 
 
