@@ -295,6 +295,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_thm2(args: argparse.Namespace) -> int:
+    if not args.tol >= 0:  # NaN fails too; it would mark every tree a failure
+        raise ValueError("tolerance must be nonnegative")
     lines = []
     failures = 0
     for g in small_connected_multigraphs(args.max_n, args.max_m):

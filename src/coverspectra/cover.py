@@ -11,9 +11,9 @@ uniform colouring; Leighton, JCTB 1982) and the class of a half-edge the
 pair (colour of its source, colour of its target). The partition is
 equitable: every class-a half-edge has exactly C[a, b] continuations in
 class b, and every colour-c vertex carries D[c, a] half-edges of class a.
-So C and D determine the cover, and the walk counts here and rho's probes
-and ball pivots run on them, at the number of classes (1 on a regular
-graph, 3 on any lift of the bowtie).
+So C and D determine the cover: the walk counts and tree-ball codes here,
+rho's probes and its ball pivots run on them, at the number of classes (1 on
+a regular graph, 3 on any lift of the bowtie).
 
 Walk counts. N_k(v) counts length-k closed walks at v whose half-edge word
 cancels to the empty word: closed walks of the cover at a lift of v. With
@@ -44,7 +44,7 @@ class Quotient:
     cls[h] is the class of half-edge h (numbered by first half-edge), and C[a]
     and D[c] list the pairs (b, C[a, b]) and (a, D[c, a]) of nonzero counts
     in increasing order. The walk tables only grow: branch[a][s] does not
-    depend on how deep they go."""
+    depend on how deep they go; the ball codes are memoized the same way."""
 
     def __init__(self, g: MultiGraph):
         colors, self.rounds = refine(g, [0] * g.n)
@@ -69,6 +69,7 @@ class Quotient:
         class_rep = {a: h for h, a in enumerate(cls)}  # keys in class order
         self.C = tuple(counts(g.half_edges_at[g.targets[h]], h ^ 1) for h in class_rep.values())
         self._branch = [[1] for _ in range(self.size)]
+        self._codes: dict[tuple, str] = {}
 
     def walk_profile(self, color: int, k_max: int) -> list[int]:
         """[N_k(v) for k in 0..k_max] at any vertex v of the colour."""
@@ -90,8 +91,22 @@ class Quotient:
         counts[::2] = roots
         return counts
 
+    def ball_code(self, v: int, r: int) -> str:
+        """Parenthesis (AHU) code of the cover's radius-r ball at vertex v: a
+        node wraps the sorted codes of its children, each repeated by its
+        multiplicity; the root's children are its D row, those of a class-a
+        half-edge's head its C[a] continuations."""
+        return self._code(self.D[self.colors[v]], r)
 
-# one graph's quotient serves its vertices, rho and the orbits; a few
+    def _code(self, children: tuple[tuple[int, int], ...], depth: int) -> str:
+        key = (children, depth)
+        if key not in self._codes:
+            kids = sorted((self._code(self.C[b], depth - 1), m) for b, m in children) if depth else ()
+            self._codes[key] = "(" + "".join(code * m for code, m in kids) + ")"
+        return self._codes[key]
+
+
+# one graph's quotient serves its walks, ball codes, rho and orbits; a few
 # entries do that without holding on to every graph of a sweep
 @lru_cache(maxsize=8)
 def quotient(g: MultiGraph) -> Quotient:

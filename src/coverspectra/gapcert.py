@@ -237,6 +237,8 @@ def certify_gap(
     The 120 grid points are evaluated in one array pass (module docstring);
     the first widest margin in (gamma, delta) order wins, and g_values is
     expanded for that pair only."""
+    if not tol >= 0:  # NaN fails too
+        raise ValueError("tolerance must be nonnegative")
     if cyclomatic_class(g) is not CyclomaticClass.MULTICYCLIC:
         raise ValueError(
             "certify_gap requires a multicyclic graph; unicyclic and tree covers "

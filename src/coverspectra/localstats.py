@@ -18,7 +18,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .multigraph import MultiGraph, ball, canonical_code, is_tree, require_connected
+from .cover import quotient
+from .multigraph import MultiGraph, ball, canonical_code, require_connected
 
 CANON_CAP = 64
 
@@ -114,11 +115,11 @@ def tree_fraction(g: MultiGraph, r: int) -> float:
 
     A ball is connected by construction, so it is a tree exactly when its
     edge count (loops and parallel edges included) is one less than its
-    vertex count.
+    vertex count, with no traversal; ball_code uses the same test.
     """
     if r < 1:
         raise ValueError("radius must be at least 1")
-    hits = sum(1 for v in range(g.n) if is_tree(ball(g, v, r).graph))
+    hits = sum(1 for v in range(g.n) if (b := ball(g, v, r).graph).m == b.n - 1)
     return hits / g.n
 
 
@@ -193,36 +194,20 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     )
 
 
-def _ahu_code(b: MultiGraph, root: int) -> str:
-    """Canonical parenthesis string for a rooted tree."""
-    order = [root]
-    parent = {root: -1}
-    for u in order:
-        for h in b.half_edges_at[u]:
-            w = b.targets[h]
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    codes: dict[int, str] = {}
-    for u in reversed(order):
-        kids = sorted(codes[w] for w in (b.targets[h] for h in b.half_edges_at[u]) if parent.get(w) == u)
-        codes[u] = "(" + "".join(kids) + ")"
-    return codes[root]
-
-
 def ball_code(g: MultiGraph, v: int, r: int, cap: int = CANON_CAP) -> str:
     """Canonical code of the rooted induced ball B_r(v); equal codes iff the
-    rooted balls are isomorphic. Tree balls use the linear parenthesis form;
-    anything with a cycle goes through canonical_code, coloured by distance
-    from the centre."""
+    rooted balls are isomorphic. A tree ball (m = n - 1) is the cover's r-ball,
+    fixed by v's refinement colour, so its parenthesis code is read off the
+    cached quotient; anything with a cycle goes through canonical_code,
+    coloured by distance from the centre."""
     nbh = ball(g, v, r)
     b = nbh.graph
     if b.n > cap:
         raise ValueError(
             f"ball at vertex {v} has {b.n} vertices, over the cap of {cap}"
         )
-    if is_tree(b):
-        return "t" + _ahu_code(b, nbh.center_index)
+    if b.m == b.n - 1:
+        return "t" + quotient(g).ball_code(v, r)
     return "g" + canonical_code(b, b.distances_from(nbh.center_index))
 
 

@@ -251,9 +251,9 @@ def ball(g: MultiGraph, v: int, r: int) -> Neighborhood:
 
 # -- colour refinement and canonical forms -------------------------------------
 
-# individualization-refinement leaves explored before giving up; only very
-# symmetric graphs (complete or edgeless ones past 9 vertices, complete
-# bipartite cores and the like) get close
+# individualization-refinement leaves explored before giving up; with twins
+# pruned, only symmetries that are not twin swaps (disjoint copies of one
+# component and the like) multiply the leaves
 _CANON_LEAF_BUDGET = 1_000_000
 
 
@@ -293,15 +293,24 @@ def _code_for_order(g: MultiGraph, pos: list[int]) -> str:
 def canonical_code(g: MultiGraph, colors) -> str:
     """Minimal edge-list code over the vertex orderings that respect an
     initial colouring, searched by individualization-refinement (McKay and
-    Piperno, 2014): refine, branch on every member of the first non-singleton
-    class, keep the lexicographically smallest leaf.
+    Piperno, 2014): refine, branch on the first non-singleton class, keep the
+    lexicographically smallest leaf. The branches take one member per twin
+    class of that cell: twins (same loop count, same multiplicity to every
+    other vertex) are swapped by an automorphism that fixes the colouring, so
+    their subtrees hold the same leaf codes.
 
     Isomorphisms that preserve the colouring give equal codes, and equal
     codes mean isomorphic graphs; the colouring itself is not recorded. The
-    number of leaves grows with the automorphism group, up to
-    _CANON_LEAF_BUDGET."""
+    number of leaves grows only with the automorphisms that are not twin
+    swaps, up to _CANON_LEAF_BUDGET."""
     best: str | None = None
     budget = _CANON_LEAF_BUDGET
+
+    def twins(u: int, w: int) -> bool:
+        # the transposition (u w) maps the edges at u onto those at w
+        swap = {u: w, w: u}
+        mapped = sorted(swap.get(g.targets[h], g.targets[h]) for h in g.half_edges_at[u])
+        return mapped == sorted(g.targets[h] for h in g.half_edges_at[w])
 
     def search(colors: list[int]) -> None:
         nonlocal best, budget
@@ -323,7 +332,11 @@ def canonical_code(g: MultiGraph, colors) -> str:
             if best is None or code < best:
                 best = code
             return
+        reps: list[int] = []
         for m in target:
+            if any(twins(m, u) for u in reps):
+                continue
+            reps.append(m)
             child = [2 * c for c in colors]
             child[m] = 2 * colors[m] - 1
             search(child)

@@ -297,7 +297,7 @@ def rho_tree(g: MultiGraph, tol: float = BISECTION_TOL) -> RhoResult:
     rho(T) end uncertified.
     """
     require_connected(g, "rho_tree")
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError("tolerance must be positive")
     if g.m == 0:
         return RhoResult(0.0, 0.0, 0.0, tol, {}, 0.0, (), 0, ())

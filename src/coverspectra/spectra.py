@@ -80,7 +80,7 @@ def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:
     """Fraction of eigenvalues (all of them, top included) with |lam| <= rho + eta."""
     if not spectrum.full:
         raise ValueError("wr_fraction needs the full spectrum; input was truncated")
-    if eta < 0:
+    if not eta >= 0:  # NaN fails too
         raise ValueError("eta must be nonnegative")
     inside = int(np.count_nonzero(np.abs(spectrum.eigenvalues) <= rho + eta))
     return inside / len(spectrum.eigenvalues)

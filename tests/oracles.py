@@ -180,6 +180,24 @@ def ball_by_full_bfs(g: MultiGraph, v: int, r: int) -> Neighborhood:
     return Neighborhood(MultiGraph.from_edges(len(chosen), sub_edges), tuple(chosen), index[v])
 
 
+def ahu_code(b: MultiGraph, root: int) -> str:
+    """Canonical parenthesis string of a rooted tree, from a BFS of the tree
+    itself: a reference for the quotient's tree-ball codes."""
+    order = [root]
+    parent = {root: -1}
+    for u in order:
+        for h in b.half_edges_at[u]:
+            w = b.targets[h]
+            if w not in parent:
+                parent[w] = u
+                order.append(w)
+    codes: dict[int, str] = {}
+    for u in reversed(order):
+        kids = sorted(codes[w] for w in (b.targets[h] for h in b.half_edges_at[u]) if parent.get(w) == u)
+        codes[u] = "(" + "".join(kids) + ")"
+    return codes[root]
+
+
 def tree_ball_top_eigenvalue(tb: TreeBall, radius: int) -> float:
     """Top adjacency eigenvalue of the materialized ball cut at radius (node
     ids grow with depth, so the cut is a prefix): dense eigvalsh up to 200

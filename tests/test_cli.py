@@ -332,6 +332,20 @@ def test_missing_file_and_bad_format(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho", "--tol", "nan"],
+        ["wr", "--rho", "2.5", "--eta", "nan"],
+        ["certify", "--tol", "nan"],
+        ["verify-thm2", "--tol", "nan"],
+    ],
+)
+def test_nan_tolerances_exit_with_error(capsys, write_graph, argv):
+    graph = [] if argv[0] == "verify-thm2" else [write_graph(bowtie())]
+    run_error(capsys, [argv[0], *graph, *argv[1:]])
+
+
 def test_unknown_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -27,6 +27,7 @@ from coverspectra.generators import (
 
 from oracles import (
     BallCapExceeded,
+    ahu_code,
     gnp_giant,
     stack_walk_profile,
     tree_ball,
@@ -178,6 +179,17 @@ def test_rebuilt_equal_graph_hits_the_quotient_cache():
     first = quotient(g)
     assert quotient(rebuilt) is first
     assert quotient.cache_info().hits == 1
+
+
+def test_ball_codes_are_the_materialized_cover_balls(small_corpus):
+    """The quotient's code at v is the parenthesis code of the cover's r-ball,
+    whether or not v's induced ball in g is a tree."""
+    graphs = list(small_corpus[::7]) + [bowtie(), theta(1, 2, 3), gnp_giant(60, 1)]
+    for g in graphs:
+        q = quotient(g)
+        for r in range(4):
+            for v in range(g.n):
+                assert q.ball_code(v, r) == ahu_code(tree_ball(g, v, r).as_multigraph(), 0)
 
 
 def test_single_vertex_has_no_classes():

@@ -239,6 +239,11 @@ def test_certificate_rejects_thin_graphs():
         certify_gap(path(3))
 
 
+def test_certificate_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance"):
+        certify_gap(bowtie(), tol=float("nan"))
+
+
 def test_inconsistent_cross_check_raises():
     g = bowtie()
     real = rho_tree(g)

@@ -236,6 +236,16 @@ def _relabel(g: MultiGraph, seed: int) -> MultiGraph:
     return MultiGraph.from_edges(g.n, edges)
 
 
+@pytest.mark.parametrize(
+    "g", [complete(10), biregular(5, 5), MultiGraph(10, ())], ids=["K10", "K5,5", "empty10"]
+)
+def test_canonical_key_of_twin_heavy_graphs(g):
+    # every cell is one twin class, so each level of the search branches once
+    key = canonical_key(g)
+    for seed in range(3):
+        assert canonical_key(_relabel(g, seed)) == key
+
+
 def _walk_invariant(g: MultiGraph) -> list[tuple[int, ...]]:
     # exact isomorphism invariant: the multiset of closed-walk profiles
     return sorted(tuple(closed_walk_profile(g, v, 8)) for v in range(g.n))

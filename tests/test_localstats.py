@@ -15,7 +15,7 @@ from coverspectra.localstats import (
     tree_fraction,
     tv_distance,
 )
-from coverspectra.multigraph import MultiGraph, is_tree
+from coverspectra.multigraph import MultiGraph, ball, is_tree
 from coverspectra.generators import (
     bowtie,
     complete,
@@ -24,9 +24,10 @@ from coverspectra.generators import (
     random_lift,
     random_regular,
     star,
+    theta,
 )
 
-from oracles import mass_transport_by_distances, tree_ball
+from oracles import ahu_code, gnp_giant, mass_transport_by_distances, tree_ball
 
 
 def _girth(g):
@@ -125,6 +126,38 @@ def test_tree_fraction_girth_consistency(corpus):
                 assert girth is None or girth >= 2 * r + 2
             else:
                 assert girth is not None and girth <= 2 * r + 1
+
+
+def _tree_ball_graphs():
+    disconnected = next(
+        lift for seed in range(50) if not (lift := random_lift(bowtie(), 3, seed)[0]).is_connected
+    )
+    return [
+        random_regular(250, 3, 1)[0],
+        random_regular(40, 4, 2)[0],
+        random_lift(bowtie(), 40, 3)[0],
+        random_lift(complete(4), 50, 4)[0],
+        random_lift(theta(1, 2, 3), 40, 5)[0],
+        disconnected,
+    ]
+
+
+def test_tree_ball_codes_match_ahu_oracle(corpus):
+    """Every tree ball's code, read off the cover quotient, is the parenthesis
+    code of the materialized ball; tree_fraction counts the same balls."""
+    tree_balls = 0
+    for g in list(corpus) + _tree_ball_graphs():
+        for r in range(4):
+            hits = 0
+            for v in range(g.n):
+                nbh = ball(g, v, r)
+                if is_tree(nbh.graph):
+                    hits += 1
+                    assert ball_code(g, v, r) == "t" + ahu_code(nbh.graph, nbh.center_index)
+            if r:
+                assert tree_fraction(g, r) == hits / g.n
+            tree_balls += hits
+    assert tree_balls > 5_000
 
 
 def test_tree_fraction_validates_radius():
@@ -273,6 +306,13 @@ def test_ball_code_cap():
         ball_code(complete(5), 0, 1, cap=3)
     with pytest.raises(ValueError, match="cap"):
         bs_histogram(complete(5), 1, cap=3)
+
+
+def test_histogram_of_hub_heavy_random_graph_finishes():
+    # cyclic radius-2 balls with 11-22 leaves on a few hubs; leaves on one hub
+    # are twins, so the canonizer does not branch over their orderings
+    g = gnp_giant(300, 5)
+    assert sum(bs_histogram(g, 2).values()) == g.n
 
 
 def test_loop_and_parallel_codes_differ():

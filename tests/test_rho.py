@@ -119,6 +119,8 @@ def test_feasibility_monotone_at_bracket(zoo_graph):
 def test_tol_validation():
     with pytest.raises(ValueError):
         rho_tree(cycle(3), tol=0.0)
+    with pytest.raises(ValueError, match="positive"):
+        rho_tree(cycle(3), tol=float("nan"))
     with pytest.raises(ValueError, match="connected"):
         rho_tree(MultiGraph(2, ()))
 

@@ -102,6 +102,11 @@ def test_wr_counts_multiplicity():
     assert wr_fraction(s, 0.5) == 0.0
 
 
+def test_wr_rejects_nan_eta():
+    with pytest.raises(ValueError, match="eta"):
+        wr_fraction(eigen_spectrum(cycle(4)), 2.0, eta=float("nan"))
+
+
 def test_wr_needs_full_spectrum():
     top = eigen_spectrum(cycle(30), dense_cap=10)
     with pytest.raises(ValueError, match="full spectrum"):
