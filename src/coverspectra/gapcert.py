@@ -232,7 +232,7 @@ def certify_gap(
 ) -> GapCertificate:
     """Search gamma = 2^-1 .. 2^-40 and delta in {gamma, gamma^2, gamma^3}
     for the widest certified margin lambda1 - max g, then cross-check the
-    implied bound against the bisection bracket for rho(T).
+    implied bound against rho_tree's certified bracket for rho(T).
 
     The 120 grid points are evaluated in one array pass (module docstring);
     the first widest margin in (gamma, delta) order wins, and g_values is
@@ -264,7 +264,7 @@ def certify_gap(
     if rho.hi > lam - margin + tol:
         raise CertificationError(
             f"certified bound {lam - margin:.9f} is inconsistent with the "
-            f"bisection bracket hi = {rho.hi:.9f}"
+            f"rho_tree bracket hi = {rho.hi:.9f}"
         )
 
     return GapCertificate(

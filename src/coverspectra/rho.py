@@ -10,25 +10,23 @@ A positive F with
 
 (a supersolution) certifies a positive function Z on the cover tree with
 (A Z)(x) <= t Z(x) everywhere, hence rho(T) <= t. Its entries never exceed
-t. Iterates from F = 0 stay constant on half-edge classes, so probes run
-on the cover's quotient (cover.quotient), with its continuation counts C
-and per-colour counts D, and check both inequalities there in float64. The
-certificate behind a reported hi is checked again on every half-edge in
-exact arithmetic: t and F are dyadic rationals, like every float, so one
-power of two scales them to integers. hi is therefore a proof, not an
-upper bound up to rounding.
+t. Iterates from F = 0 stay constant on half-edge classes, so everything
+here runs on the cover's quotient (cover.quotient), with its continuation
+counts C and per-colour counts D, in float64. The certificate behind a
+reported hi is checked again on every half-edge in exact arithmetic: t and
+F are dyadic rationals, like every float, so one power of two scales them
+to integers. hi is therefore a proof, not an upper bound up to rounding.
 
 Probe. Monotone Newton (Esparza, Kiefer and Luttenberger, SIAM J. Comput.
 2010): phi = phi(F), r = phi - F, J = diag(phi^2) C, and F += d where
 (I - J) d = r. phi is monotone and convex, so for a subsolution F below a
 supersolution G, G - F >= r + J (G - F), hence G - F >= sum_k J^k r = d:
-every iterate is again a subsolution below every supersolution. The first
-probe starts at F = 0 and later ones at Newton's iterate at hi, which lies
-below every supersolution at any t < hi. A probe ends in one of three
-statuses:
+every iterate is again a subsolution below every supersolution, and so is
+phi of it. A probe ends in one of three statuses:
 
-* diverged: a denominator is <= 0 or phi exceeds t, which no iterate below
-  a supersolution can do (its entries are at most t), so rho(T) > t; or
+* diverged: a denominator is <= 0 or a vertex sum of phi exceeds t, which
+  no iterate below a supersolution can do (phi of it lies below the
+  supersolution, whose vertex sums are at most t), so rho(T) >= t; or
   (I - J) e = 1 has a solution with a negative entry. Then x = max(-e, 0)
   has J x >= x + 1 on its support; J x >= x is checked, and it gives
   rho(J) >= 1 (Collatz-Wielandt). For t > rho(T) the least fixed point F*
@@ -39,28 +37,56 @@ statuses:
   needed.
 * certified: Newton converged, and the fixed point at t (1 - eta), for the
   first eta of a short ladder, passes the supersolution check at t.
-* uncertified: Newton converged but no certificate was found. Then rho(T)
-  is within rounding of t, and rho_tree probes t -/+ tol / 4 and stops.
+* uncertified: Newton converged but no certificate was found, as happens
+  within rounding of rho(T).
 
-So lo moves only on a refutation and hi only on a checked certificate.
-rho_tree bisects between the best walk-count root and the max degree, where
-F = 1 is a supersolution, so neither initial endpoint needs a probe. The
-final certificate is lifted to every half-edge and checked exactly on the
-full graph, so hi rests neither on the quotient code nor on rounding.
+Estimate. The least fixed points F*(t), t > rho(T), form a branch that
+folds at t = rho(T), where I - J becomes singular. Newton's method on the
+bordered system
+
+    F (t - C F) = 1,   (diag(t - C F) - diag(F) C) v = 0,   sum(v) = 1
+
+(F = phi(F) and (I - J) v = 0, each row times its denominator) converges
+quadratically to the fold (F*, v, rho(T)) from a start near it (Moore and
+Spence, SIAM J. Numer. Anal. 17, 1980). A warm-up supplies that start. It
+bisects t between the bracket's initial ends (below), running monotone
+Newton at each t from the last iterate that converged: a run that
+diverges is a refutation and raises the lower end, and one that converges
+lowers the upper end, until the Perron root mu of J there, estimated by
+inverse iteration with Newton's factorization, has 1 - mu below
+_NEAR_FOLD (near the fold 1 - mu shrinks like sqrt(t - rho(T))). A
+bordered solve that loses its way (an iterate leaves F > 0, or it does not
+settle) sends the warm-up on to try again closer to the fold; should the
+warm-up's interval run down to rounding first, the estimate is its last t.
+A tree is its own cover and has no fold (J is nilpotent); its estimate is
+lambda1, the top eigenvalue of its ball at radius the eccentricity
+(rho_ball_power).
+
+Certify. With the estimate s and pad = tol / (4 s), hi = s (1 + pad) is
+certified by the fold point itself, a supersolution at any t > rho(T), or
+failing that by a probe from the warm-up's last iterate; lo = s (1 - pad)
+by a probe that ends diverged, from the same iterate: it is a subsolution
+below every supersolution at any t below the warm-up's last t. A check that
+fails doubles its pad, so the bracket is always a proof, only wider. hi
+stays at most the max degree, where F = 1 is a supersolution, and lo at
+least sqrt(max degree), rounded down, the top eigenvalue of the star the
+cover contains at a vertex of max degree. hi's certificate is lifted to
+every half-edge and checked exactly on the full graph, so hi rests neither
+on the quotient code nor on rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .cover import Quotient, backtracking_walk_profile, quotient
 from .multigraph import MultiGraph, require_connected
 
-BISECTION_TOL = 1e-9
-LOWER_BOUND_DEPTH = 6
+DEFAULT_TOL = 1e-9
 
 _DENSE_SOLVE_CAP = 256
 # relative shifts eta of the certificate's fixed point t (1 - eta): the
@@ -71,6 +97,12 @@ _CERT_SHIFTS = (1e-13, 1e-12, 1e-11, 1e-10)
 _NEWTON_STEPS = 200
 # a step of a few units in the last place is rounding, not progress
 _ROUNDING = 4 * np.finfo(float).eps
+# 1 - mu below which the warm-up tries the bordered solve; on the corpus
+# it settled from every start up to 0.6 and missed one graph at 0.7
+_NEAR_FOLD = 0.5
+# the bordered solve settles within 18 steps on the corpus and on random
+# sparse multigraphs; one still moving after this many has lost its way
+_FOLD_STEPS = 30
 
 
 @dataclass(frozen=True)
@@ -89,6 +121,10 @@ class ProbeReport:
 
 @dataclass(frozen=True)
 class RhoResult:
+    """A bracket lo <= rho(T) <= hi. probes lists the probes run to certify
+    hi and refute lo, as (t, feasible, status), and iterations_per_probe
+    their Newton steps; the first also counts the estimate's."""
+
     value: float
     lo: float
     hi: float
@@ -118,9 +154,9 @@ def _matrix(counts, shape: tuple[int, int], dense: bool):
 
 
 class _Operators:
-    """The float64 view of a cover.Quotient that probes and pivots use: C
-    and D as dense arrays up to _DENSE_SOLVE_CAP classes and as CSR
-    matrices above, and solvers for I - diag(w) C."""
+    """The float64 view of a cover.Quotient that probes, the fold solve and
+    pivots use: C and D as dense arrays up to _DENSE_SOLVE_CAP classes and as
+    CSR matrices above, with linear solvers to match."""
 
     def __init__(self, q: Quotient):
         self.cls = q.cls
@@ -150,6 +186,34 @@ class _Operators:
             return splu((identity(self.size) - diags(w) @ self.C).tocsc()).solve
         except RuntimeError:  # exactly singular
             return lambda b: np.full(b.shape, np.nan)
+
+    def fold_step(self, f: np.ndarray, v: np.ndarray, t: float):
+        """Newton's step (df, dv, dt) on the bordered fold system of the
+        module docstring at (f, v, t); non-finite if its matrix is singular."""
+        k = self.size
+        den, cv = t - self.C @ f, self.C @ v
+        rhs = -np.concatenate([f * den - 1.0, den * v - f * cv, [v.sum() - 1.0]])
+        if self.dense:
+            a = np.zeros((2 * k + 1, 2 * k + 1))
+            a[:k, :k] = a[k:-1, k:-1] = np.diag(den) - f[:, None] * self.C
+            a[k:-1, :k] = -v[:, None] * self.C - np.diag(cv)
+            a[:k, -1], a[k:-1, -1], a[-1, k:-1] = f, v, 1.0
+            try:
+                d = np.linalg.solve(a, rhs)
+            except np.linalg.LinAlgError:  # exactly singular
+                d = np.full(2 * k + 1, np.nan)
+        else:
+            from scipy.sparse import bmat, diags
+            from scipy.sparse.linalg import splu
+
+            h = diags(den) - diags(f) @ self.C
+            dh = -(diags(v) @ self.C) - diags(cv)
+            a = bmat([[h, None, f[:, None]], [dh, h, v[:, None]], [None, np.ones((1, k)), None]])
+            try:
+                d = splu(a.tocsc()).solve(rhs)
+            except RuntimeError:  # exactly singular
+                d = np.full(2 * k + 1, np.nan)
+        return d[:k], d[k : 2 * k], d[2 * k]
 
 
 def _supersolution_slack(t, f, vertex_sums, continuation_sums) -> float | None:
@@ -204,8 +268,9 @@ def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
     of the refutations of the module docstring and False once Newton has
     converged, that is, once a step is down to rounding.
 
-    A factorization of I - J is reused while each step at least halves the
-    residual, starting with solve when given. J only grows along the
+    Dense solves are cheap, so the dense path factors I - J at every step.
+    The sparse path reuses a factorization while each step at least halves
+    the residual, starting with solve when given. J only grows along the
     iterates and as t falls, so a step d with an older J0 <= J is still
     safe: (I - J0)^-1 <= (I - J)^-1 keeps F + d below every supersolution,
     and r + J d >= r + J0 d = d keeps it a subsolution."""
@@ -215,14 +280,14 @@ def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
         if den.min() <= 0.0:
             return True, f, step, solve
         phi = 1.0 / den
-        if phi.max() > t:
+        if (q.D @ phi).max() > t:
             return True, f, step, solve
         r = phi - f
         w = phi * phi
         # t - C f is off by about eps t, which moves phi by about eps t w
         if np.all(r <= _ROUNDING * t * w):
             return False, f, step, solve
-        if solve is None or r.max() > 0.5 * last:
+        if solve is None or q.dense or r.max() > 0.5 * last:
             solve = q.factor(w)
             # (I - J) e = 1 with e < 0 somewhere gives the witness
             # x = max(-e, 0): J x >= x + 1 on its support
@@ -259,6 +324,64 @@ def _probe(q: _Operators, t: float, start: np.ndarray, solve=None):
     return ProbeReport(t, False, "uncertified", steps, None, None), f, solve
 
 
+def _perron(solve, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Estimate of the Perron root mu of J and its vector from v > 0: three
+    steps of inverse iteration with a solver for I - J, an M-matrix whose
+    inverse has the top eigenvalue 1 / (1 - mu). A start of the bordered
+    solve needs no more."""
+    for _ in range(3):
+        y = solve(v / v.sum())
+        if not y.sum() > 0.0:  # singular to rounding: mu is 1
+            return 1.0, v
+        v = y
+    return 1.0 - 1.0 / v.sum(), v / v.sum()
+
+
+def _moore_spence(q: _Operators, f: np.ndarray, v: np.ndarray, t: float, lo: float):
+    """Newton on the bordered fold system from the warm-up's least fixed
+    point f at t > rho(T) >= lo, with v its Perron vector estimate. Returns
+    (estimate, fold point, steps); the estimate is None when the solve lost
+    its way: an iterate fails F > 0 or rises above the start, none settles
+    in _FOLD_STEPS steps, or one settles below lo. The first step may
+    overshoot below lo, as Newton from above a fold does."""
+    top = t
+    for step in range(1, _FOLD_STEPS + 1):
+        df, dv, dt = q.fold_step(f, v, t)
+        f, v, t = f + df, v + dv, t + dt
+        if not (t <= top and f.min() > 0.0):  # NaN fails too
+            break
+        if abs(dt) <= _ROUNDING * t:
+            return (float(t) if t >= lo else None), f, step
+    return None, f, step
+
+
+def _fold(q: _Operators, lo: float, hi: float):
+    """Estimate rho(T) of a graph with a cycle from lo <= rho(T) <= hi (the
+    module docstring's warm-up and bordered solve). Returns the estimate,
+    its fold point (None when no bordered solve settled and the estimate is
+    the warm-up's last t), the warm-up's last Newton iterate and solver,
+    which start a probe validly at any t below the estimate, and the Newton
+    steps taken."""
+    f, v, solve, steps = np.zeros(q.size), np.ones(q.size), None, 0
+    top = t = hi
+    while True:
+        diverged, iterate, n, factored = _newton(q, t, f, solve)
+        steps += n
+        if diverged:
+            lo = t
+        else:
+            top, f, solve = t, iterate, factored
+            mu, v = _perron(solve, v)
+            if 1.0 - mu < _NEAR_FOLD:
+                est, fold, n = _moore_spence(q, f, v, top, lo)
+                steps += n
+                if est is not None:
+                    return est, fold, f, solve, steps
+        t = 0.5 * (lo + top)
+        if not lo < t < top:  # rho(T) = top, or [lo, top] is down to rounding
+            return top, None, f, solve, steps
+
+
 def _lift_certificate(g: MultiGraph, q: _Operators, t: float, f: np.ndarray):
     """Per-half-edge certificate and its full-graph slack; raises if the
     lifted vector fails the check the quotient passed."""
@@ -286,15 +409,15 @@ def feasibility_probe(g: MultiGraph, t: float) -> ProbeReport:
     return replace(rep, fixed_point=lifted, slack_min=slack)
 
 
-def rho_tree(g: MultiGraph, tol: float = BISECTION_TOL) -> RhoResult:
-    """Bracket the cover tree's spectral radius to width tol by bisection.
+def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
+    """Bracket the cover tree's spectral radius to width at most tol / 2,
+    wider only where a check failed.
 
-    The initial bracket is [best walk-count root, max degree]; both endpoints
-    are certified without probes (walk roots never exceed rho, and F = 1 is a
-    supersolution at t = max degree). lo moves only on a diverged probe and
-    hi only on a certified one. A tol below about 1e-12 t stops wider than
-    tol: the smallest certificate shift is 1e-13 t, so probes that close to
-    rho(T) end uncertified.
+    The module docstring has the three steps: estimate rho(T) at the fold
+    (lambda1 on a tree), certify hi and lo a quarter of tol either side of
+    the estimate, doubling that distance on a side whose check fails, and
+    check hi's certificate exactly on every half-edge. lo moves only on a
+    diverged probe and hi only on an exactly checked certificate.
     """
     require_connected(g, "rho_tree")
     if not tol > 0:  # NaN fails too
@@ -302,42 +425,50 @@ def rho_tree(g: MultiGraph, tol: float = BISECTION_TOL) -> RhoResult:
     if g.m == 0:
         return RhoResult(0.0, 0.0, 0.0, tol, {}, 0.0, (), 0, ())
 
-    cq = quotient(g)
-    q = _Operators(cq)
-    delta_max = float(g.max_degree)
-    # walk profiles depend only on the colour, so one vertex per colour will do
-    reps = {c: v for v, c in enumerate(cq.colors)}.values()
-    walk_root = max(max(rho_lower_sequence(g, v, LOWER_BOUND_DEPTH)) for v in reps)
-    lo = min(walk_root, delta_max)
-    hi = delta_max
+    q = _Operators(quotient(g))
+    hi = float(g.max_degree)
+    # the cover contains the star at a vertex of max degree, whose top
+    # eigenvalue is sqrt(hi): rounded down, it needs no probe
+    lo = math.sqrt(hi)
+    if Fraction(lo) ** 2 > hi:
+        lo = math.nextafter(lo, 0.0)
+    if g.m == g.n - 1:  # a tree is its own cover, a ball of radius ecc(0)
+        est = rho_ball_power(g, 0, max(g.distances_from(0)))
+        fold, start, solve, steps = None, np.zeros(q.size), None, 0
+    else:
+        est, fold, start, solve, steps = _fold(q, lo, hi)
 
     reports: list[ProbeReport] = []
-    best: ProbeReport | None = None
-    # Newton's iterate at hi: a subsolution at every t < hi that lies below
-    # F*(hi), hence below every supersolution at t, so probes start there,
-    # with the factorization made at or below it
-    start, solve = np.zeros(q.size), None
-
-    def probe(t: float) -> str:
-        nonlocal lo, hi, best, start, solve
-        rep, f, factored = _probe(q, t, start, solve)
+    fixed = None
+    pad = tol / (4.0 * est)
+    while fixed is None and lo < (t := est * (1.0 + pad)) < hi:
+        slack = None if fold is None else _supersolution_slack(t, fold, q.D @ fold, q.C @ fold)
+        if slack is not None:
+            rep = ProbeReport(t, True, "certified", 0, slack, fold)
+        else:
+            rep, _, _ = _probe(q, t, start, solve)
         reports.append(rep)
-        if rep.status == "certified":
-            hi, best, start, solve = t, rep, f, factored
-        elif rep.status == "diverged":
+        if rep.feasible:
+            lifted = rep.fixed_point[q.cls]
+            exact = _is_supersolution(g, t, lifted)
+            if exact is not None:
+                hi, fixed, slack_min = t, lifted, exact
+        pad *= 2.0
+    if fixed is None:  # F = 1 is a supersolution at the max degree
+        fixed, slack_min = _lift_certificate(g, q, hi, np.ones(q.size))
+
+    pad = tol / (4.0 * est)
+    while lo < (t := est * (1.0 - pad)) < hi:
+        rep, _, _ = _probe(q, t, start, solve)
+        reports.append(rep)
+        if rep.status == "diverged":
             lo = t
-        return rep.status
-
-    while hi - lo > tol and len(reports) < 200:
-        mid = 0.5 * (lo + hi)
-        if probe(mid) == "uncertified":
-            probe(mid - 0.25 * tol)
-            probe(mid + 0.25 * tol)
             break
+        pad *= 2.0
 
-    # hi still at the max degree means F = 1 is the certificate
-    cert = best.fixed_point if best is not None else np.ones(q.size)
-    fixed, slack_min = _lift_certificate(g, q, hi, cert)
+    iterations = [r.iterations for r in reports]
+    if iterations:
+        iterations[0] += steps
     return RhoResult(
         0.5 * (lo + hi),
         lo,
@@ -345,7 +476,7 @@ def rho_tree(g: MultiGraph, tol: float = BISECTION_TOL) -> RhoResult:
         tol,
         dict(enumerate(fixed.tolist())),
         slack_min,
-        tuple(r.iterations for r in reports),
+        tuple(iterations),
         sum(r.ambiguous for r in reports),
         tuple((r.t, r.feasible, r.status) for r in reports),
     )

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from coverspectra.multigraph import MultiGraph, Neighborhood, require_connected
+from coverspectra.rho import feasibility_probe, rho_lower_sequence
 
 
 TREE_BALL_NODE_CAP = 20_000_000
@@ -240,6 +241,35 @@ def supersolution_by_fractions(g: MultiGraph, t: float, f) -> bool:
         if den <= 0 or 1 / den > x:
             return False
     return True
+
+
+def rho_by_bisection(g: MultiGraph, tol: float) -> tuple[float, float]:
+    """A bracket (lo, hi) for rho(T) that never solves for the fold:
+    bisection on the public probe from the best depth-6 walk-count root and
+    the max degree. lo moves on a diverged probe and hi on a certified one;
+    an uncertified midpoint is settled by probes a quarter of tol either
+    side of it."""
+    if g.m == 0:
+        return 0.0, 0.0
+    hi = float(g.max_degree)
+    lo = min(max(max(rho_lower_sequence(g, v, 6)) for v in range(g.n)), hi)
+
+    def probe(t: float) -> str:
+        nonlocal lo, hi
+        status = feasibility_probe(g, t).status
+        if status == "certified":
+            hi = t
+        elif status == "diverged":
+            lo = t
+        return status
+
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if probe(mid) == "uncertified":
+            probe(mid - 0.25 * tol)
+            probe(mid + 0.25 * tol)
+            break
+    return lo, hi
 
 
 def g_values_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, gamma, delta):

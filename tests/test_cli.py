@@ -55,6 +55,10 @@ def test_rho_bowtie(capsys, write_graph):
     assert payload["rho"] == pytest.approx(want, abs=1e-8)
     assert payload["hi"] - payload["lo"] <= 1e-9
     assert payload["vertex_slack_min"] >= 0
+    # every probe behind the bracket certified hi or refuted lo
+    statuses = {status for _, _, status in payload["probes"]}
+    assert statuses and statuses <= {"certified", "diverged"}
+    assert payload["ambiguous_probes"] == 0
 
 
 def test_wr_long_cycle(capsys, write_graph):

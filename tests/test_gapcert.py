@@ -224,7 +224,7 @@ def test_glued_cycles_tiny_but_positive():
 
 def test_certificates_sound_on_corpus(corpus, cache):
     """margin > 0 exists for every multicyclic graph here, and the implied
-    upper bound never undercuts the independently bisected bracket."""
+    upper bound never undercuts rho_tree's independently certified bracket."""
     for g in _multicyclic(corpus[::15]):
         rho = cache.rho(g)
         cert = certify_gap(g, rho_result=rho, spectrum=cache.spectrum(g))

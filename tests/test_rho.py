@@ -4,7 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import gnp_giant, supersolution_by_fractions, tree_ball, tree_ball_top_eigenvalue
+from oracles import (
+    gnp_giant,
+    rho_by_bisection,
+    supersolution_by_fractions,
+    tree_ball,
+    tree_ball_top_eigenvalue,
+)
 
 from coverspectra.cover import quotient
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
@@ -21,6 +27,7 @@ from coverspectra.generators import (
     complete,
     cycle,
     path,
+    random_regular,
     star,
     theta,
 )
@@ -123,6 +130,15 @@ def test_tol_validation():
         rho_tree(cycle(3), tol=float("nan"))
     with pytest.raises(ValueError, match="connected"):
         rho_tree(MultiGraph(2, ()))
+
+
+@pytest.mark.parametrize("name", ["bowtie", "k4", "theta123"])
+def test_tolerance_at_rounding_scale(name):
+    """The pad is relative to the estimate, so tol can go down to a few
+    units in the last place of rho(T), below the certificate ladder's
+    smallest shift of 1e-13 t."""
+    g = {"bowtie": bowtie(), "k4": complete(4), "theta123": theta(1, 2, 3)}[name]
+    assert rho_tree(g, tol=1e-14).width <= 1e-14
 
 
 def test_tighter_tolerance_nests():
@@ -261,6 +277,71 @@ def test_bracket_contains_lambda1_on_trees_and_unicyclic(corpus, cache):
         if not (res.lo <= lam + 1e-12 and res.hi >= lam - 1e-12):
             bad.append((i, g.edges, res.lo - lam, res.hi - lam))
     assert bad == []
+
+
+# -- the fold solve against the bisection oracle ------------------------------------
+
+
+def _bowtie_with_pendant_star(leaves: int) -> MultiGraph:
+    """The bowtie with a pendant vertex at its vertex 1, carrying `leaves` leaves."""
+    g = bowtie()
+    edges = [*g.edges, (1, g.n), *((g.n, g.n + 1 + i) for i in range(leaves))]
+    return MultiGraph.from_edges(g.n + 1 + leaves, edges)
+
+
+def _simple_connected_regular(n: int, d: int) -> MultiGraph:
+    seed = 0
+    while True:
+        g, info = random_regular(n, d, seed)
+        if info["simple"] and info["connected"]:
+            return g
+        seed += 1
+
+
+BEYOND_CORPUS = {
+    "cycle10": lambda: cycle(10),
+    "cycle47": lambda: cycle(47),
+    "rr64_3": lambda: _simple_connected_regular(64, 3),
+    "gnp300": lambda: gnp_giant(300, 5),
+    "bowtie_pendant2": lambda: _bowtie_with_pendant_star(2),
+    "bowtie_pendant4": lambda: _bowtie_with_pendant_star(4),
+    "bowtie_pendant8": lambda: _bowtie_with_pendant_star(8),
+    # a loop at the end of a pendant path: from the warm-up's first start
+    # near the fold, Newton on the bordered system wanders off to F < 0
+    "loop_at_depth": lambda: MultiGraph.from_edges(
+        23,
+        ((0, 1), (0, 2), (1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (6, 8), (7, 9), (5, 10), (3, 11),
+         (11, 12), (5, 13), (1, 14), (13, 15), (5, 16), (0, 17), (5, 18), (12, 19), (0, 20),
+         (10, 21), (13, 22), (19, 19)),
+    ),
+    "path50": lambda: path(50),
+    "path200": lambda: path(200),
+    "star7": lambda: star(7),
+}
+
+
+def _assert_overlaps_bisection(g):
+    res = rho_tree(g)
+    lo, hi = rho_by_bisection(g, res.tol)
+    assert max(res.lo, lo) <= min(res.hi, hi), (res.lo, res.hi, lo, hi)
+    assert res.width <= res.tol
+
+
+def test_bracket_overlaps_bisection_on_corpus(corpus):
+    for g in corpus[::10]:
+        _assert_overlaps_bisection(g)
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND_CORPUS))
+def test_bracket_overlaps_bisection_beyond_corpus(name):
+    _assert_overlaps_bisection(BEYOND_CORPUS[name]())
+
+
+@pytest.mark.parametrize("leaves, want", [(2, 2.6250003795), (4, 2.6965444222), (8, 3.1066478200)])
+def test_bowtie_with_pendant_star_values(leaves, want):
+    g = _bowtie_with_pendant_star(leaves)
+    assert g.n == 6 + leaves
+    assert abs(rho_tree(g).value - want) <= 1e-9
 
 
 # -- the sparse quotient path ---------------------------------------------------------
