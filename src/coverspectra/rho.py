@@ -17,28 +17,23 @@ reported hi is checked again on every half-edge in exact arithmetic: t and
 F are dyadic rationals, like every float, so one power of two scales them
 to integers. hi is therefore a proof, not an upper bound up to rounding.
 
-Probe. Monotone Newton (Esparza, Kiefer and Luttenberger, SIAM J. Comput.
+Newton. Monotone Newton (Esparza, Kiefer and Luttenberger, SIAM J. Comput.
 2010): phi = phi(F), r = phi - F, J = diag(phi^2) C, and F += d where
 (I - J) d = r. phi is monotone and convex, so for a subsolution F below a
 supersolution G, G - F >= r + J (G - F), hence G - F >= sum_k J^k r = d:
 every iterate is again a subsolution below every supersolution, and so is
-phi of it. A probe ends in one of three statuses:
-
-* diverged: a denominator is <= 0 or a vertex sum of phi exceeds t, which
-  no iterate below a supersolution can do (phi of it lies below the
-  supersolution, whose vertex sums are at most t), so rho(T) >= t; or
-  (I - J) e = 1 has a solution with a negative entry. Then x = max(-e, 0)
-  has J x >= x + 1 on its support; J x >= x is checked, and it gives
-  rho(J) >= 1 (Collatz-Wielandt). For t > rho(T) the least fixed point F*
-  is a supersolution with rho(J(F*)) < 1 (it reaches 1 only at the fold
-  t = rho(T)), and J(F) <= J(F*) below it, so t <= rho(T). By convexity
-  this is how a probe below the fold ends: within a few steps Newton
-  reaches an iterate where I - J stops being an M-matrix. No eigensolve is
-  needed.
-* certified: Newton converged, and the fixed point at t (1 - eta), for the
-  first eta of a short ladder, passes the supersolution check at t.
-* uncertified: Newton converged but no certificate was found, as happens
-  within rounding of rho(T).
+phi of it. From such a start a run converges (a step is down to rounding)
+or diverges, which proves rho(T) >= t. It diverges when a denominator is
+<= 0 or a vertex sum of phi exceeds t, which no iterate below a
+supersolution can do (phi of it lies below the supersolution, whose vertex
+sums are at most t), or when (I - J) e = 1 has a solution with a negative
+entry. Then x = max(-e, 0) has J x >= x + 1 on its support; J x >= x is
+checked, and it gives rho(J) >= 1 (Collatz-Wielandt). For t > rho(T) the
+least fixed point F* is a supersolution with rho(J(F*)) < 1 (it reaches 1
+only at the fold t = rho(T)), and J(F) <= J(F*) below it, so t <= rho(T).
+By convexity this is how a run below the fold ends: within a few steps
+Newton reaches an iterate where I - J stops being an M-matrix. No
+eigensolve is needed.
 
 Estimate. The least fixed points F*(t), t > rho(T), form a branch that
 folds at t = rho(T), where I - J becomes singular. Newton's method on the
@@ -62,23 +57,26 @@ A tree is its own cover and has no fold (J is nilpotent); its estimate is
 lambda1, the top eigenvalue of its ball at radius the eccentricity
 (rho_ball_power).
 
-Certify. With the estimate s and pad = tol / (4 s), hi = s (1 + pad) is
-certified by the fold point itself, a supersolution at any t > rho(T), or
-failing that by a probe from the warm-up's last iterate; lo = s (1 - pad)
-by a probe that ends diverged, from the same iterate: it is a subsolution
-below every supersolution at any t below the warm-up's last t. A check that
-fails doubles its pad, so the bracket is always a proof, only wider. hi
-stays at most the max degree, where F = 1 is a supersolution, and lo at
-least sqrt(max degree), rounded down, the top eigenvalue of the star the
-cover contains at a vertex of max degree. hi's certificate is lifted to
-every half-edge and checked exactly on the full graph, so hi rests neither
-on the quotient code nor on rounding.
+Certify. With the estimate s and pad = tol / (4 s), at least one ulp of
+1, hi = s (1 + pad) needs a candidate F that passes the supersolution check
+at hi in float64 and then, lifted to every half-edge, exactly on the full
+graph, so hi rests neither on the quotient code nor on rounding. The
+candidate is the fold point, a supersolution at any t > rho(T), or, when
+there is none or it fails (trees, some unicyclic graphs), the least fixed
+point at the midpoint s (1 + pad / 2) from one Newton run. lo = s (1 - pad)
+needs one Newton run that diverges. Both runs start from the warm-up's
+last iterate (zeros on a tree), a subsolution below every supersolution at
+any t below the warm-up's last t. A side whose check fails doubles its pad,
+so the bracket is always a proof, only wider. hi stays at most the max
+degree, where F = 1 is a supersolution, and lo at least sqrt(max degree),
+rounded down, the top eigenvalue of the star the cover contains at a
+vertex of max degree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -89,8 +87,8 @@ from .multigraph import MultiGraph, require_connected
 DEFAULT_TOL = 1e-9
 
 _DENSE_SOLVE_CAP = 256
-# relative shifts eta of the certificate's fixed point t (1 - eta): the
-# smallest one whose margin clears rounding in the check wins
+# feasibility_probe's relative shifts eta of the certificate's fixed point
+# t (1 - eta): the smallest one whose margin clears rounding in the check wins
 _CERT_SHIFTS = (1e-13, 1e-12, 1e-11, 1e-10)
 # monotone Newton gains about a bit per step even at the fold, so a probe
 # that has not stopped by then is stuck in rounding
@@ -107,6 +105,11 @@ _FOLD_STEPS = 30
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """feasibility_probe's answer at t after iterations Newton steps:
+    "diverged" (Newton refuted t, so rho(T) >= t), "certified" (fixed_point,
+    per half-edge, passed the exact check at t with vertex slack slack_min,
+    so rho(T) <= t; feasible only then) or "uncertified" (t left open)."""
+
     t: float
     feasible: bool
     status: str
@@ -121,9 +124,11 @@ class ProbeReport:
 
 @dataclass(frozen=True)
 class RhoResult:
-    """A bracket lo <= rho(T) <= hi. probes lists the probes run to certify
-    hi and refute lo, as (t, feasible, status), and iterations_per_probe
-    their Newton steps; the first also counts the estimate's."""
+    """A bracket lo <= rho(T) <= hi. probes lists the checks behind it as
+    (t, feasible, status): a hi candidate "certified" by the float check or
+    "uncertified", and a lo Newton run "diverged" or "uncertified" (it
+    converged). iterations_per_probe holds their Newton steps, the first
+    also counting the estimate's."""
 
     value: float
     lo: float
@@ -216,15 +221,15 @@ class _Operators:
         return d[:k], d[k : 2 * k], d[2 * k]
 
 
-def _supersolution_slack(t, f, vertex_sums, continuation_sums) -> float | None:
+def _supersolution_slack(q: _Operators, t: float, f: np.ndarray) -> float | None:
     """Minimal vertex slack t - (sum of f at a vertex) when f is a positive
-    supersolution at t, else None. Evaluated in float64."""
+    supersolution at t on the quotient, else None. Evaluated in float64."""
     if f.min() <= 0.0:
         return None
-    slack = t - float(vertex_sums.max())
+    slack = t - float((q.D @ f).max())
     if slack < 0.0:
         return None
-    den = t - continuation_sums
+    den = t - q.C @ f
     if den.min() <= 0.0 or not np.all(1.0 / den <= f):
         return None
     return slack
@@ -305,25 +310,6 @@ def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
     return False, f, _NEWTON_STEPS, solve
 
 
-def _probe(q: _Operators, t: float, start: np.ndarray, solve=None):
-    """Classify t from a subsolution start below every supersolution at t,
-    reusing solve (a factorization at start or below) if given. Also
-    returns Newton's last iterate at t and its solver."""
-    diverged, f, steps, solve = _newton(q, t, start, solve)
-    if diverged:
-        return ProbeReport(t, False, "diverged", steps, None, None), f, solve
-    # f and its solver serve every t' < t too, so they start the ladder
-    for eta in _CERT_SHIFTS:
-        diverged, cert, more, _ = _newton(q, t * (1.0 - eta), f, solve)
-        steps += more
-        if diverged:
-            break
-        slack = _supersolution_slack(t, cert, q.D @ cert, q.C @ cert)
-        if slack is not None:
-            return ProbeReport(t, True, "certified", steps, slack, cert), f, solve
-    return ProbeReport(t, False, "uncertified", steps, None, None), f, solve
-
-
 def _perron(solve, v: np.ndarray) -> tuple[float, np.ndarray]:
     """Estimate of the Perron root mu of J and its vector from v > 0: three
     steps of inverse iteration with a solver for I - J, an M-matrix whose
@@ -393,31 +379,41 @@ def _lift_certificate(g: MultiGraph, q: _Operators, t: float, f: np.ndarray):
 
 
 def feasibility_probe(g: MultiGraph, t: float) -> ProbeReport:
-    """Classify a single threshold t for rho(T) <= t. Certified answers carry
-    a per-half-edge certificate that passed _is_supersolution on g."""
+    """Classify a single threshold t for rho(T) <= t by monotone Newton from
+    F = 0 and the certificate ladder. Certified answers carry a
+    per-half-edge certificate that passed _is_supersolution on g."""
     require_connected(g, "feasibility_probe")
+    t = float(t)
     if g.m == 0:  # rho(T) = 0, and the empty vector is the certificate
-        slack = _is_supersolution(g, float(t), np.zeros(0))
+        slack = _is_supersolution(g, t, np.zeros(0))
         if slack is None:
-            return ProbeReport(float(t), False, "diverged", 0, None, None)
-        return ProbeReport(float(t), True, "certified", 0, slack, np.zeros(0))
+            return ProbeReport(t, False, "diverged", 0, None, None)
+        return ProbeReport(t, True, "certified", 0, slack, np.zeros(0))
     q = _Operators(quotient(g))
-    rep, _, _ = _probe(q, float(t), np.zeros(q.size))
-    if not rep.feasible:
-        return rep
-    lifted, slack = _lift_certificate(g, q, rep.t, rep.fixed_point)
-    return replace(rep, fixed_point=lifted, slack_min=slack)
+    diverged, f, steps, solve = _newton(q, t, np.zeros(q.size))
+    if diverged:
+        return ProbeReport(t, False, "diverged", steps, None, None)
+    # f and its solver serve every t' < t too, so they start the ladder
+    for eta in _CERT_SHIFTS:
+        diverged, cert, more, _ = _newton(q, t * (1.0 - eta), f, solve)
+        steps += more
+        if diverged:
+            break
+        if _supersolution_slack(q, t, cert) is not None:
+            lifted, slack = _lift_certificate(g, q, t, cert)
+            return ProbeReport(t, True, "certified", steps, slack, lifted)
+    return ProbeReport(t, False, "uncertified", steps, None, None)
 
 
 def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     """Bracket the cover tree's spectral radius to width at most tol / 2,
     wider only where a check failed.
 
-    The module docstring has the three steps: estimate rho(T) at the fold
-    (lambda1 on a tree), certify hi and lo a quarter of tol either side of
-    the estimate, doubling that distance on a side whose check fails, and
-    check hi's certificate exactly on every half-edge. lo moves only on a
-    diverged probe and hi only on an exactly checked certificate.
+    The module docstring has the steps: an estimate at the fold (lambda1 on
+    a tree), then hi and lo a quarter of tol either side of it, doubling
+    that distance on a side whose check fails. hi moves only on a candidate
+    that passes the exact check, lo only on a Newton run that diverges. tol
+    can go down to a few units in the last place of rho(T).
     """
     require_connected(g, "rho_tree")
     if not tol > 0:  # NaN fails too
@@ -438,35 +434,38 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     else:
         est, fold, start, solve, steps = _fold(q, lo, hi)
 
-    reports: list[ProbeReport] = []
+    checks: list[tuple[float, bool, str, int]] = []  # t, feasible, status, steps
     fixed = None
-    pad = tol / (4.0 * est)
+    # one ulp at least: a pad that rounds away would never grow
+    first_pad = pad = max(tol / (4.0 * est), math.ulp(1.0))
     while fixed is None and lo < (t := est * (1.0 + pad)) < hi:
-        slack = None if fold is None else _supersolution_slack(t, fold, q.D @ fold, q.C @ fold)
-        if slack is not None:
-            rep = ProbeReport(t, True, "certified", 0, slack, fold)
-        else:
-            rep, _, _ = _probe(q, t, start, solve)
-        reports.append(rep)
-        if rep.feasible:
-            lifted = rep.fixed_point[q.cls]
-            exact = _is_supersolution(g, t, lifted)
-            if exact is not None:
-                hi, fixed, slack_min = t, lifted, exact
+        cand, n = fold, 0
+        slack = None if fold is None else _supersolution_slack(q, t, fold)
+        if slack is None:
+            # the least fixed point at the midpoint; the start lies above it
+            # when the warm-up's last t is below the midpoint (it ran down to
+            # rounding), which is harmless: hi rests on the exact check alone
+            _, cand, n, _ = _newton(q, est * (1.0 + 0.5 * pad), start, solve)
+            slack = _supersolution_slack(q, t, cand)
+        checks.append((t, slack is not None, "uncertified" if slack is None else "certified", n))
+        lifted = cand[q.cls]
+        exact = None if slack is None else _is_supersolution(g, t, lifted)
+        if exact is not None:
+            hi, fixed, slack_min = t, lifted, exact
         pad *= 2.0
     if fixed is None:  # F = 1 is a supersolution at the max degree
         fixed, slack_min = _lift_certificate(g, q, hi, np.ones(q.size))
 
-    pad = tol / (4.0 * est)
+    pad = first_pad
     while lo < (t := est * (1.0 - pad)) < hi:
-        rep, _, _ = _probe(q, t, start, solve)
-        reports.append(rep)
-        if rep.status == "diverged":
+        diverged, _, n, _ = _newton(q, t, start, solve)
+        checks.append((t, False, "diverged" if diverged else "uncertified", n))
+        if diverged:
             lo = t
             break
         pad *= 2.0
 
-    iterations = [r.iterations for r in reports]
+    iterations = [n for *_, n in checks]
     if iterations:
         iterations[0] += steps
     return RhoResult(
@@ -477,8 +476,8 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
         dict(enumerate(fixed.tolist())),
         slack_min,
         tuple(iterations),
-        sum(r.ambiguous for r in reports),
-        tuple((r.t, r.feasible, r.status) for r in reports),
+        sum(status == "uncertified" for _, _, status, _ in checks),
+        tuple(c[:3] for c in checks),
     )
 
 

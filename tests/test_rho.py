@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from coverspectra.generators import (
     star,
     theta,
 )
+from coverspectra.spectra import eigen_spectrum
 
 SQRT8 = 2 * math.sqrt(2)
 
@@ -132,13 +137,53 @@ def test_tol_validation():
         rho_tree(MultiGraph(2, ()))
 
 
-@pytest.mark.parametrize("name", ["bowtie", "k4", "theta123"])
+@pytest.mark.parametrize("name", ["bowtie", "k4", "theta123", "path50", "path200", "star7"])
 def test_tolerance_at_rounding_scale(name):
     """The pad is relative to the estimate, so tol can go down to a few
-    units in the last place of rho(T), below the certificate ladder's
-    smallest shift of 1e-13 t."""
-    g = {"bowtie": bowtie(), "k4": complete(4), "theta123": theta(1, 2, 3)}[name]
+    units in the last place of rho(T), trees included: certified by the
+    certificate ladder's smallest shift of 1e-13 t, the trees stopped at
+    3.2e-13."""
+    g = {
+        "bowtie": bowtie(),
+        "k4": complete(4),
+        "theta123": theta(1, 2, 3),
+        "path50": path(50),
+        "path200": path(200),
+        "star7": star(7),
+    }[name]
     assert rho_tree(g, tol=1e-14).width <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "name, tol",
+    [("star7", 1e-15), ("bowtie", 1e-300), ("theta123", 1e-300)],
+)
+def test_tolerance_below_one_ulp(name, tol):
+    """tol / (4 rho) rounds away against 1 here: an unfloored pad put both
+    ends at the estimate, leaving star(7) at [sqrt(7), 7] and the bowtie at
+    lo = 2, or doubled up from 1e-301 hundreds of times on theta(1, 2, 3)."""
+    g = {"star7": star(7), "bowtie": bowtie(), "theta123": theta(1, 2, 3)}[name]
+    res = rho_tree(g, tol=tol)
+    assert res.width < 1e-14
+    assert len(res.probes) <= 8
+
+
+def test_subnormal_tolerance_returns():
+    """tol / (4 rho) underflows to 0, and a pad of 0 never grows: run in a
+    subprocess so that a hang fails instead of stalling the suite."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = (
+        "from coverspectra.generators import path\n"
+        "from coverspectra.rho import rho_tree\n"
+        "print(rho_tree(path(5), tol=5e-324).width)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) < 1e-14
 
 
 def test_tighter_tolerance_nests():
@@ -317,6 +362,11 @@ BEYOND_CORPUS = {
     "path50": lambda: path(50),
     "path200": lambda: path(200),
     "star7": lambda: star(7),
+    # its fold point fails the float check at s + tol/4, so hi rests on the
+    # least fixed point at the midpoint s + tol/8
+    "unicyclic_fold_fails": lambda: MultiGraph.from_edges(
+        11, ((0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (2, 8), (3, 9), (3, 10), (6, 4))
+    ),
 }
 
 
@@ -325,6 +375,9 @@ def _assert_overlaps_bisection(g):
     lo, hi = rho_by_bisection(g, res.tol)
     assert max(res.lo, lo) <= min(res.hi, hi), (res.lo, res.hi, lo, hi)
     assert res.width <= res.tol
+    if cyclomatic_class(g) is not CyclomaticClass.MULTICYCLIC:  # rho(T) = lambda1
+        lam = eigen_spectrum(g).lambda1
+        assert res.lo <= lam + 1e-12 and res.hi >= lam - 1e-12, (res.lo, res.hi, lam)
 
 
 def test_bracket_overlaps_bisection_on_corpus(corpus):
