@@ -68,9 +68,7 @@ from .multigraph import (
     require_connected,
 )
 from .rho import (
-    ProbeReport,
     RhoResult,
-    feasibility_probe,
     rho_ball_power,
     rho_lower_sequence,
     rho_tree,
@@ -101,7 +99,6 @@ __all__ = [
     "Neighborhood",
     "OrbitClass",
     "OrbitDistribution",
-    "ProbeReport",
     "RhoResult",
     "Spectrum",
     "backtracking_walk_count",
@@ -123,7 +120,6 @@ __all__ = [
     "dump_graph",
     "eigen_spectrum",
     "enumerate_cycles",
-    "feasibility_probe",
     "find_bouquet",
     "g_values",
     "gamma_assignment",

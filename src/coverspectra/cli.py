@@ -282,6 +282,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if not sizes:
         raise ValueError("need at least one size")
+    if not seeds:
+        raise ValueError("need at least one seed")
     rows = [_experiment_row(args, n, seed) for n in sizes for seed in seeds]
     rows.sort(key=lambda r: (r["n"], r["seed"]))
     buf = io.StringIO()

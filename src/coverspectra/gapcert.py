@@ -87,38 +87,25 @@ def gamma_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
     g = core.graph
     if cyclomatic_class(g) is not CyclomaticClass.MULTICYCLIC:
         raise ValueError("gamma_assignment requires a multicyclic graph")
-    int_hes = sorted(core.int_half_edges)
     eps = _chain_step(core)
     core_deg = core.core_degrees
+    roots = sorted(h for h in core.int_half_edges if core_deg[g.source(h)] > 2)
+    # (sweep, h, weight) sorts the weights as sweeps over sorted half-edges,
+    # spreading them one step at a time, would first reach them: the roots,
+    # then each step on in the same sweep, or the next one for a smaller h.
+    # It is the key order of the certify command's JSON.
+    found = [(0, h, Fraction(1)) for h in roots]
+    for _, h, w in found[: len(roots)]:
+        sweep = 0
+        while core_deg[g.targets[h]] == 2:  # a chain vertex: one way on
+            (onward,) = (h2 for h2 in core.int_half_edges_at[g.targets[h]] if h2 != h ^ 1)
+            sweep += sweep == 0 or onward < h
+            h, w = onward, w + eps
+            found.append((sweep, h, w))
+    weights = {h: w for _, h, w in sorted(found)}
 
-    weights: dict[int, Fraction] = {}
-    for h in int_hes:
-        if core_deg[g.source(h)] > 2:
-            weights[h] = Fraction(1)
-
-    # chain vertices have exactly two interior half-edges; the weight of one
-    # is the weight of the other's inverse plus epsilon
-    pending = [h for h in int_hes if h not in weights]
-    while pending:
-        progressed = False
-        remaining = []
-        for h in pending:
-            u = g.source(h)
-            others = [h2 for h2 in core.int_half_edges_at[u] if h2 != h]
-            if len(others) != 1:  # pragma: no cover - chain vertices only
-                raise AssertionError("unassigned half-edge at a non-chain vertex")
-            upstream = others[0] ^ 1
-            if upstream in weights:
-                weights[h] = weights[upstream] + eps
-                progressed = True
-            else:
-                remaining.append(h)
-        if not progressed:
-            raise ValueError(
-                "gamma_assignment: a core cycle has no vertex of core degree above 2"
-            )
-        pending = remaining
-
+    if set(weights) != core.int_half_edges:  # pragma: no cover
+        raise AssertionError("interior weights missed some half-edges")
     for h, w in weights.items():
         if not (1 <= w < 2):  # pragma: no cover
             raise AssertionError(f"interior weight {w} escaped [1, 2)")

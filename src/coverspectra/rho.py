@@ -87,10 +87,7 @@ from .multigraph import MultiGraph, require_connected
 DEFAULT_TOL = 1e-9
 
 _DENSE_SOLVE_CAP = 256
-# feasibility_probe's relative shifts eta of the certificate's fixed point
-# t (1 - eta): the smallest one whose margin clears rounding in the check wins
-_CERT_SHIFTS = (1e-13, 1e-12, 1e-11, 1e-10)
-# monotone Newton gains about a bit per step even at the fold, so a probe
+# monotone Newton gains about a bit per step even at the fold, so a run
 # that has not stopped by then is stuck in rounding
 _NEWTON_STEPS = 200
 # a step of a few units in the last place is rounding, not progress
@@ -101,25 +98,6 @@ _NEAR_FOLD = 0.5
 # the bordered solve settles within 18 steps on the corpus and on random
 # sparse multigraphs; one still moving after this many has lost its way
 _FOLD_STEPS = 30
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """feasibility_probe's answer at t after iterations Newton steps:
-    "diverged" (Newton refuted t, so rho(T) >= t), "certified" (fixed_point,
-    per half-edge, passed the exact check at t with vertex slack slack_min,
-    so rho(T) <= t; feasible only then) or "uncertified" (t left open)."""
-
-    t: float
-    feasible: bool
-    status: str
-    iterations: int
-    slack_min: float | None
-    fixed_point: np.ndarray | None
-
-    @property
-    def ambiguous(self) -> bool:
-        return self.status == "uncertified"
 
 
 @dataclass(frozen=True)
@@ -159,7 +137,7 @@ def _matrix(counts, shape: tuple[int, int], dense: bool):
 
 
 class _Operators:
-    """The float64 view of a cover.Quotient that probes, the fold solve and
+    """The float64 view of a cover.Quotient that Newton, the fold solve and
     pivots use: C and D as dense arrays up to _DENSE_SOLVE_CAP classes and as
     CSR matrices above, with linear solvers to match."""
 
@@ -346,8 +324,8 @@ def _fold(q: _Operators, lo: float, hi: float):
     module docstring's warm-up and bordered solve). Returns the estimate,
     its fold point (None when no bordered solve settled and the estimate is
     the warm-up's last t), the warm-up's last Newton iterate and solver,
-    which start a probe validly at any t below the estimate, and the Newton
-    steps taken."""
+    which start a Newton run validly at any t below the estimate, and the
+    Newton steps taken."""
     f, v, solve, steps = np.zeros(q.size), np.ones(q.size), None, 0
     top = t = hi
     while True:
@@ -366,43 +344,6 @@ def _fold(q: _Operators, lo: float, hi: float):
         t = 0.5 * (lo + top)
         if not lo < t < top:  # rho(T) = top, or [lo, top] is down to rounding
             return top, None, f, solve, steps
-
-
-def _lift_certificate(g: MultiGraph, q: _Operators, t: float, f: np.ndarray):
-    """Per-half-edge certificate and its full-graph slack; raises if the
-    lifted vector fails the check the quotient passed."""
-    lifted = f[q.cls]
-    slack = _is_supersolution(g, t, lifted)
-    if slack is None:
-        raise RuntimeError(f"certificate at t = {t!r} fails the full-graph check")
-    return lifted, slack
-
-
-def feasibility_probe(g: MultiGraph, t: float) -> ProbeReport:
-    """Classify a single threshold t for rho(T) <= t by monotone Newton from
-    F = 0 and the certificate ladder. Certified answers carry a
-    per-half-edge certificate that passed _is_supersolution on g."""
-    require_connected(g, "feasibility_probe")
-    t = float(t)
-    if g.m == 0:  # rho(T) = 0, and the empty vector is the certificate
-        slack = _is_supersolution(g, t, np.zeros(0))
-        if slack is None:
-            return ProbeReport(t, False, "diverged", 0, None, None)
-        return ProbeReport(t, True, "certified", 0, slack, np.zeros(0))
-    q = _Operators(quotient(g))
-    diverged, f, steps, solve = _newton(q, t, np.zeros(q.size))
-    if diverged:
-        return ProbeReport(t, False, "diverged", steps, None, None)
-    # f and its solver serve every t' < t too, so they start the ladder
-    for eta in _CERT_SHIFTS:
-        diverged, cert, more, _ = _newton(q, t * (1.0 - eta), f, solve)
-        steps += more
-        if diverged:
-            break
-        if _supersolution_slack(q, t, cert) is not None:
-            lifted, slack = _lift_certificate(g, q, t, cert)
-            return ProbeReport(t, True, "certified", steps, slack, lifted)
-    return ProbeReport(t, False, "uncertified", steps, None, None)
 
 
 def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
@@ -454,7 +395,10 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
             hi, fixed, slack_min = t, lifted, exact
         pad *= 2.0
     if fixed is None:  # F = 1 is a supersolution at the max degree
-        fixed, slack_min = _lift_certificate(g, q, hi, np.ones(q.size))
+        fixed = np.ones(g.num_half_edges)
+        slack_min = _is_supersolution(g, hi, fixed)
+        if slack_min is None:
+            raise RuntimeError(f"certificate at t = {hi!r} fails the full-graph check")
 
     pad = first_pad
     while lo < (t := est * (1.0 - pad)) < hi:

@@ -82,6 +82,8 @@ def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:
         raise ValueError("wr_fraction needs the full spectrum; input was truncated")
     if not eta >= 0:  # NaN fails too
         raise ValueError("eta must be nonnegative")
+    if np.isnan(rho):
+        raise ValueError("rho must not be NaN")
     inside = int(np.count_nonzero(np.abs(spectrum.eigenvalues) <= rho + eta))
     return inside / len(spectrum.eigenvalues)
 

@@ -12,8 +12,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from coverspectra.cover import quotient
 from coverspectra.multigraph import MultiGraph, Neighborhood, require_connected
-from coverspectra.rho import feasibility_probe, rho_lower_sequence
+from coverspectra.rho import (
+    _is_supersolution,
+    _newton,
+    _Operators,
+    _supersolution_slack,
+    rho_lower_sequence,
+)
 
 
 TREE_BALL_NODE_CAP = 20_000_000
@@ -243,9 +250,30 @@ def supersolution_by_fractions(g: MultiGraph, t: float, f) -> bool:
     return True
 
 
+# probe_status's shift: the least fixed point at t (1 - eta) clears the
+# rounding of the supersolution check at t by a relative margin of about eta
+PROBE_SHIFT = 1e-12
+
+
+def probe_status(g: MultiGraph, t: float) -> str:
+    """One threshold t from rho_tree's own primitives: "diverged" when
+    monotone Newton from F = 0 refutes t (rho(T) >= t), "certified" when the
+    least fixed point at t (1 - PROBE_SHIFT) passes the float and the exact
+    supersolution checks at t (rho(T) <= t), else "uncertified"."""
+    q = _Operators(quotient(g))
+    diverged, f, _, solve = _newton(q, t, np.zeros(q.size))
+    if diverged:
+        return "diverged"
+    # f is a subsolution below every supersolution at any t' < t too
+    _, cert, _, _ = _newton(q, t * (1.0 - PROBE_SHIFT), f, solve)
+    if _supersolution_slack(q, t, cert) is None or _is_supersolution(g, t, cert[q.cls]) is None:
+        return "uncertified"
+    return "certified"
+
+
 def rho_by_bisection(g: MultiGraph, tol: float) -> tuple[float, float]:
     """A bracket (lo, hi) for rho(T) that never solves for the fold:
-    bisection on the public probe from the best depth-6 walk-count root and
+    bisection on probe_status from the best depth-6 walk-count root and
     the max degree. lo moves on a diverged probe and hi on a certified one;
     an uncertified midpoint is settled by probes a quarter of tol either
     side of it."""
@@ -256,7 +284,7 @@ def rho_by_bisection(g: MultiGraph, tol: float) -> tuple[float, float]:
 
     def probe(t: float) -> str:
         nonlocal lo, hi
-        status = feasibility_probe(g, t).status
+        status = probe_status(g, t)
         if status == "certified":
             hi = t
         elif status == "diverged":

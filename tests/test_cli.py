@@ -297,6 +297,8 @@ def test_experiment_validation(capsys):
     assert "size" in err
     err = run_error(capsys, ["experiment", "--family", "cycle", "--sizes", ""])
     assert "size" in err
+    err = run_error(capsys, ["experiment", "--family", "cycle", "--sizes", "5", "--seeds", ""])
+    assert "seed" in err
 
 
 def test_verify_thm2_small(capsys):
@@ -341,6 +343,7 @@ def test_missing_file_and_bad_format(capsys, tmp_path):
     [
         ["rho", "--tol", "nan"],
         ["wr", "--rho", "2.5", "--eta", "nan"],
+        ["wr", "--rho", "nan"],
         ["certify", "--tol", "nan"],
         ["verify-thm2", "--tol", "nan"],
     ],

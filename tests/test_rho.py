@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     gnp_giant,
+    probe_status,
     rho_by_bisection,
     supersolution_by_fractions,
     tree_ball,
@@ -21,7 +22,6 @@ from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_clas
 from coverspectra.rho import (
     _DENSE_SOLVE_CAP,
     _is_supersolution,
-    feasibility_probe,
     rho_ball_power,
     rho_lower_sequence,
     rho_tree,
@@ -107,10 +107,11 @@ def test_fixed_point_slacks(zoo_graph):
 
 
 def test_trees_recover_lambda1(cache):
-    for g in (path(4), star(3), path(7), star(5)):
+    for g in (path(1), path(4), star(3), path(7), star(5)):
         res = rho_tree(g)
         lam = cache.spectrum(g).lambda1
         assert abs(res.value - lam) <= res.tol
+    assert rho_tree(path(1)).hi == 0.0
 
 
 def test_feasibility_monotone_at_bracket(zoo_graph):
@@ -120,8 +121,8 @@ def test_feasibility_monotone_at_bracket(zoo_graph):
     res = rho_tree(zoo_graph)
     if res.lo == res.hi:
         return
-    assert not feasibility_probe(zoo_graph, res.lo - 0.1).feasible
-    assert feasibility_probe(zoo_graph, res.hi + 0.1).feasible
+    assert probe_status(zoo_graph, res.lo - 0.1) == "diverged"
+    assert probe_status(zoo_graph, res.hi + 0.1) == "certified"
     feas = [t for t, ok, _ in res.probes if ok]
     infeas = [t for t, ok, _ in res.probes if not ok]
     if feas and infeas:
@@ -409,26 +410,6 @@ def test_sparse_quotient_path():
     assert walk_root <= res.value <= g.max_degree
     cert = np.array([res.fixed_point[h] for h in range(g.num_half_edges)])
     assert _is_supersolution(g, res.hi, cert) is not None
-
-
-def test_feasibility_probe_certificate_covers_every_half_edge():
-    g = bowtie()
-    rep = feasibility_probe(g, 2.6)
-    assert rep.status == "certified"
-    assert len(rep.fixed_point) == g.num_half_edges
-    assert _is_supersolution(g, 2.6, rep.fixed_point) == rep.slack_min
-    assert feasibility_probe(g, 2.5).status == "diverged"
-
-
-def test_feasibility_probe_without_edges_matches_rho_zero():
-    g = path(1)
-    assert rho_tree(g).hi == 0.0
-    rep = feasibility_probe(g, 1.0)
-    assert (rep.feasible, rep.status, rep.slack_min) == (True, "certified", 1.0)
-    assert len(rep.fixed_point) == 0
-    assert feasibility_probe(g, 0.0).feasible
-    rep = feasibility_probe(g, -1.0)
-    assert (rep.feasible, rep.status) == (False, "diverged")
 
 
 # -- the exact supersolution check ---------------------------------------------------------

@@ -105,6 +105,9 @@ def test_wr_counts_multiplicity():
 def test_wr_rejects_nan_eta():
     with pytest.raises(ValueError, match="eta"):
         wr_fraction(eigen_spectrum(cycle(4)), 2.0, eta=float("nan"))
+    with pytest.raises(ValueError, match="rho"):
+        wr_fraction(eigen_spectrum(cycle(4)), float("nan"))
+    assert wr_fraction(eigen_spectrum(cycle(4)), float("inf")) == 1.0
 
 
 def test_wr_needs_full_spectrum():
