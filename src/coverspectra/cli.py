@@ -13,6 +13,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -51,7 +52,7 @@ def _read_graph(path: str) -> MultiGraph:
 
 def _emit_json(payload: dict, out: str | None) -> None:
     payload = {"schema": SCHEMA, **payload}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _write_text(text, out)
 
 
@@ -61,6 +62,12 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _require_finite(flag: str, value: float) -> None:
+    # JSON has no infinity to echo the value back with
+    if not math.isfinite(value):
+        raise ValueError(f"{flag} must be finite, got {value}")
 
 
 def _frac(x: Fraction) -> str:
@@ -83,6 +90,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
 
 
 def cmd_rho(args: argparse.Namespace) -> int:
+    _require_finite("--tol", args.tol)
     g = _read_graph(args.graph)
     r = rho_tree(g, tol=args.tol)
     _emit_json(
@@ -101,6 +109,8 @@ def cmd_rho(args: argparse.Namespace) -> int:
 
 
 def cmd_wr(args: argparse.Namespace) -> int:
+    _require_finite("--rho", args.rho)
+    _require_finite("--eta", args.eta)
     g = _read_graph(args.graph)
     spec = eigen_spectrum(g)
     frac = wr_fraction(spec, args.rho, eta=args.eta)

@@ -1,9 +1,13 @@
 """Adjacency spectra and exact closed-walk counts.
 
-Dense symmetric eigensolves carry the full spectrum up to a size cap; above
-the cap only the top eigenvalue and its positive eigenvector are computed
-iteratively. Walk counts are done in arbitrary-precision integers so that
-combinatorial identities can be asserted exactly.
+Up to a size cap the eigenvalues come from one dense eigenvalues-only solve,
+and the Perron vector from the cover's quotient (cover.quotient): its colour
+classes form an equitable partition, so A's Perron vector is the lift of the
+Perron vector of the colour matrix (Godsil & Royle, Algebraic Graph Theory,
+section 9.3), a k x k solve with k colours. Above the cap only the top
+eigenvalue and its positive eigenvector are computed iteratively. Walk counts
+are done in arbitrary-precision integers so that combinatorial identities can
+be asserted exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cover import quotient
 from .multigraph import MultiGraph, require_connected
 
 DENSE_EIGEN_CAP = 4096
@@ -42,16 +47,18 @@ class Spectrum:
 def eigen_spectrum(g: MultiGraph, dense_cap: int = DENSE_EIGEN_CAP) -> Spectrum:
     """Spectrum of the adjacency matrix of a connected multigraph.
 
+    Up to dense_cap vertices the eigenvalues come from eigvalsh and the
+    Perron vector from the quotient (_quotient_perron); above it, from eigsh.
     The Perron vector is normalized to unit 2-norm, strictly positive, with
     residual ||A y - lambda1 y|| at most 1e-10 * max degree.
     """
+    if dense_cap < 1:
+        raise ValueError(f"dense_cap must be at least 1, got {dense_cap}")
     require_connected(g, "eigen_spectrum")
     a = g.adjacency_matrix().astype(np.float64)
     if g.n <= dense_cap:
-        vals, vecs = np.linalg.eigh(a)
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        perron = vecs[:, order[0]].copy()
+        vals = np.linalg.eigvalsh(a)[::-1]
+        perron = _quotient_perron(g)
         full = True
     else:
         from scipy.sparse import csr_matrix
@@ -74,6 +81,27 @@ def eigen_spectrum(g: MultiGraph, dense_cap: int = DENSE_EIGEN_CAP) -> Spectrum:
     if g.m > 0 and residual > PERRON_RESIDUAL_FACTOR * g.max_degree:
         raise ArithmeticError(f"Perron pair residual {residual:.3e} above tolerance")
     return Spectrum(vals, perron, full)
+
+
+def _quotient_perron(g: MultiGraph) -> np.ndarray:
+    """A's Perron vector lifted from the colour matrix of cover.quotient(g).
+
+    With H[c, c'] the half-edges from colour c to colour c' and s_c the size
+    of colour c, S = diag(s)^(-1/2) H diag(s)^(-1/2) is symmetric and similar
+    to the quotient matrix; its top eigenvector u lifts to y_v = u[c(v)] /
+    sqrt(s[c(v)]), which has unit norm.
+    """
+    from scipy.linalg import eigh
+
+    q = quotient(g)
+    colors = np.array(q.colors)
+    k = len(q.D)
+    root = np.sqrt(np.bincount(colors, minlength=k))
+    src, tgt = (colors[np.array(ends, dtype=np.intp)] for ends in (g.sources, g.targets))
+    h = np.bincount(src * k + tgt, minlength=k * k).reshape(k, k)
+    # integer counts over square roots of sizes: finite, so skip scipy's scan
+    _, u = eigh(h / root / root[:, None], subset_by_index=(k - 1, k - 1), check_finite=False)
+    return u[colors, 0] / root[colors]
 
 
 def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:

@@ -21,6 +21,7 @@ from coverspectra.rho import (
     _supersolution_slack,
     rho_lower_sequence,
 )
+from coverspectra.spectra import Spectrum
 
 
 TREE_BALL_NODE_CAP = 20_000_000
@@ -151,6 +152,19 @@ def matrix_walk_count(g: MultiGraph, v: int, k: int) -> int:
     for _ in range(k):
         out = out @ a
     return int(out[v][v])
+
+
+def spectrum_by_eigh(g: MultiGraph) -> Spectrum:
+    """The full spectrum and Perron vector from one dense eigh with every
+    eigenvector, sign-fixed and normalized like eigen_spectrum's."""
+    require_connected(g, "spectrum_by_eigh")
+    vals, vecs = np.linalg.eigh(g.adjacency_matrix().astype(np.float64))
+    order = np.argsort(vals)[::-1]
+    perron = vecs[:, order[0]].copy()
+    if perron.sum() < 0:
+        perron = -perron
+    perron /= np.linalg.norm(perron)
+    return Spectrum(vals[order], perron, True)
 
 
 def tree_ball_walk_count(g: MultiGraph, v: int, k: int) -> int:

@@ -344,6 +344,10 @@ def test_missing_file_and_bad_format(capsys, tmp_path):
         ["rho", "--tol", "nan"],
         ["wr", "--rho", "2.5", "--eta", "nan"],
         ["wr", "--rho", "nan"],
+        ["wr", "--rho", "inf"],
+        ["wr", "--rho=-inf"],
+        ["wr", "--rho", "2.5", "--eta", "inf"],
+        ["rho", "--tol", "inf"],
         ["certify", "--tol", "nan"],
         ["verify-thm2", "--tol", "nan"],
     ],
@@ -351,6 +355,18 @@ def test_missing_file_and_bad_format(capsys, tmp_path):
 def test_nan_tolerances_exit_with_error(capsys, write_graph, argv):
     graph = [] if argv[0] == "verify-thm2" else [write_graph(bowtie())]
     run_error(capsys, [argv[0], *graph, *argv[1:]])
+
+
+def test_non_finite_values_are_named(capsys, write_graph):
+    err = run_error(capsys, ["wr", write_graph(bowtie()), "--rho", "inf"])
+    assert "--rho must be finite" in err
+
+
+def test_spectra_rejects_dense_cap_below_one(capsys, write_graph):
+    single = write_graph(MultiGraph(1, ()))
+    for cap in ("0", "-1"):
+        err = run_error(capsys, ["spectra", single, "--dense-cap", cap])
+        assert "dense_cap" in err
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

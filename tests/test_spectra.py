@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coverspectra.cover import quotient
 from coverspectra.multigraph import MultiGraph
 from coverspectra.spectra import (
     Spectrum,
@@ -11,9 +12,19 @@ from coverspectra.spectra import (
     eigen_spectrum,
     wr_fraction,
 )
-from coverspectra.generators import bowtie, complete, cycle, path, star
+from coverspectra.generators import (
+    bowtie,
+    complete,
+    cycle,
+    path,
+    random_lift,
+    random_regular,
+    star,
+    theta,
+)
+from coverspectra.rho import rho_tree
 
-from oracles import matrix_walk_count
+from oracles import matrix_walk_count, spectrum_by_eigh
 
 
 # -- eigen_spectrum --------------------------------------------------------------
@@ -73,6 +84,65 @@ def test_iterative_path_agrees_with_dense():
     assert not top.full
     assert top.lambda1 == pytest.approx(full.lambda1, abs=1e-9)
     assert top.perron == pytest.approx(full.perron, abs=1e-6)
+
+
+def test_rejects_dense_cap_below_one():
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="dense_cap"):
+            eigen_spectrum(MultiGraph(1, ()), dense_cap=cap)
+    assert eigen_spectrum(MultiGraph(1, ()), dense_cap=1).full
+    top = eigen_spectrum(path(2), dense_cap=1)
+    assert not top.full
+    assert top.lambda1 == pytest.approx(1.0, abs=1e-12)
+
+
+# -- dense path against the full-eigh oracle --------------------------------------
+
+
+def _assert_matches_eigh(g, rho=None):
+    """Values within 1e-12 * max(1, max degree) of one full eigh, the Perron
+    vector within 1e-10 and constant on every colour of the quotient, and
+    the same weakly-Ramanujan fraction at rho_tree's value."""
+    s, want = eigen_spectrum(g), spectrum_by_eigh(g)
+    assert np.abs(s.eigenvalues - want.eigenvalues).max() <= 1e-12 * max(1, g.max_degree)
+    assert np.abs(s.perron - want.perron).max() <= 1e-10
+    colors = np.array(quotient(g).colors)
+    for c in range(colors.max() + 1):
+        assert np.ptp(s.perron[colors == c]) == 0
+    rho = rho_tree(g).value if rho is None else rho
+    assert wr_fraction(s, rho) == wr_fraction(want, rho)
+
+
+def test_dense_path_matches_eigh_on_corpus(corpus, cache):
+    for g in corpus:
+        _assert_matches_eigh(g, cache.rho(g).value)
+
+
+@pytest.mark.parametrize(
+    "base", [bowtie(), complete(4), theta(1, 2, 3)], ids=["bowtie", "K4", "theta123"]
+)
+def test_dense_path_matches_eigh_on_lifts(base):
+    for n, seed in ((2, 1), (7, 2), (40, 3)):
+        g, _ = random_lift(base, n, seed)
+        while not g.is_connected:
+            seed += 100
+            g, _ = random_lift(base, n, seed)
+        _assert_matches_eigh(g)
+
+
+@pytest.mark.parametrize("n", [4, 26, 100, 300])
+def test_dense_path_matches_eigh_on_random_regular(n):
+    g, info = random_regular(n, 3, seed=n)
+    assert info["simple"] and info["connected"]
+    _assert_matches_eigh(g)
+
+
+def test_dense_path_matches_eigh_on_discrete_colouring():
+    # a path with a pendant at its third vertex has no symmetry, so every
+    # vertex is its own colour and the quotient solve is an n x n one
+    g = MultiGraph.from_edges(31, [(i, i + 1) for i in range(29)] + [(2, 30)])
+    assert len(set(quotient(g).colors)) == g.n
+    _assert_matches_eigh(g)
 
 
 # -- wr_fraction -----------------------------------------------------------------
