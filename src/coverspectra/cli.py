@@ -34,12 +34,9 @@ from .twocore import two_core
 
 SCHEMA = "cover-spectra/1"
 
-# the parameters each family builder requires, in signature order
+# the parameters of each family builder, in signature order
 _FAMILY_PARAMS = {
-    name: tuple(
-        p.name for p in inspect.signature(builder).parameters.values() if p.default is p.empty
-    )
-    for name, builder in _FAMILIES.items()
+    name: tuple(inspect.signature(builder).parameters) for name, builder in _FAMILIES.items()
 }
 
 
@@ -65,7 +62,8 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _require_finite(flag: str, value: float) -> None:
-    # JSON has no infinity to echo the value back with
+    # JSON has no infinity to echo the value back with, and an infinite
+    # tolerance switches off the comparison it bounds
     if not math.isfinite(value):
         raise ValueError(f"{flag} must be finite, got {value}")
 
@@ -76,7 +74,7 @@ def _frac(x: Fraction) -> str:
 
 def cmd_spectra(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    spec = eigen_spectrum(g, dense_cap=args.dense_cap)
+    spec = eigen_spectrum(g)
     _emit_json(
         {
             "n": g.n,
@@ -149,6 +147,7 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    _require_finite("--tol", args.tol)
     g = _read_graph(args.graph)
     cert = certify_gap(g, tol=args.tol)
     _emit_json(
@@ -223,8 +222,8 @@ def cmd_bouquet(args: argparse.Namespace) -> int:
 def cmd_bs_dist(args: argparse.Namespace) -> int:
     g1 = _read_graph(args.graph)
     g2 = _read_graph(args.other)
-    h1 = bs_histogram(g1, args.r, cap=args.cap)
-    h2 = bs_histogram(g2, args.r, cap=args.cap)
+    h1 = bs_histogram(g1, args.r)
+    h2 = bs_histogram(g2, args.r)
     if args.csv is not None:
         rows = "".join(f"{code},{count}\n" for code, count in sorted(h1.items()))
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -307,7 +306,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_thm2(args: argparse.Namespace) -> int:
-    if not args.tol >= 0:  # NaN fails too; it would mark every tree a failure
+    # an infinite tol reads every gap as "equal", a negative one every tree
+    # as a failure
+    _require_finite("--tol", args.tol)
+    if args.tol < 0:
         raise ValueError("tolerance must be nonnegative")
     lines = []
     failures = 0
@@ -356,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("spectra", cmd_spectra, "adjacency eigenvalues and lambda1")
-    p.add_argument("--dense-cap", type=int, default=4096)
+    add("spectra", cmd_spectra, "adjacency eigenvalues and lambda1")
 
     p = add("rho", cmd_rho, "certified cover-tree spectral radius")
     p.add_argument("--tol", type=float, default=1e-9)
@@ -391,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bs-dist", cmd_bs_dist, "TV distance between ball histograms")
     p.add_argument("other", help="second graph file")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--cap", type=int, default=64)
     p.add_argument("--csv", help="also write the first histogram as code,count rows")
 
     p = add("gen", cmd_gen, "emit a named graph family", graph=False)

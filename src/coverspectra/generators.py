@@ -100,21 +100,18 @@ def _is_simple(g: MultiGraph) -> bool:
     return True
 
 
-def random_regular(
-    n: int, d: int, seed: int, retries: int = RANDOM_REGULAR_RETRIES
-) -> tuple[MultiGraph, dict]:
+def random_regular(n: int, d: int, seed: int) -> tuple[MultiGraph, dict]:
     """Configuration-model d-regular graph on n vertices, re-drawn until it
-    is simple and connected. If no draw in the retry budget succeeds, the
-    last draw is returned with its flags so the caller can decide."""
+    is simple and connected. If none of RANDOM_REGULAR_RETRIES draws
+    succeeds, the last draw is returned with its flags so the caller can
+    decide."""
     if n < 1 or d < 1:
         raise ValueError("random_regular needs n, d >= 1")
     if n * d % 2:
         raise ValueError("random_regular needs n*d even")
-    if retries < 1:
-        raise ValueError("need at least one attempt")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, RANDOM_REGULAR_RETRIES + 1):
         rng.shuffle(stubs)
         g = MultiGraph(
             n, tuple((stubs[2 * i], stubs[2 * i + 1]) for i in range(n * d // 2))
@@ -123,7 +120,7 @@ def random_regular(
         connected = g.is_connected
         if simple and connected:
             return g, {"attempts": attempt, "simple": True, "connected": True}
-    return g, {"attempts": retries, "simple": simple, "connected": connected}
+    return g, {"attempts": RANDOM_REGULAR_RETRIES, "simple": simple, "connected": connected}
 
 
 _FAMILIES = {

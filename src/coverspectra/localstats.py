@@ -194,30 +194,31 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     )
 
 
-def ball_code(g: MultiGraph, v: int, r: int, cap: int = CANON_CAP) -> str:
+def ball_code(g: MultiGraph, v: int, r: int) -> str:
     """Canonical code of the rooted induced ball B_r(v); equal codes iff the
     rooted balls are isomorphic. A tree ball (m = n - 1) is the cover's r-ball,
     fixed by v's refinement colour, so its parenthesis code is read off the
-    cached quotient; anything with a cycle goes through canonical_code,
-    coloured by distance from the centre."""
+    cached quotient at any size; anything with a cycle goes through
+    canonical_code, coloured by distance from the centre, and must have at
+    most CANON_CAP vertices."""
     nbh = ball(g, v, r)
     b = nbh.graph
-    if b.n > cap:
-        raise ValueError(
-            f"ball at vertex {v} has {b.n} vertices, over the cap of {cap}"
-        )
     if b.m == b.n - 1:
         return "t" + quotient(g).ball_code(v, r)
+    if b.n > CANON_CAP:
+        raise ValueError(
+            f"ball at vertex {v} has {b.n} vertices, over the cap of {CANON_CAP}"
+        )
     return "g" + canonical_code(b, b.distances_from(nbh.center_index))
 
 
-def bs_histogram(g: MultiGraph, r: int, cap: int = CANON_CAP) -> dict[str, int]:
+def bs_histogram(g: MultiGraph, r: int) -> dict[str, int]:
     """Counts of rooted radius-r ball types over all vertices."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     hist: dict[str, int] = defaultdict(int)
     for v in range(g.n):
-        hist[ball_code(g, v, r, cap)] += 1
+        hist[ball_code(g, v, r)] += 1
     return dict(hist)
 
 

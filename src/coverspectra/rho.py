@@ -13,9 +13,9 @@ A positive F with
 t. Iterates from F = 0 stay constant on half-edge classes, so everything
 here runs on the cover's quotient (cover.quotient), with its continuation
 counts C and per-colour counts D, in float64. The certificate behind a
-reported hi is checked again on every half-edge in exact arithmetic: t and
-F are dyadic rationals, like every float, so one power of two scales them
-to integers. hi is therefore a proof, not an upper bound up to rounding.
+reported hi is checked on every half-edge in exact arithmetic instead: t
+and F are dyadic rationals, like every float, so one power of two scales
+them to integers. hi is therefore a proof, not an upper bound up to rounding.
 
 Newton. Monotone Newton (Esparza, Kiefer and Luttenberger, SIAM J. Comput.
 2010): phi = phi(F), r = phi - F, J = diag(phi^2) C, and F += d where
@@ -58,19 +58,18 @@ lambda1, the top eigenvalue of its ball at radius the eccentricity
 (rho_ball_power).
 
 Certify. With the estimate s and pad = tol / (4 s), at least one ulp of
-1, hi = s (1 + pad) needs a candidate F that passes the supersolution check
-at hi in float64 and then, lifted to every half-edge, exactly on the full
-graph, so hi rests neither on the quotient code nor on rounding. The
-candidate is the fold point, a supersolution at any t > rho(T), or, when
-there is none or it fails (trees, some unicyclic graphs), the least fixed
-point at the midpoint s (1 + pad / 2) from one Newton run. lo = s (1 - pad)
-needs one Newton run that diverges. Both runs start from the warm-up's
-last iterate (zeros on a tree), a subsolution below every supersolution at
-any t below the warm-up's last t. A side whose check fails doubles its pad,
-so the bracket is always a proof, only wider. hi stays at most the max
-degree, where F = 1 is a supersolution, and lo at least sqrt(max degree),
-rounded down, the top eigenvalue of the star the cover contains at a
-vertex of max degree.
+1, hi = s (1 + pad) needs a candidate F that, lifted to every half-edge,
+passes the supersolution check at hi exactly on the full graph, so hi rests
+neither on the quotient code nor on rounding. The candidate is the fold
+point, a supersolution at any t > rho(T), or, when there is none or it
+fails (trees, some unicyclic graphs), the least fixed point at the midpoint
+s (1 + pad / 2) from one Newton run. lo = s (1 - pad) needs one Newton run
+that diverges. Both runs start from the warm-up's last iterate (zeros on a
+tree), a subsolution below every supersolution at any t below the warm-up's
+last t. A side whose check fails doubles its pad, so the bracket is always
+a proof, only wider. hi stays at most the max degree, where F = 1 is a
+supersolution, and lo at least sqrt(max degree), rounded down, the top
+eigenvalue of the star the cover contains at a vertex of max degree.
 """
 
 from __future__ import annotations
@@ -103,10 +102,10 @@ _FOLD_STEPS = 30
 @dataclass(frozen=True)
 class RhoResult:
     """A bracket lo <= rho(T) <= hi. probes lists the checks behind it as
-    (t, feasible, status): a hi candidate "certified" by the float check or
-    "uncertified", and a lo Newton run "diverged" or "uncertified" (it
-    converged). iterations_per_probe holds their Newton steps, the first
-    also counting the estimate's."""
+    (t, feasible, status): a hi candidate "certified" by the exact check,
+    which moves hi to t, or "uncertified", and a lo Newton run "diverged"
+    or "uncertified" (it converged). iterations_per_probe holds their
+    Newton steps, the first also counting the estimate's."""
 
     value: float
     lo: float
@@ -197,20 +196,6 @@ class _Operators:
             except RuntimeError:  # exactly singular
                 d = np.full(2 * k + 1, np.nan)
         return d[:k], d[k : 2 * k], d[2 * k]
-
-
-def _supersolution_slack(q: _Operators, t: float, f: np.ndarray) -> float | None:
-    """Minimal vertex slack t - (sum of f at a vertex) when f is a positive
-    supersolution at t on the quotient, else None. Evaluated in float64."""
-    if f.min() <= 0.0:
-        return None
-    slack = t - float((q.D @ f).max())
-    if slack < 0.0:
-        return None
-    den = t - q.C @ f
-    if den.min() <= 0.0 or not np.all(1.0 / den <= f):
-        return None
-    return slack
 
 
 def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray) -> float | None:
@@ -381,18 +366,16 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     first_pad = pad = max(tol / (4.0 * est), math.ulp(1.0))
     while fixed is None and lo < (t := est * (1.0 + pad)) < hi:
         cand, n = fold, 0
-        slack = None if fold is None else _supersolution_slack(q, t, fold)
+        slack = None if fold is None else _is_supersolution(g, t, fold[q.cls])
         if slack is None:
             # the least fixed point at the midpoint; the start lies above it
             # when the warm-up's last t is below the midpoint (it ran down to
             # rounding), which is harmless: hi rests on the exact check alone
             _, cand, n, _ = _newton(q, est * (1.0 + 0.5 * pad), start, solve)
-            slack = _supersolution_slack(q, t, cand)
+            slack = _is_supersolution(g, t, cand[q.cls])
         checks.append((t, slack is not None, "uncertified" if slack is None else "certified", n))
-        lifted = cand[q.cls]
-        exact = None if slack is None else _is_supersolution(g, t, lifted)
-        if exact is not None:
-            hi, fixed, slack_min = t, lifted, exact
+        if slack is not None:
+            hi, fixed, slack_min = t, cand[q.cls], slack
         pad *= 2.0
     if fixed is None:  # F = 1 is a supersolution at the max degree
         fixed = np.ones(g.num_half_edges)

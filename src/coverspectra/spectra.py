@@ -5,9 +5,9 @@ and the Perron vector from the cover's quotient (cover.quotient): its colour
 classes form an equitable partition, so A's Perron vector is the lift of the
 Perron vector of the colour matrix (Godsil & Royle, Algebraic Graph Theory,
 section 9.3), a k x k solve with k colours. Above the cap only the top
-eigenvalue and its positive eigenvector are computed iteratively. Walk counts
-are done in arbitrary-precision integers so that combinatorial identities can
-be asserted exactly.
+eigenvalue and its positive eigenvector are computed, iteratively on a sparse
+adjacency. Walk counts are done in arbitrary-precision integers so that
+combinatorial identities can be asserted exactly.
 """
 
 from __future__ import annotations
@@ -44,19 +44,18 @@ class Spectrum:
         return len(self.perron)
 
 
-def eigen_spectrum(g: MultiGraph, dense_cap: int = DENSE_EIGEN_CAP) -> Spectrum:
+def eigen_spectrum(g: MultiGraph) -> Spectrum:
     """Spectrum of the adjacency matrix of a connected multigraph.
 
-    Up to dense_cap vertices the eigenvalues come from eigvalsh and the
-    Perron vector from the quotient (_quotient_perron); above it, from eigsh.
-    The Perron vector is normalized to unit 2-norm, strictly positive, with
-    residual ||A y - lambda1 y|| at most 1e-10 * max degree.
+    Up to DENSE_EIGEN_CAP vertices the eigenvalues come from eigvalsh and
+    the Perron vector from the quotient (_quotient_perron); above it, from
+    eigsh on a sparse adjacency, so no n x n array is formed. The Perron
+    vector is normalized to unit 2-norm, strictly positive, with residual
+    ||A y - lambda1 y|| at most 1e-10 * max degree.
     """
-    if dense_cap < 1:
-        raise ValueError(f"dense_cap must be at least 1, got {dense_cap}")
     require_connected(g, "eigen_spectrum")
-    a = g.adjacency_matrix().astype(np.float64)
-    if g.n <= dense_cap:
+    if g.n <= DENSE_EIGEN_CAP:
+        a = g.adjacency_matrix().astype(np.float64)
         vals = np.linalg.eigvalsh(a)[::-1]
         perron = _quotient_perron(g)
         full = True
@@ -64,9 +63,12 @@ def eigen_spectrum(g: MultiGraph, dense_cap: int = DENSE_EIGEN_CAP) -> Spectrum:
         from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import eigsh
 
-        sp = csr_matrix(a)
+        # one entry per half-edge: a loop's two give 2 on the diagonal, and
+        # parallel edges add up
+        ends = (np.array(g.sources, dtype=np.intp), np.array(g.targets, dtype=np.intp))
+        a = csr_matrix((np.ones(g.num_half_edges), ends), shape=(g.n, g.n))
         v0 = np.ones(g.n) / np.sqrt(g.n)
-        top, vec = eigsh(sp, k=1, which="LA", v0=v0)
+        top, vec = eigsh(a, k=1, which="LA", v0=v0)
         vals = np.array([top[0]])
         perron = vec[:, 0].copy()
         full = False

@@ -52,6 +52,7 @@ def two_core(g: MultiGraph) -> CoreDecomposition:
 
     deg = list(g.degrees)
     alive = [True] * g.n
+    ext_hes: list[int] = []
     queue = deque(v for v in range(g.n) if deg[v] <= 1)
     while queue:
         u = queue.popleft()
@@ -61,6 +62,8 @@ def two_core(g: MultiGraph) -> CoreDecomposition:
         for h in g.half_edges_at[u]:
             w = g.targets[h]
             if alive[w]:
+                # u's one live half-edge: its inverse points away from the core
+                ext_hes.append(h ^ 1)
                 deg[w] -= 1
                 if deg[w] == 1:
                     queue.append(w)
@@ -69,20 +72,5 @@ def two_core(g: MultiGraph) -> CoreDecomposition:
     if not core:
         raise ValueError("two_core: graph has no cycle")
     ext = frozenset(v for v in range(g.n) if not alive[v])
-
-    dist = g.distances_from(core)
-    int_hes: list[int] = []
-    ext_hes: list[int] = []
-    for i, (u, v) in enumerate(g.edges):
-        if u in core and v in core:
-            int_hes.append(2 * i)
-            int_hes.append(2 * i + 1)
-        else:
-            # pendant-tree edge: endpoints differ by exactly one in core distance
-            if dist[u] + 1 == dist[v]:
-                ext_hes.append(2 * i)
-            elif dist[v] + 1 == dist[u]:
-                ext_hes.append(2 * i + 1)
-            else:  # pragma: no cover - pendant forests admit no tie
-                raise AssertionError(f"edge ({u}, {v}) is not oriented by core distance")
+    int_hes = (h for h, u in enumerate(g.sources) if alive[u] and alive[g.targets[h]])
     return CoreDecomposition(g, core, ext, frozenset(int_hes), frozenset(ext_hes))

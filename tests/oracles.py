@@ -18,7 +18,6 @@ from coverspectra.rho import (
     _is_supersolution,
     _newton,
     _Operators,
-    _supersolution_slack,
     rho_lower_sequence,
 )
 from coverspectra.spectra import Spectrum
@@ -272,15 +271,15 @@ PROBE_SHIFT = 1e-12
 def probe_status(g: MultiGraph, t: float) -> str:
     """One threshold t from rho_tree's own primitives: "diverged" when
     monotone Newton from F = 0 refutes t (rho(T) >= t), "certified" when the
-    least fixed point at t (1 - PROBE_SHIFT) passes the float and the exact
-    supersolution checks at t (rho(T) <= t), else "uncertified"."""
+    least fixed point at t (1 - PROBE_SHIFT) passes the exact supersolution
+    check at t (rho(T) <= t), else "uncertified"."""
     q = _Operators(quotient(g))
     diverged, f, _, solve = _newton(q, t, np.zeros(q.size))
     if diverged:
         return "diverged"
     # f is a subsolution below every supersolution at any t' < t too
     _, cert, _, _ = _newton(q, t * (1.0 - PROBE_SHIFT), f, solve)
-    if _supersolution_slack(q, t, cert) is None or _is_supersolution(g, t, cert[q.cls]) is None:
+    if _is_supersolution(g, t, cert[q.cls]) is None:
         return "uncertified"
     return "certified"
 

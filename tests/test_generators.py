@@ -9,6 +9,7 @@ from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_clas
 from coverspectra.rho import rho_tree
 from coverspectra.spectra import closed_walk_profile, eigen_spectrum
 from coverspectra.generators import (
+    RANDOM_REGULAR_RETRIES,
     biregular,
     bowtie,
     canonical_key,
@@ -111,15 +112,13 @@ def test_random_regular_deterministic():
 def test_random_regular_odd_product_rejected():
     with pytest.raises(ValueError, match="even"):
         random_regular(5, 3, seed=0)
-    with pytest.raises(ValueError):
-        random_regular(4, 3, seed=0, retries=0)
 
 
 def test_random_regular_exhausted_budget_is_flagged():
     # d = n forces loops/multi-edges in every configuration draw
-    g, info = random_regular(2, 4, seed=3, retries=5)
+    g, info = random_regular(2, 4, seed=3)
     assert g.degrees == (4, 4)
-    assert info["attempts"] == 5
+    assert info["attempts"] == RANDOM_REGULAR_RETRIES
     assert not info["simple"]
 
 

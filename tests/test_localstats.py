@@ -302,10 +302,20 @@ def test_codes_respect_rooted_isomorphism(small_corpus):
 
 
 def test_ball_code_cap():
+    # the radius-1 ball of complete(70) is all 70 vertices, with cycles
+    assert CANON_CAP < 70
     with pytest.raises(ValueError, match="cap"):
-        ball_code(complete(5), 0, 1, cap=3)
+        ball_code(complete(70), 0, 1)
     with pytest.raises(ValueError, match="cap"):
-        bs_histogram(complete(5), 1, cap=3)
+        bs_histogram(complete(70), 1)
+
+
+def test_tree_balls_over_the_cap_are_coded():
+    # the radius-40 balls of path(200) are paths of up to 81 vertices
+    hist = bs_histogram(path(200), 40)
+    assert sum(hist.values()) == 200
+    assert all(code.startswith("t") for code in hist)
+    assert max(ball(path(200), v, 40).graph.n for v in range(200)) > CANON_CAP
 
 
 def test_histogram_of_hub_heavy_random_graph_finishes():

@@ -17,6 +17,7 @@ from oracles import (
     tree_ball_top_eigenvalue,
 )
 
+from coverspectra import rho as rho_module
 from coverspectra.cover import quotient
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.rho import (
@@ -88,6 +89,7 @@ def test_bracket_invariants(corpus, cache):
         assert res.hi - res.lo <= res.tol
         assert res.hi <= g.max_degree + 1e-12
         assert res.vertex_slack_min >= 0
+        assert [t for t, _, s in res.probes if s == "certified"] in ([], [res.hi])
         if res.fixed_point:
             vals = list(res.fixed_point.values())
             assert len(vals) == g.num_half_edges
@@ -305,6 +307,26 @@ def test_probe_reports_are_recorded(zoo_graph):
     assert res.ambiguous_probes == statuses.count("uncertified")
     for t, feasible, status in res.probes:
         assert feasible == (status == "certified")
+    # a certified probe passed the exact check, so hi moved to it
+    assert [t for t, _, s in res.probes if s == "certified"] in ([], [res.hi])
+
+
+def test_candidate_failing_the_exact_check_is_not_certified(monkeypatch):
+    """Only the exact check certifies: when it rejects the fold point, the
+    midpoint fixed point is tried at the same t, and no probe reads
+    "certified" at a t that hi did not move to."""
+    exact = rho_module._is_supersolution
+    calls = []
+
+    def reject_first(g, t, f):
+        calls.append(t)
+        return None if len(calls) == 1 else exact(g, t, f)
+
+    monkeypatch.setattr(rho_module, "_is_supersolution", reject_first)
+    res = rho_tree(bowtie())
+    certified = [t for t, _, status in res.probes if status == "certified"]
+    assert certified == [res.hi] == calls[:1]
+    assert res.lo <= res.hi and res.hi - res.lo <= res.tol
 
 
 # -- bracket truth ----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coverspectra import spectra
 from coverspectra.cover import quotient
 from coverspectra.multigraph import MultiGraph
 from coverspectra.spectra import (
@@ -77,23 +78,28 @@ def test_rejects_disconnected():
         eigen_spectrum(MultiGraph(4, ((0, 1), (2, 3))))
 
 
-def test_iterative_path_agrees_with_dense():
-    g = cycle(30)
-    full = eigen_spectrum(g)
-    top = eigen_spectrum(g, dense_cap=10)
-    assert not top.full
-    assert top.lambda1 == pytest.approx(full.lambda1, abs=1e-9)
-    assert top.perron == pytest.approx(full.perron, abs=1e-6)
+def test_iterative_path_agrees_with_dense(monkeypatch):
+    # the second graph adds a loop at 0 and a second edge 1-2: A[0, 0] = 2
+    # and A[1, 2] = 2 in the sparse adjacency too
+    graphs = (cycle(30), MultiGraph(30, cycle(30).edges + ((0, 0), (1, 2))))
+    fulls = [eigen_spectrum(g) for g in graphs]
+    monkeypatch.setattr(spectra, "DENSE_EIGEN_CAP", 10)
+    for g, full in zip(graphs, fulls):
+        top = eigen_spectrum(g)
+        assert not top.full
+        assert top.lambda1 == pytest.approx(full.lambda1, abs=1e-9)
+        assert top.perron == pytest.approx(full.perron, abs=1e-6)
 
 
-def test_rejects_dense_cap_below_one():
-    for cap in (0, -1):
-        with pytest.raises(ValueError, match="dense_cap"):
-            eigen_spectrum(MultiGraph(1, ()), dense_cap=cap)
-    assert eigen_spectrum(MultiGraph(1, ()), dense_cap=1).full
-    top = eigen_spectrum(path(2), dense_cap=1)
+def test_iterative_path_forms_no_dense_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an n x n adjacency was formed")
+
+    monkeypatch.setattr(spectra, "DENSE_EIGEN_CAP", 10)
+    monkeypatch.setattr(MultiGraph, "adjacency_matrix", refuse)
+    top = eigen_spectrum(cycle(30))
     assert not top.full
-    assert top.lambda1 == pytest.approx(1.0, abs=1e-12)
+    assert top.lambda1 == pytest.approx(2.0, abs=1e-9)
 
 
 # -- dense path against the full-eigh oracle --------------------------------------
@@ -180,8 +186,9 @@ def test_wr_rejects_nan_eta():
     assert wr_fraction(eigen_spectrum(cycle(4)), float("inf")) == 1.0
 
 
-def test_wr_needs_full_spectrum():
-    top = eigen_spectrum(cycle(30), dense_cap=10)
+def test_wr_needs_full_spectrum(monkeypatch):
+    monkeypatch.setattr(spectra, "DENSE_EIGEN_CAP", 10)
+    top = eigen_spectrum(cycle(30))
     with pytest.raises(ValueError, match="full spectrum"):
         wr_fraction(top, 2.0)
 
