@@ -59,10 +59,10 @@ from .multigraph import (
     CyclomaticClass,
     GraphParseError,
     MultiGraph,
-    Neighborhood,
     ball,
     cyclomatic_class,
     dump_graph,
+    induced_subgraph,
     is_tree,
     load_graph,
     require_connected,
@@ -96,7 +96,6 @@ __all__ = [
     "LocalStatsReport",
     "MassTransportReport",
     "MultiGraph",
-    "Neighborhood",
     "OrbitClass",
     "OrbitDistribution",
     "RhoResult",
@@ -123,6 +122,7 @@ __all__ = [
     "find_bouquet",
     "g_values",
     "gamma_assignment",
+    "induced_subgraph",
     "is_tree",
     "load_graph",
     "local_stats_report",

@@ -269,7 +269,12 @@ def _experiment_row(args: argparse.Namespace, size: int, seed: int) -> dict:
     params = {"n": size}
     if args.family == "random_regular":
         params.update(d=args.d, seed=seed)
-    g, _ = make(args.family, **params)
+    g, info = make(args.family, **params)
+    if info and not (info["simple"] and info["connected"]):
+        raise ValueError(
+            f"random_regular drew no simple connected graph for n={size}, d={args.d}, "
+            f"seed={seed} in {info['attempts']} attempts"
+        )
     spec = eigen_spectrum(g)
     rho = rho_tree(g).value
     return {
@@ -396,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gen", cmd_gen, "emit a named graph family", graph=False)
     p.add_argument("--family", required=True)
-    for flag in ("n", "d", "k", "a", "b", "c", "p", "q", "seed"):
+    for flag in dict.fromkeys(name for names in _FAMILY_PARAMS.values() for name in names):
         p.add_argument(f"--{flag}", type=int)
 
     p = add("lift", cmd_lift, "random permutation n-lift")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cover import quotient
-from .multigraph import MultiGraph, ball, canonical_code, require_connected
+from .multigraph import MultiGraph, ball, canonical_code, induced_subgraph, require_connected
 
 CANON_CAP = 64
 
@@ -110,16 +110,20 @@ def cycle_stats(g: MultiGraph, length: int) -> CycleStats:
     return CycleStats(length, tuple(cycles), tuple(counts))
 
 
-def tree_fraction(g: MultiGraph, r: int) -> float:
-    """Fraction of vertices whose induced radius-r ball is a tree.
+def _is_tree_ball(g: MultiGraph, depth: dict[int, int]) -> bool:
+    # a ball is connected, so it is a tree exactly when it holds |ball| - 1
+    # edges: 2(|ball| - 1) half-edges with both ends inside, a loop giving two
+    inside = sum(1 for u in depth for h in g.half_edges_at[u] if g.targets[h] in depth)
+    return inside == 2 * (len(depth) - 1)
 
-    A ball is connected by construction, so it is a tree exactly when its
-    edge count (loops and parallel edges included) is one less than its
-    vertex count, with no traversal; ball_code uses the same test.
-    """
+
+def tree_fraction(g: MultiGraph, r: int) -> float:
+    """Fraction of vertices whose induced radius-r ball is a tree, decided
+    from each ball's depth map with no subgraph built; ball_code uses the
+    same test."""
     if r < 1:
         raise ValueError("radius must be at least 1")
-    hits = sum(1 for v in range(g.n) if (b := ball(g, v, r).graph).m == b.n - 1)
+    hits = sum(1 for v in range(g.n) if _is_tree_ball(g, ball(g, v, r)))
     return hits / g.n
 
 
@@ -131,8 +135,6 @@ def find_bouquet(
     k >= l + max(r1, r2) holds automatically."""
     if k < length:
         raise ValueError("need k >= cycle length")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
     dist = g.distances_from(v)
     reach = []
     for c in enumerate_cycles(g, length):
@@ -181,8 +183,7 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     n = g.n
     stats = cycle_stats(g, length)
     on_cycle = [c > 0 for c in stats.counts]
-    # B_R(v) from a BFS that stops at depth R
-    balls = [frozenset(ball(g, v, R).vertices) for v in range(n)]
+    balls = [ball(g, v, R).keys() for v in range(n)]
     mass = Fraction(sum(len(balls[o]) for o in range(n) if on_cycle[o]), n)
     hypothesis = all(len(b) >= R for b in balls)
     nr_total = sum(1 for b in balls for c in stats.cycles if not b.isdisjoint(c.vertex_set))
@@ -196,20 +197,19 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
 
 def ball_code(g: MultiGraph, v: int, r: int) -> str:
     """Canonical code of the rooted induced ball B_r(v); equal codes iff the
-    rooted balls are isomorphic. A tree ball (m = n - 1) is the cover's r-ball,
-    fixed by v's refinement colour, so its parenthesis code is read off the
-    cached quotient at any size; anything with a cycle goes through
-    canonical_code, coloured by distance from the centre, and must have at
-    most CANON_CAP vertices."""
-    nbh = ball(g, v, r)
-    b = nbh.graph
-    if b.m == b.n - 1:
+    rooted balls are isomorphic. A tree ball is the cover's r-ball, fixed by
+    v's refinement colour, so its parenthesis code is read off the cached
+    quotient at any size. Only a ball with a cycle is built as a subgraph:
+    it must have at most CANON_CAP vertices and goes through canonical_code,
+    coloured by the depths of its depth map."""
+    depth = ball(g, v, r)
+    if _is_tree_ball(g, depth):
         return "t" + quotient(g).ball_code(v, r)
-    if b.n > CANON_CAP:
+    if len(depth) > CANON_CAP:
         raise ValueError(
-            f"ball at vertex {v} has {b.n} vertices, over the cap of {CANON_CAP}"
+            f"ball at vertex {v} has {len(depth)} vertices, over the cap of {CANON_CAP}"
         )
-    return "g" + canonical_code(b, b.distances_from(nbh.center_index))
+    return "g" + canonical_code(induced_subgraph(g, depth), [depth[u] for u in sorted(depth)])
 
 
 def bs_histogram(g: MultiGraph, r: int) -> dict[str, int]:

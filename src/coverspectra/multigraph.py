@@ -141,44 +141,45 @@ class MultiGraph:
         Unreachable vertices get -1."""
         if isinstance(starts, int):
             starts = (starts,)
-        dist = [-1] * self.n
-        queue = deque()
-        for s in starts:
-            if dist[s] == -1:
-                dist[s] = 0
-                queue.append(s)
-        while queue:
-            u = queue.popleft()
-            for h in self.half_edges_at[u]:
-                w = self.targets[h]
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        dist = _bfs(self, starts)
+        return [dist.get(u, -1) for u in range(self.n)]
 
     def connected_components(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
         comps = []
+        seen: set[int] = set()
         for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = []
-            queue = deque([s])
-            seen[s] = True
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for h in self.half_edges_at[u]:
-                    w = self.targets[h]
-                    if not seen[w]:
-                        seen[w] = True
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
+            if s not in seen:
+                comp = _bfs(self, (s,))
+                seen.update(comp)
+                comps.append(tuple(sorted(comp)))
         return comps
 
     @cached_property
     def is_connected(self) -> bool:
-        return min(self.distances_from(0)) >= 0
+        return len(_bfs(self, (0,))) == self.n
+
+
+def _bfs(g: MultiGraph, starts, radius: int | None = None) -> dict[int, int]:
+    """Distance to the nearest start for every vertex reached, in BFS order.
+    With a radius, vertices at that depth are not expanded, so the cost is
+    that of the ball, not of g."""
+    dist: dict[int, int] = {}
+    for s in starts:
+        if not 0 <= s < g.n:
+            raise ValueError(f"vertex {s} out of range")
+        dist.setdefault(s, 0)
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        d = dist[u]
+        if d == radius:
+            continue
+        for h in g.half_edges_at[u]:
+            w = g.targets[h]
+            if w not in dist:
+                dist[w] = d + 1
+                queue.append(w)
+    return dist
 
 
 def require_connected(g: MultiGraph, what: str = "this operation") -> None:
@@ -204,49 +205,29 @@ def cyclomatic_class(g: MultiGraph) -> CyclomaticClass:
 # -- neighborhoods -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Induced ball: subgraph on all vertices within a fixed distance of the
-    center, keeping every parallel edge and loop among them.
-
-    vertices[i] is the original id of subgraph vertex i; center_index locates
-    the ball's center inside the subgraph.
-    """
-
-    graph: MultiGraph
-    vertices: tuple[int, ...]
-    center_index: int
-
-    def original(self, i: int) -> int:
-        return self.vertices[i]
-
-
-def ball(g: MultiGraph, v: int, r: int) -> Neighborhood:
-    """Induced subgraph on {u : dist(u, v) <= r}. r = 0 keeps v and its loops."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
+def ball(g: MultiGraph, v: int, r: int) -> dict[int, int]:
+    """B_r(v) as its depth map: each vertex within distance r of v, mapped to
+    that distance, in BFS order. r = 0 gives {v: 0}."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    # BFS that stops expanding at depth r, so the cost is the ball's, not g's
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == r:
-            continue
-        for h in g.half_edges_at[u]:
-            w = g.targets[h]
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    chosen = sorted(dist)
+    return _bfs(g, (v,), r)
+
+
+def induced_subgraph(g: MultiGraph, vertices) -> MultiGraph:
+    """Subgraph induced on a vertex set: the vertices renumbered in
+    increasing order, and every edge of g among them, loops and parallel
+    edges included, in g's order."""
+    chosen = sorted(set(vertices))
+    if chosen and not (0 <= chosen[0] and chosen[-1] < g.n):
+        raise ValueError(f"vertices out of range 0..{g.n - 1}")
     index = {u: i for i, u in enumerate(chosen)}
     # sorted edge ids keep the edges in g's order
     edge_ids = sorted(
         {h >> 1 for u in chosen for h in g.half_edges_at[u] if g.targets[h] in index}
     )
-    sub_edges = [(index[a], index[b]) for a, b in (g.edges[i] for i in edge_ids)]
-    return Neighborhood(MultiGraph.from_edges(len(chosen), sub_edges), tuple(chosen), index[v])
+    return MultiGraph.from_edges(
+        len(chosen), [(index[a], index[b]) for a, b in (g.edges[i] for i in edge_ids)]
+    )
 
 
 # -- colour refinement and canonical forms -------------------------------------

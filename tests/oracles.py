@@ -7,13 +7,14 @@ recomputed from first principles so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from coverspectra.cover import quotient
-from coverspectra.multigraph import MultiGraph, Neighborhood, require_connected
+from coverspectra.multigraph import MultiGraph, require_connected
 from coverspectra.rho import (
     _is_supersolution,
     _newton,
@@ -186,19 +187,34 @@ def tree_ball_walk_count(g: MultiGraph, v: int, k: int) -> int:
     return x[0]
 
 
-def ball_by_full_bfs(g: MultiGraph, v: int, r: int) -> Neighborhood:
-    """The induced radius-r ball around v, built from a BFS over the whole
-    graph and a scan of every edge: a reference for multigraph.ball, which
-    visits only the ball."""
-    dist = g.distances_from(v)
-    chosen = sorted(u for u in range(g.n) if 0 <= dist[u] <= r)
-    index = {u: i for i, u in enumerate(chosen)}
+def ball_by_full_bfs(g: MultiGraph, v: int, r: int) -> tuple[dict[int, int], MultiGraph]:
+    """The radius-r ball around v as a depth map in BFS order, from a BFS
+    over the whole graph on an adjacency list built from the edge tuple, and
+    its induced subgraph from a scan of every edge: a reference for
+    multigraph.ball, which visits only the ball, and for
+    multigraph.induced_subgraph, which visits only the ball's half-edges."""
+    # neighbours in half-edge id order (a loop listed twice), so the visiting
+    # order is the one the library's BFS promises
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    depth = {u: d for u, d in dist.items() if d <= r}
+    index = {u: i for i, u in enumerate(sorted(depth))}
     sub_edges = [
         (index[a], index[b])
         for (a, b) in g.edges
         if a in index and b in index
     ]
-    return Neighborhood(MultiGraph.from_edges(len(chosen), sub_edges), tuple(chosen), index[v])
+    return depth, MultiGraph.from_edges(len(index), sub_edges)
 
 
 def ahu_code(b: MultiGraph, root: int) -> str:

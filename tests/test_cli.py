@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import math
@@ -6,9 +7,10 @@ import sys
 
 import pytest
 
-from coverspectra.cli import main
+from coverspectra import cli
+from coverspectra.cli import build_parser, main
 from coverspectra.multigraph import MultiGraph, dump_graph, load_graph
-from coverspectra.generators import bowtie, cycle, star
+from coverspectra.generators import _FAMILIES, RANDOM_REGULAR_RETRIES, bowtie, cycle, star
 
 
 @pytest.fixture
@@ -218,6 +220,16 @@ def test_gen_family_parameters_follow_the_builders(capsys):
     assert "family 'bowtie' has no size parameter" in err
 
 
+def test_gen_has_a_flag_for_every_family_parameter(monkeypatch):
+    for name, builder in _FAMILIES.items():
+        for param in inspect.signature(builder).parameters:
+            args = build_parser().parse_args(["gen", "--family", name, f"--{param}", "3"])
+            assert getattr(args, param) == 3
+    # a builder parameter that no other family has still gets its flag
+    monkeypatch.setitem(cli._FAMILY_PARAMS, "hypercube", ("dim",))
+    assert build_parser().parse_args(["gen", "--family", "hypercube", "--dim", "4"]).dim == 4
+
+
 def test_lift_deterministic(capsys, write_graph):
     argv = ["lift", write_graph(bowtie()), "--n", "3", "--seed", "1"]
     code = main(argv)
@@ -297,6 +309,13 @@ def test_experiment_validation(capsys):
     assert "size" in err
     err = run_error(capsys, ["experiment", "--family", "cycle", "--sizes", "5", "--seeds", ""])
     assert "seed" in err
+    # a configuration-model draw of an 8-regular graph on 10 vertices is simple
+    # with probability about exp(-(8 * 8 - 1) / 4), near 1e-7
+    err = run_error(
+        capsys,
+        ["experiment", "--family", "random_regular", "--d", "8", "--sizes", "10", "--seeds", "0,1"],
+    )
+    assert f"n=10, d=8, seed=0 in {RANDOM_REGULAR_RETRIES} attempts" in err
 
 
 def test_verify_thm2_small(capsys):

@@ -15,7 +15,7 @@ from coverspectra.localstats import (
     tree_fraction,
     tv_distance,
 )
-from coverspectra.multigraph import MultiGraph, ball, is_tree
+from coverspectra.multigraph import MultiGraph, ball, induced_subgraph, is_tree
 from coverspectra.generators import (
     bowtie,
     complete,
@@ -150,10 +150,11 @@ def test_tree_ball_codes_match_ahu_oracle(corpus):
         for r in range(4):
             hits = 0
             for v in range(g.n):
-                nbh = ball(g, v, r)
-                if is_tree(nbh.graph):
+                depth = ball(g, v, r)
+                b = induced_subgraph(g, depth)
+                if is_tree(b):
                     hits += 1
-                    assert ball_code(g, v, r) == "t" + ahu_code(nbh.graph, nbh.center_index)
+                    assert ball_code(g, v, r) == "t" + ahu_code(b, sorted(depth).index(v))
             if r:
                 assert tree_fraction(g, r) == hits / g.n
             tree_balls += hits
@@ -196,6 +197,9 @@ def test_c8_has_no_triangle_bouquet():
 def test_bouquet_needs_budget():
     with pytest.raises(ValueError):
         find_bouquet(bowtie(), 0, 2, 3)
+    for v in (-1, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            find_bouquet(bowtie(), v, 3, 3)
 
 
 def test_bouquet_respects_distance_budget(corpus):
@@ -312,10 +316,22 @@ def test_ball_code_cap():
 
 def test_tree_balls_over_the_cap_are_coded():
     # the radius-40 balls of path(200) are paths of up to 81 vertices
-    hist = bs_histogram(path(200), 40)
+    g = path(200)
+    hist = bs_histogram(g, 40)
     assert sum(hist.values()) == 200
     assert all(code.startswith("t") for code in hist)
-    assert max(ball(path(200), v, 40).graph.n for v in range(200)) > CANON_CAP
+    assert max(induced_subgraph(g, ball(g, v, 40)).n for v in range(200)) > CANON_CAP
+
+
+def test_tree_balls_build_no_subgraph(monkeypatch):
+    g = path(200)
+
+    def refuse(*args):
+        raise AssertionError("a subgraph was built")
+
+    monkeypatch.setattr(MultiGraph, "from_edges", staticmethod(refuse))
+    assert tree_fraction(g, 40) == 1.0
+    assert sum(bs_histogram(g, 40).values()) == 200
 
 
 def test_histogram_of_hub_heavy_random_graph_finishes():

@@ -9,6 +9,7 @@ from coverspectra.multigraph import (
     ball,
     cyclomatic_class,
     dump_graph,
+    induced_subgraph,
     is_tree,
     load_graph,
 )
@@ -128,35 +129,38 @@ def test_cyclomatic_rejects_disconnected():
 
 
 def test_ball_c6_radius_2_is_path_on_5():
-    nb = ball(cycle(6), 0, 2)
-    assert nb.graph.n == 5 and nb.graph.m == 4
-    assert is_tree(nb.graph)
-    assert sorted(nb.graph.degrees) == [1, 1, 2, 2, 2]
-    assert nb.original(nb.center_index) == 0
+    depth = ball(cycle(6), 0, 2)
+    assert depth == {0: 0, 1: 1, 5: 1, 2: 2, 4: 2}
+    b = induced_subgraph(cycle(6), depth)
+    assert b.n == 5 and b.m == 4
+    assert is_tree(b)
+    assert sorted(b.degrees) == [1, 1, 2, 2, 2]
 
 
 def test_ball_triangle_radius_1_is_whole_graph():
-    nb = ball(cycle(3), 1, 1)
-    assert nb.graph.n == 3 and nb.graph.m == 3
+    b = induced_subgraph(cycle(3), ball(cycle(3), 1, 1))
+    assert b.n == 3 and b.m == 3
 
 
 def test_ball_bowtie_center_radius_1_is_whole_graph():
-    nb = ball(bowtie(), 0, 1)
-    assert nb.graph.n == 5 and nb.graph.m == 6
-    assert nb.graph.deg(nb.center_index) == 4
+    depth = ball(bowtie(), 0, 1)
+    b = induced_subgraph(bowtie(), depth)
+    assert b.n == 5 and b.m == 6
+    assert b.deg(sorted(depth).index(0)) == 4
 
 
 def test_ball_radius_0_keeps_loops():
     g = MultiGraph(2, ((0, 0), (0, 1)))
-    nb = ball(g, 0, 0)
-    assert nb.graph.n == 1
-    assert nb.graph.edges == ((0, 0),)
+    depth = ball(g, 0, 0)
+    assert depth == {0: 0}
+    b = induced_subgraph(g, depth)
+    assert b.n == 1
+    assert b.edges == ((0, 0),)
 
 
 def test_ball_keeps_parallel_edges():
     g = MultiGraph(3, ((0, 1), (0, 1), (1, 2)))
-    nb = ball(g, 0, 1)
-    assert nb.graph.m == 2
+    assert induced_subgraph(g, ball(g, 0, 1)).m == 2
 
 
 def test_ball_validates_input():
@@ -167,15 +171,25 @@ def test_ball_validates_input():
         ball(g, 0, -1)
 
 
+def test_induced_subgraph_keeps_edge_order_and_rejects_strangers():
+    g = MultiGraph(4, ((2, 3), (1, 1), (3, 1), (0, 2), (1, 3)))
+    assert induced_subgraph(g, [3, 1, 1]).edges == ((0, 0), (1, 0), (0, 1))
+    for bad in ([0, 4], [-1, 2]):
+        with pytest.raises(ValueError, match="out of range"):
+            induced_subgraph(g, bad)
+
+
 def test_ball_is_distance_induced(corpus):
     for g in corpus[:100]:
         dist = g.distances_from(0)
         for r in (1, 2):
-            nb = ball(g, 0, r)
-            assert set(nb.vertices) == {u for u in range(g.n) if dist[u] <= r}
+            depth = ball(g, 0, r)
+            assert depth == {u: dist[u] for u in range(g.n) if dist[u] <= r}
+            chosen = sorted(depth)
             # multiset equality, so parallel edges are tested too
             got = sorted(
-                tuple(sorted((nb.original(a), nb.original(b)))) for a, b in nb.graph.edges
+                tuple(sorted((chosen[a], chosen[b])))
+                for a, b in induced_subgraph(g, depth).edges
             )
             expect = sorted(
                 tuple(sorted(e)) for e in g.edges if dist[e[0]] <= r and dist[e[1]] <= r
@@ -184,13 +198,17 @@ def test_ball_is_distance_induced(corpus):
 
 
 def test_ball_matches_full_bfs_construction(corpus):
-    """The depth-limited BFS gives the same Neighborhood, edge order
-    included, as a BFS over the whole graph followed by an edge scan."""
+    """The depth-limited BFS gives the same depth map, in the same visiting
+    order, as a BFS over the whole graph, and induced_subgraph the same
+    subgraph, edge order included, as a scan of every edge."""
     rr, _ = random_regular(250, 3, 7)
     for g in (*corpus, rr):
         for v in range(g.n):
             for r in (1, 2, 3):
-                assert ball(g, v, r) == ball_by_full_bfs(g, v, r)
+                depth = ball(g, v, r)
+                ref_depth, ref_graph = ball_by_full_bfs(g, v, r)
+                assert list(depth.items()) == list(ref_depth.items())
+                assert induced_subgraph(g, depth) == ref_graph
 
 
 # -- components ------------------------------------------------------------------
@@ -202,3 +220,11 @@ def test_connected_components():
     assert sorted(map(sorted, comps)) == [[0, 1], [2, 3, 4]]
     assert not g.is_connected
     assert cycle(4).is_connected
+
+
+def test_distances_from_rejects_vertices_out_of_range():
+    g = cycle(5)
+    assert g.distances_from(4) == [1, 2, 2, 1, 0]
+    for bad in (-1, 7, (0, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            g.distances_from(bad)
