@@ -1,18 +1,19 @@
 """Adjacency spectra and exact closed-walk counts.
 
-Up to a size cap the eigenvalues come from one dense eigenvalues-only solve,
-and the Perron vector from the cover's quotient (cover.quotient): its colour
-classes form an equitable partition, so A's Perron vector is the lift of the
-Perron vector of the colour matrix (Godsil & Royle, Algebraic Graph Theory,
-section 9.3), a k x k solve with k colours. Above the cap only the top
-eigenvalue and its positive eigenvector are computed, iteratively on a sparse
-adjacency. Walk counts are done in arbitrary-precision integers so that
-combinatorial identities can be asserted exactly.
+Up to a size cap lambda1 and the Perron vector come from the k x k colour
+matrix of the cover's quotient (cover.quotient): its colours form an
+equitable partition (Godsil & Royle, Algebraic Graph Theory, section 9.3).
+That matrix is the same on every lift of a graph, and so is lambda1. The
+other eigenvalues come from one dense eigenvalues-only solve when first
+read. Above the cap lambda1 and its vector come from an iterative solve on a
+sparse adjacency. Walk counts are done in arbitrary-precision integers so
+that combinatorial identities can be asserted exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,72 +26,76 @@ PERRON_RESIDUAL_FACTOR = 1e-10
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in nonincreasing order plus the unit Perron vector.
+    """lambda1 and the unit Perron vector of a graph, and its eigenvalues in
+    nonincreasing order, solved for on first read and then kept.
 
-    full is False when only the top of the spectrum was computed (input was
-    larger than the dense cap).
+    full is False when the graph is larger than the dense cap; then the
+    eigenvalues are lambda1 alone.
     """
 
-    eigenvalues: np.ndarray
+    lambda1: float
     perron: np.ndarray
-    full: bool
-
-    @property
-    def lambda1(self) -> float:
-        return float(self.eigenvalues[0])
+    graph: MultiGraph = field(repr=False)
 
     @property
     def n(self) -> int:
         return len(self.perron)
 
+    @property
+    def full(self) -> bool:
+        return self.n <= DENSE_EIGEN_CAP
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        if not self.full:
+            return np.array([self.lambda1])
+        return np.linalg.eigvalsh(self.graph.adjacency_matrix().astype(np.float64))[::-1]
+
 
 def eigen_spectrum(g: MultiGraph) -> Spectrum:
-    """Spectrum of the adjacency matrix of a connected multigraph.
+    """lambda1 and the Perron vector of a connected multigraph's adjacency.
 
-    Up to DENSE_EIGEN_CAP vertices the eigenvalues come from eigvalsh and
-    the Perron vector from the quotient (_quotient_perron); above it, from
-    eigsh on a sparse adjacency, so no n x n array is formed. The Perron
+    Up to DENSE_EIGEN_CAP vertices both come from the quotient's colour
+    matrix (_quotient_perron); above it, from eigsh on a sparse adjacency.
+    No n x n array is formed unless Spectrum.eigenvalues is read. The Perron
     vector is normalized to unit 2-norm, strictly positive, with residual
     ||A y - lambda1 y|| at most 1e-10 * max degree.
     """
     require_connected(g, "eigen_spectrum")
+    sources = np.array(g.sources, dtype=np.intp)
+    targets = np.array(g.targets, dtype=np.intp)
     if g.n <= DENSE_EIGEN_CAP:
-        a = g.adjacency_matrix().astype(np.float64)
-        vals = np.linalg.eigvalsh(a)[::-1]
-        perron = _quotient_perron(g)
-        full = True
+        lam, perron = _quotient_perron(g)
     else:
         from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import eigsh
 
         # one entry per half-edge: a loop's two give 2 on the diagonal, and
         # parallel edges add up
-        ends = (np.array(g.sources, dtype=np.intp), np.array(g.targets, dtype=np.intp))
-        a = csr_matrix((np.ones(g.num_half_edges), ends), shape=(g.n, g.n))
+        a = csr_matrix((np.ones(g.num_half_edges), (sources, targets)), shape=(g.n, g.n))
         v0 = np.ones(g.n) / np.sqrt(g.n)
         top, vec = eigsh(a, k=1, which="LA", v0=v0)
-        vals = np.array([top[0]])
-        perron = vec[:, 0].copy()
-        full = False
+        lam, perron = float(top[0]), vec[:, 0].copy()
 
     if perron.sum() < 0:
         perron = -perron
     perron /= np.linalg.norm(perron)
     if g.m > 0 and perron.min() <= 0:
         raise ArithmeticError("Perron vector not strictly positive; eigensolve failed")
-    lam = float(vals[0])
-    residual = float(np.linalg.norm(a @ perron - lam * perron))
+    ay = np.bincount(sources, weights=perron[targets], minlength=g.n)
+    residual = float(np.linalg.norm(ay - lam * perron))
     if g.m > 0 and residual > PERRON_RESIDUAL_FACTOR * g.max_degree:
         raise ArithmeticError(f"Perron pair residual {residual:.3e} above tolerance")
-    return Spectrum(vals, perron, full)
+    return Spectrum(lam, perron, g)
 
 
-def _quotient_perron(g: MultiGraph) -> np.ndarray:
-    """A's Perron vector lifted from the colour matrix of cover.quotient(g).
+def _quotient_perron(g: MultiGraph) -> tuple[float, np.ndarray]:
+    """lambda1 and A's Perron vector from the colour matrix B of
+    cover.quotient(g), read off one vertex per colour.
 
-    With H[c, c'] the half-edges from colour c to colour c' and s_c the size
-    of colour c, S = diag(s)^(-1/2) H diag(s)^(-1/2) is symmetric and similar
-    to the quotient matrix; its top eigenvector u lifts to y_v = u[c(v)] /
+    With s_c the size of colour c, s_c B[c, c'] = s_c' B[c', c], so
+    S = sqrt(B o B^T) = diag(s)^(1/2) B diag(s)^(-1/2) is symmetric and
+    similar to B; its top eigenvector u lifts to y_v = u[c(v)] /
     sqrt(s[c(v)]), which has unit norm.
     """
     from scipy.linalg import eigh
@@ -98,12 +103,14 @@ def _quotient_perron(g: MultiGraph) -> np.ndarray:
     q = quotient(g)
     colors = np.array(q.colors)
     k = len(q.D)
+    # any member of a colour will do: the partition is equitable
+    reps = {c: v for v, c in enumerate(q.colors)}
+    cells = [c * k + q.colors[g.targets[h]] for c, v in reps.items() for h in g.half_edges_at[v]]
+    b = np.bincount(np.array(cells, dtype=np.intp), minlength=k * k).reshape(k, k)
+    # square roots of integers: finite, so skip scipy's scan
+    top, u = eigh(np.sqrt(b * b.T), subset_by_index=(k - 1, k - 1), check_finite=False)
     root = np.sqrt(np.bincount(colors, minlength=k))
-    src, tgt = (colors[np.array(ends, dtype=np.intp)] for ends in (g.sources, g.targets))
-    h = np.bincount(src * k + tgt, minlength=k * k).reshape(k, k)
-    # integer counts over square roots of sizes: finite, so skip scipy's scan
-    _, u = eigh(h / root / root[:, None], subset_by_index=(k - 1, k - 1), check_finite=False)
-    return u[colors, 0] / root[colors]
+    return float(top[0]), u[colors, 0] / root[colors]
 
 
 def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:

@@ -21,7 +21,6 @@ from coverspectra.rho import (
     _Operators,
     rho_lower_sequence,
 )
-from coverspectra.spectra import Spectrum
 
 
 TREE_BALL_NODE_CAP = 20_000_000
@@ -154,9 +153,10 @@ def matrix_walk_count(g: MultiGraph, v: int, k: int) -> int:
     return int(out[v][v])
 
 
-def spectrum_by_eigh(g: MultiGraph) -> Spectrum:
-    """The full spectrum and Perron vector from one dense eigh with every
-    eigenvector, sign-fixed and normalized like eigen_spectrum's."""
+def spectrum_by_eigh(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues in nonincreasing order, Perron vector) from one dense
+    eigh with every eigenvector, sign-fixed and normalized like
+    eigen_spectrum's."""
     require_connected(g, "spectrum_by_eigh")
     vals, vecs = np.linalg.eigh(g.adjacency_matrix().astype(np.float64))
     order = np.argsort(vals)[::-1]
@@ -164,7 +164,7 @@ def spectrum_by_eigh(g: MultiGraph) -> Spectrum:
     if perron.sum() < 0:
         perron = -perron
     perron /= np.linalg.norm(perron)
-    return Spectrum(vals[order], perron, True)
+    return vals[order], perron
 
 
 def tree_ball_walk_count(g: MultiGraph, v: int, k: int) -> int:

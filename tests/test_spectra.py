@@ -5,9 +5,9 @@ import pytest
 
 from coverspectra import spectra
 from coverspectra.cover import quotient
-from coverspectra.multigraph import MultiGraph
+from coverspectra.gapcert import certify_gap, unicyclic_defect
+from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.spectra import (
-    Spectrum,
     closed_walk_count,
     closed_walk_profile,
     eigen_spectrum,
@@ -102,21 +102,69 @@ def test_iterative_path_forms_no_dense_matrix(monkeypatch):
     assert top.lambda1 == pytest.approx(2.0, abs=1e-9)
 
 
+def _connected_lift(base, n, seed):
+    g, _ = random_lift(base, n, seed)
+    while not g.is_connected:
+        seed += 100
+        g, _ = random_lift(base, n, seed)
+    return g
+
+
+def test_nothing_n_by_n_unless_eigenvalues_are_read(monkeypatch, corpus):
+    class Refused(AssertionError):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Refused("an n x n solve or adjacency was formed")
+
+    lift = _connected_lift(bowtie(), 150, 1)
+    unicyclic = next(g for g in corpus if cyclomatic_class(g) is CyclomaticClass.UNICYCLIC)
+    monkeypatch.setattr(MultiGraph, "adjacency_matrix", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    s = eigen_spectrum(lift)
+    assert s.lambda1 == eigen_spectrum(bowtie()).lambda1
+    assert certify_gap(lift).margin > 0
+    assert unicyclic_defect(unicyclic, 4) > 0
+    with pytest.raises(Refused):
+        s.eigenvalues
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_lambda1_is_exactly_the_degree_on_regular_graphs(n):
+    for seed in range(3):
+        g, info = random_regular(n, 3, seed)
+        assert info["connected"]
+        assert eigen_spectrum(g).lambda1 == 3.0
+
+
+@pytest.mark.parametrize(
+    "base", [bowtie(), complete(4), theta(1, 2, 3)], ids=["bowtie", "K4", "theta123"]
+)
+def test_lambda1_is_the_same_float_on_every_lift(base):
+    want = eigen_spectrum(base).lambda1
+    for n, seed in ((10, 1), (40, 2), (150, 3)):
+        assert eigen_spectrum(_connected_lift(base, n, seed)).lambda1 == want
+
+
 # -- dense path against the full-eigh oracle --------------------------------------
 
 
 def _assert_matches_eigh(g, rho=None):
-    """Values within 1e-12 * max(1, max degree) of one full eigh, the Perron
-    vector within 1e-10 and constant on every colour of the quotient, and
-    the same weakly-Ramanujan fraction at rho_tree's value."""
-    s, want = eigen_spectrum(g), spectrum_by_eigh(g)
-    assert np.abs(s.eigenvalues - want.eigenvalues).max() <= 1e-12 * max(1, g.max_degree)
-    assert np.abs(s.perron - want.perron).max() <= 1e-10
+    """lambda1 and the values within 1e-12 * max(1, max degree) of one full
+    eigh, the Perron vector within 1e-10 and constant on every colour of the
+    quotient, and the weakly-Ramanujan fraction at rho_tree's value equal to
+    the count over eigh's values."""
+    s = eigen_spectrum(g)
+    vals, perron = spectrum_by_eigh(g)
+    tol = 1e-12 * max(1, g.max_degree)
+    assert abs(s.lambda1 - vals[0]) <= tol
+    assert np.abs(s.eigenvalues - vals).max() <= tol
+    assert np.abs(s.perron - perron).max() <= 1e-10
     colors = np.array(quotient(g).colors)
     for c in range(colors.max() + 1):
         assert np.ptp(s.perron[colors == c]) == 0
     rho = rho_tree(g).value if rho is None else rho
-    assert wr_fraction(s, rho) == wr_fraction(want, rho)
+    assert wr_fraction(s, rho) == np.count_nonzero(np.abs(vals) <= rho + 1e-9) / g.n
 
 
 def test_dense_path_matches_eigh_on_corpus(corpus, cache):
@@ -129,11 +177,7 @@ def test_dense_path_matches_eigh_on_corpus(corpus, cache):
 )
 def test_dense_path_matches_eigh_on_lifts(base):
     for n, seed in ((2, 1), (7, 2), (40, 3)):
-        g, _ = random_lift(base, n, seed)
-        while not g.is_connected:
-            seed += 100
-            g, _ = random_lift(base, n, seed)
-        _assert_matches_eigh(g)
+        _assert_matches_eigh(_connected_lift(base, n, seed))
 
 
 @pytest.mark.parametrize("n", [4, 26, 100, 300])
@@ -172,10 +216,19 @@ def test_wr_at_max_degree_is_one(corpus, cache):
 
 
 def test_wr_counts_multiplicity():
-    s = Spectrum(np.array([2.0, 1.0, 1.0, -2.0]), np.full(4, 0.5), True)
-    assert wr_fraction(s, 1.0) == 0.5
-    assert wr_fraction(s, 2.0) == 1.0
+    s = eigen_spectrum(complete(4))  # eigenvalues 3, -1, -1, -1
+    assert wr_fraction(s, 1.0) == 0.75
+    assert wr_fraction(s, 3.0) == 1.0
     assert wr_fraction(s, 0.5) == 0.0
+
+
+def test_wr_where_a_guarded_inertia_count_goes_wrong():
+    # eigenvalues -2.414, -1, 0, 0.414, 3: at rho = 1, t = rho + eta, a
+    # no-pivot symmetric LU of A + tI counts -1 below -t at both t(1 - 1e-12)
+    # and t(1 + 1e-12), so a guard that only asks the two counts to agree
+    # would accept a fraction of 0.4; three of the five lie in [-1, 1]
+    g = MultiGraph(5, ((0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 4)))
+    assert wr_fraction(eigen_spectrum(g), 1.0) == 0.6
 
 
 def test_wr_rejects_nan_eta():
