@@ -11,7 +11,6 @@ and generators for graph families sharing a common cover.
 from .cover import (
     OrbitClass,
     OrbitDistribution,
-    backtracking_walk_count,
     backtracking_walk_profile,
     orbit_distribution,
 )
@@ -20,7 +19,6 @@ from .gapcert import (
     GapCertificate,
     certify_gap,
     delta_assignment,
-    g_values,
     gamma_assignment,
     unicyclic_defect,
 )
@@ -63,7 +61,6 @@ from .multigraph import (
     cyclomatic_class,
     dump_graph,
     induced_subgraph,
-    is_tree,
     load_graph,
     require_connected,
 )
@@ -75,7 +72,6 @@ from .rho import (
 )
 from .spectra import (
     Spectrum,
-    closed_walk_count,
     closed_walk_profile,
     eigen_spectrum,
     wr_fraction,
@@ -100,7 +96,6 @@ __all__ = [
     "OrbitDistribution",
     "RhoResult",
     "Spectrum",
-    "backtracking_walk_count",
     "backtracking_walk_profile",
     "ball",
     "ball_code",
@@ -109,7 +104,6 @@ __all__ = [
     "bs_histogram",
     "canonical_key",
     "certify_gap",
-    "closed_walk_count",
     "closed_walk_profile",
     "complete",
     "cycle",
@@ -120,10 +114,8 @@ __all__ = [
     "eigen_spectrum",
     "enumerate_cycles",
     "find_bouquet",
-    "g_values",
     "gamma_assignment",
     "induced_subgraph",
-    "is_tree",
     "load_graph",
     "local_stats_report",
     "make",

@@ -18,7 +18,7 @@ a regular graph, 3 on any lift of the bowtie).
 Walk counts. N_k(v) counts length-k closed walks at v whose half-edge word
 cancels to the empty word: closed walks of the cover at a lift of v. With
 branch[a][s] the closed walks of length 2s at the head of a class-a
-half-edge h that stay in the branch below h (never step back along inv(h)
+half-edge h that stay in the branch below h (never step back along h ^ 1
 at the bottom of the excursion stack), first returns give
 
     branch[a][s] = sum over b, i + i' = s - 1 of C[a, b] branch[b][i] branch[a][i']
@@ -122,13 +122,6 @@ def backtracking_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
         raise ValueError("walk length must be nonnegative")
     q = quotient(g)
     return q.walk_profile(q.colors[v], k_max)
-
-
-def backtracking_walk_count(g: MultiGraph, v: int, k: int) -> int:
-    """Exact count of length-k purely backtracking closed walks at v (k even)."""
-    if k < 0 or k % 2 != 0:
-        raise ValueError(f"walk length must be even and nonnegative, got {k}")
-    return backtracking_walk_profile(g, v, k)[k]
 
 
 # -- orbit distribution --------------------------------------------------------

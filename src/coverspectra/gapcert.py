@@ -89,20 +89,16 @@ def gamma_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
         raise ValueError("gamma_assignment requires a multicyclic graph")
     eps = _chain_step(core)
     core_deg = core.core_degrees
-    roots = sorted(h for h in core.int_half_edges if core_deg[g.source(h)] > 2)
-    # (sweep, h, weight) sorts the weights as sweeps over sorted half-edges,
-    # spreading them one step at a time, would first reach them: the roots,
-    # then each step on in the same sweep, or the next one for a smaller h.
-    # It is the key order of the certify command's JSON.
-    found = [(0, h, Fraction(1)) for h in roots]
-    for _, h, w in found[: len(roots)]:
-        sweep = 0
+    weights: dict[int, Fraction] = {}
+    # walk each chain from its root, a half-edge leaving a core vertex of
+    # core degree above 2, one step on per chain vertex
+    for h in sorted(h for h in core.int_half_edges if core_deg[g.sources[h]] > 2):
+        weights[h] = w = Fraction(1)
         while core_deg[g.targets[h]] == 2:  # a chain vertex: one way on
-            (onward,) = (h2 for h2 in core.int_half_edges_at[g.targets[h]] if h2 != h ^ 1)
-            sweep += sweep == 0 or onward < h
-            h, w = onward, w + eps
-            found.append((sweep, h, w))
-    weights = {h: w for _, h, w in sorted(found)}
+            at = g.half_edges_at[g.targets[h]]
+            (h,) = [h2 for h2 in at if h2 != h ^ 1 and h2 in core.int_half_edges]
+            w += eps
+            weights[h] = w
 
     if set(weights) != core.int_half_edges:  # pragma: no cover
         raise AssertionError("interior weights missed some half-edges")
@@ -118,7 +114,7 @@ def delta_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
     each, so children always sum below their parent."""
     g = core.graph
     weights: dict[int, Fraction] = {}
-    roots = sorted(h for h in core.ext_half_edges if g.source(h) in core.core_vertices)
+    roots = sorted(h for h in core.ext_half_edges if g.sources[h] in core.core_vertices)
     stack = []
     for h in roots:
         weights[h] = Fraction(1)
@@ -139,12 +135,15 @@ def delta_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
 
 
 class _Kernel:
-    """g_values as arrays over g's half-edges, built once per certificate:
-    source and target Perron entries, float weights, the interior mask, and
-    per type (typed half-edges, then core vertices) a padded row of the
-    half-edges whose child factors it sums, in g.half_edges_at order, with
-    padding pointing at a zero column. keys names the types in g_values
-    order."""
+    """Per-type Rayleigh bound values (the certificate's g_values) as arrays
+    over g's half-edges, built once per certificate. A non-root type is the
+    half-edge its parent edge projects to (interior both ways, pendant edges
+    only away from the core); a root type, one per core vertex, takes the
+    child factor on every incident half-edge. The arrays: source and target
+    Perron entries, float weights, the interior mask, and per type (typed
+    half-edges, then core vertices) a padded row of the half-edges whose
+    child factors it sums, in g.half_edges_at order, with padding pointing at
+    a zero column. keys names the types in g_values order."""
 
     def __init__(self, g, perron, gamma_weights, delta_weights):
         y = np.asarray(perron, dtype=float)
@@ -162,7 +161,7 @@ class _Kernel:
             self.weights[h] = float(w)
 
         typed = [*gamma_weights, *delta_weights]
-        core_vertices = sorted({g.source(h) for h in gamma_weights})
+        core_vertices = sorted({g.sources[h] for h in gamma_weights})
         self.keys = (
             [(h, ROLE_INT) for h in gamma_weights]
             + [(h, ROLE_EXT) for h in delta_weights]
@@ -191,24 +190,6 @@ class _Kernel:
         for column in self.children.T:
             values += child[:, column]
         return values
-
-
-def g_values(
-    g: MultiGraph,
-    perron: np.ndarray,
-    gamma_weights: dict[int, Fraction],
-    delta_weights: dict[int, Fraction],
-    gamma: float,
-    delta: float,
-) -> dict[tuple[int, str], float]:
-    """Per-type Rayleigh bound values over the cover tree's vertex types.
-
-    A non-root type is the half-edge its parent edge projects to (interior
-    both ways, pendant edges only in the away direction); root types, one per
-    core vertex, take the child factor on every incident half-edge.
-    """
-    kernel = _Kernel(g, perron, gamma_weights, delta_weights)
-    return dict(zip(kernel.keys, kernel([gamma], [delta])[0]))
 
 
 def certify_gap(

@@ -248,11 +248,15 @@ class LocalStatsReport:
 def local_stats_report(
     g: MultiGraph, r: int, lengths: tuple[int, ...] = (1, 2, 3)
 ) -> LocalStatsReport:
+    if r < 1:
+        raise ValueError("radius must be at least 1")
+    # tree balls are exactly the "t" codes, so one ball pass per vertex
+    hist = bs_histogram(g, r)
     per_l = {l: cycle_stats(g, l) for l in lengths}
     return LocalStatsReport(
         r,
-        bs_histogram(g, r),
-        tree_fraction(g, r),
+        hist,
+        sum(c for code, c in hist.items() if code[0] == "t") / g.n,
         {l: s.fraction for l, s in per_l.items()},
         {l: s.max_count for l, s in per_l.items()},
     )

@@ -2,9 +2,9 @@
 colour refinement and canonical forms.
 
 Loops and parallel edges are first-class: edge i contributes half-edges
-2*i (u to v) and 2*i + 1 (v to u), so inv(h) = h ^ 1 and a loop at u is a
-pair of half-edges both sourced at u. A loop contributes 2 to the degree
-of its vertex and 2 to the diagonal of the adjacency matrix.
+2*i (u to v) and 2*i + 1 (v to u), so the inverse of h is h ^ 1 and a loop
+at u is a pair of half-edges both sourced at u. A loop contributes 2 to the
+degree of its vertex and 2 to the diagonal of the adjacency matrix.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class CyclomaticClass(enum.IntEnum):
 class MultiGraph:
     """Multigraph on vertices 0..n-1 with an explicit edge tuple.
 
-    The half-edge with id 2*i + b has source edges[i][b] and target
-    edges[i][1 - b]; its inverse is 2*i + (1 - b).
+    The half-edge h = 2*i + b runs from sources[h] = edges[i][b] to
+    targets[h] = edges[i][1 - b]; its inverse is h ^ 1.
     """
 
     n: int
@@ -69,16 +69,6 @@ class MultiGraph:
     def num_half_edges(self) -> int:
         return 2 * len(self.edges)
 
-    def source(self, h: int) -> int:
-        return self.edges[h >> 1][h & 1]
-
-    def target(self, h: int) -> int:
-        return self.edges[h >> 1][1 - (h & 1)]
-
-    @staticmethod
-    def inv(h: int) -> int:
-        return h ^ 1
-
     @cached_property
     def sources(self) -> tuple[int, ...]:
         out = []
@@ -106,9 +96,6 @@ class MultiGraph:
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.half_edges_at)
-
-    def deg(self, v: int) -> int:
-        return self.degrees[v]
 
     @cached_property
     def max_degree(self) -> int:
@@ -185,10 +172,6 @@ def _bfs(g: MultiGraph, starts, radius: int | None = None) -> dict[int, int]:
 def require_connected(g: MultiGraph, what: str = "this operation") -> None:
     if not g.is_connected:
         raise ValueError(f"{what} requires a connected graph")
-
-
-def is_tree(g: MultiGraph) -> bool:
-    return g.is_connected and g.m == g.n - 1
 
 
 def cyclomatic_class(g: MultiGraph) -> CyclomaticClass:

@@ -125,17 +125,10 @@ def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:
     return inside / len(spectrum.eigenvalues)
 
 
-def closed_walk_count(g: MultiGraph, v: int, k: int) -> int:
-    """Exact number of length-k closed walks at v, as a Python integer.
-
-    Each walk step picks a half-edge at the current vertex, so a loop offers
-    two continuations per visit.
-    """
-    return closed_walk_profile(g, v, k)[k]
-
-
 def closed_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
-    """[closed_walk_count(g, v, k) for k in 0..k_max] in one sweep."""
+    """Exact counts of length-k closed walks at v for k in 0..k_max, in one
+    sweep. Each walk step picks a half-edge at the current vertex, so a loop
+    offers two continuations per visit."""
     require_connected(g, "closed_walk_profile")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")

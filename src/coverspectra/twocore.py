@@ -29,15 +29,8 @@ class CoreDecomposition:
         """Degree within the core subgraph, half-edge counted (loops add 2)."""
         deg = {v: 0 for v in self.core_vertices}
         for h in self.int_half_edges:
-            deg[self.graph.source(h)] += 1
+            deg[self.graph.sources[h]] += 1
         return deg
-
-    @cached_property
-    def int_half_edges_at(self) -> dict[int, tuple[int, ...]]:
-        at: dict[int, list[int]] = {v: [] for v in self.core_vertices}
-        for h in sorted(self.int_half_edges):
-            at[self.graph.source(h)].append(h)
-        return {v: tuple(hs) for v, hs in at.items()}
 
 
 def two_core(g: MultiGraph) -> CoreDecomposition:

@@ -26,6 +26,13 @@ from coverspectra.rho import (
 TREE_BALL_NODE_CAP = 20_000_000
 
 
+def ends(g: MultiGraph, h: int) -> tuple[int, int]:
+    """(source, target) of half-edge h read off g.edges, not off the cached
+    sources and targets tuples that the library reads."""
+    e = g.edges[h >> 1]
+    return e[h & 1], e[1 - (h & 1)]
+
+
 class BallCapExceeded(RuntimeError):
     """Materializing a tree ball would exceed the node cap."""
 
@@ -131,10 +138,10 @@ def stack_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
         got = memo.get(key)
         if got is not None:
             return got
-        u = g.target(stack[-1]) if stack else v
+        u = ends(g, stack[-1])[1] if stack else v
         total = 0
         for h in at[u]:
-            if stack and h == MultiGraph.inv(stack[-1]):
+            if stack and h == stack[-1] ^ 1:
                 total += count(r - 1, stack[:-1])
             else:
                 total += count(r - 1, stack + (h,))
@@ -169,8 +176,8 @@ def spectrum_by_eigh(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
 
 def tree_ball_walk_count(g: MultiGraph, v: int, k: int) -> int:
     """Closed walks of length k (even) at the root of the materialized radius
-    k/2 cover-tree ball: the same quantity as backtracking_walk_count by a
-    third route. Cost is exponential in the max degree."""
+    k/2 cover-tree ball: the same quantity as backtracking_walk_profile's
+    entry k by a third route. Cost is exponential in the max degree."""
     tb = tree_ball(g, v, k // 2)
     x = [0] * tb.node_count
     x[0] = 1
@@ -269,11 +276,11 @@ def supersolution_by_fractions(g: MultiGraph, t: float, f) -> bool:
         return False
     vsum = [Fraction(0)] * g.n
     for h, x in enumerate(fr):
-        vsum[g.source(h)] += x
+        vsum[ends(g, h)[0]] += x
     if max(vsum) > t:
         return False
     for h, x in enumerate(fr):
-        den = t - (vsum[g.target(h)] - fr[MultiGraph.inv(h)])
+        den = t - (vsum[ends(g, h)[1]] - fr[h ^ 1])
         if den <= 0 or 1 / den > x:
             return False
     return True
@@ -330,7 +337,7 @@ def rho_by_bisection(g: MultiGraph, tol: float) -> tuple[float, float]:
 
 
 def g_values_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, gamma, delta):
-    """gapcert.g_values one half-edge at a time: each type's parent term,
+    """gapcert._Kernel one half-edge at a time: each type's parent term,
     then the child factors of its continuations in g.half_edges_at order."""
     from coverspectra.gapcert import ROLE_EXT, ROLE_INT, ROLE_ROOT
 
@@ -339,7 +346,7 @@ def g_values_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, gamma,
     del_ = {h: float(w) for h, w in delta_weights.items()}
 
     def child_factor(h: int) -> float:
-        u, w = g.source(h), g.targets[h]
+        u, w = ends(g, h)
         ratio = y[w] / y[u]
         if h in gam:
             return ratio / (1.0 + gam[h] * gamma / (y[u] * y[w]))
@@ -347,21 +354,21 @@ def g_values_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, gamma,
 
     values = {}
     for h in gamma_weights:
-        p, u = g.source(h), g.targets[h]
+        p, u = ends(g, h)
         total = (y[p] / y[u]) * (1.0 + gam[h] * gamma / (y[p] * y[u]))
         for h2 in g.half_edges_at[u]:
             if h2 != (h ^ 1):
                 total += child_factor(h2)
         values[(h, ROLE_INT)] = total
     for h in delta_weights:
-        p, u = g.source(h), g.targets[h]
+        p, u = ends(g, h)
         total = (y[p] / y[u]) / (1.0 + del_[h] * delta / (y[p] * y[u]))
         for h2 in g.half_edges_at[u]:
             if h2 != (h ^ 1):
                 total += child_factor(h2)
         values[(h, ROLE_EXT)] = total
 
-    core_vertices = sorted({g.source(h) for h in gamma_weights})
+    core_vertices = sorted({ends(g, h)[0] for h in gamma_weights})
     for v in core_vertices:
         values[(v, ROLE_ROOT)] = sum(child_factor(h) for h in g.half_edges_at[v])
     return values

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from coverspectra.cover import (
-    backtracking_walk_count,
     backtracking_walk_profile,
     orbit_distribution,
     quotient,
 )
-from coverspectra.multigraph import MultiGraph, is_tree, refine
+from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class, refine
 from coverspectra.rho import _Operators
 from coverspectra.spectra import closed_walk_profile
 from coverspectra.generators import (
@@ -42,7 +41,7 @@ def test_triangle_ball_is_path_segment():
     tb = tree_ball(cycle(3), 0, 2)
     assert tb.node_count == 5  # 1 + 2 + 2: the cover is the two-way infinite path
     assert tb.depth.count(1) == 2 and tb.depth.count(2) == 2
-    assert is_tree(tb.as_multigraph())
+    assert cyclomatic_class(tb.as_multigraph()) is CyclomaticClass.TREE
 
 
 def test_three_regular_ball_counts():
@@ -67,10 +66,10 @@ def test_ball_projection_is_locally_consistent(zoo_graph):
             continue
         # children realize every half-edge at pi(x) except the inverse inbound
         hs = sorted(tb.in_half_edge[c] for c in tb.children[x])
-        banned = MultiGraph.inv(tb.in_half_edge[x]) if x else -1
+        banned = tb.in_half_edge[x] ^ 1 if x else -1
         assert hs == sorted(h for h in g.half_edges_at[tb.pi[x]] if h != banned)
         for c in tb.children[x]:
-            assert tb.pi[c] == g.target(tb.in_half_edge[c])
+            assert tb.pi[c] == g.targets[tb.in_half_edge[c]]
             assert tb.parent[c] == x
 
 
@@ -99,15 +98,14 @@ def test_ball_validates_arguments():
 
 def test_regular_small_counts():
     for g, d in ((cycle(5), 2), (complete(4), 3), (complete(6), 5)):
-        assert backtracking_walk_count(g, 0, 2) == d
-        assert backtracking_walk_count(g, 0, 4) == d * (2 * d - 1)
+        counts = backtracking_walk_profile(g, 0, 4)
+        assert counts[2] == d
+        assert counts[4] == d * (2 * d - 1)
 
 
-def test_odd_lengths_are_zero_and_rejected():
+def test_odd_lengths_are_zero():
     g = cycle(4)
     assert backtracking_walk_profile(g, 0, 5)[1::2] == [0, 0, 0]
-    with pytest.raises(ValueError):
-        backtracking_walk_count(g, 0, 3)
 
 
 def test_tree_input_equals_plain_walk_counts():
@@ -135,7 +133,7 @@ def test_oracle_on_loops_and_parallels(zoo_graph):
 def test_against_tree_ball_route(small_corpus):
     for g in small_corpus[::7]:
         for k in (2, 4, 6, 8):
-            assert backtracking_walk_count(g, 0, k) == tree_ball_walk_count(g, 0, k)
+            assert backtracking_walk_profile(g, 0, k)[k] == tree_ball_walk_count(g, 0, k)
 
 
 def test_counts_dominated_by_closed_walks(small_corpus):
@@ -306,7 +304,7 @@ def test_mean_walk_bound_exact(small_corpus):
         for k in (2, 4, 6, 8):
             lhs = Fraction(sum(closed_walk_profile(g, v, k)[k] for v in range(g.n)), g.n)
             rhs = sum(
-                c.p * backtracking_walk_count(g, c.representative, k)
+                c.p * backtracking_walk_profile(g, c.representative, k)[k]
                 for c in dist.classes
             )
             assert lhs >= rhs

@@ -12,7 +12,6 @@ from coverspectra.gapcert import (
     _Kernel,
     certify_gap,
     delta_assignment,
-    g_values,
     gamma_assignment,
     unicyclic_defect,
 )
@@ -44,7 +43,7 @@ def test_bowtie_gamma_chain():
     eps = Fraction(1, 24)
     # half-edges leaving the degree-4 center carry weight 1
     for h, val in w.items():
-        if g.source(h) == 0:
+        if g.sources[h] == 0:
             assert val == 1
     # each triangle: one +eps hop between the outer vertices, then +2eps back in
     assert sorted(w.values()) == sorted(
@@ -56,10 +55,10 @@ def test_theta_gamma_values():
     g = theta(2, 2, 2)
     w = gamma_assignment(two_core(g))
     eps = Fraction(1, 24)
-    hubs = [v for v in range(g.n) if g.deg(v) == 3]
+    hubs = [v for v in range(g.n) if g.degrees[v] == 3]
     assert len(hubs) == 2
     for h, val in w.items():
-        assert val == (1 if g.source(h) in hubs else 1 + eps)
+        assert val == (1 if g.sources[h] in hubs else 1 + eps)
 
 
 def test_dense_core_gamma_all_one():
@@ -84,7 +83,9 @@ def test_gamma_inequality_exact(corpus):
         w = gamma_assignment(core)
         for h in core.int_half_edges:
             v = g.targets[h]
-            onward = [h2 for h2 in core.int_half_edges_at[v] if h2 != (h ^ 1)]
+            onward = [
+                h2 for h2 in g.half_edges_at[v] if h2 != (h ^ 1) and h2 in core.int_half_edges
+            ]
             assert sum(w[h2] for h2 in onward) > w[h]
 
 
@@ -101,7 +102,7 @@ def test_pendant_path_deltas():
     g = MultiGraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4)))
     core = two_core(g)
     w = delta_assignment(core)
-    by_edge = {(g.source(h), g.targets[h]): val for h, val in w.items()}
+    by_edge = {(g.sources[h], g.targets[h]): val for h, val in w.items()}
     assert by_edge == {(0, 3): Fraction(1), (3, 4): Fraction(1, 2)}
 
 
@@ -139,10 +140,8 @@ def test_g_collapses_to_lambda1_at_zero(zoo_graph, cache):
         return
     core = two_core(g)
     spec = cache.spectrum(g)
-    vals = g_values(
-        g, spec.perron, gamma_assignment(core), delta_assignment(core), 0.0, 0.0
-    )
-    for (key, role), val in vals.items():
+    kernel = _Kernel(g, spec.perron, gamma_assignment(core), delta_assignment(core))
+    for val in kernel([0.0], [0.0])[0]:
         assert val == pytest.approx(spec.lambda1, abs=1e-8)
 
 
@@ -150,17 +149,11 @@ def test_root_types_never_dominate(corpus, cache):
     for g in _multicyclic(corpus[::25]):
         core = two_core(g)
         spec = cache.spectrum(g)
+        kernel = _Kernel(g, spec.perron, gamma_assignment(core), delta_assignment(core))
         for gamma in (2.0**-6, 2.0**-12):
-            vals = g_values(
-                g,
-                spec.perron,
-                gamma_assignment(core),
-                delta_assignment(core),
-                gamma,
-                gamma**2,
-            )
-            roots = [v for (_, role), v in vals.items() if role == ROLE_ROOT]
-            others = [v for (_, role), v in vals.items() if role != ROLE_ROOT]
+            vals = kernel([gamma], [gamma**2])[0]
+            roots = [v for (_, role), v in zip(kernel.keys, vals) if role == ROLE_ROOT]
+            others = [v for (_, role), v in zip(kernel.keys, vals) if role != ROLE_ROOT]
             assert max(roots) <= max(others) + 1e-12
 
 
@@ -195,7 +188,26 @@ def test_grid_matches_loop_oracle_bit_for_bit(corpus, cache):
         assert (cert.gamma, cert.delta, cert.margin) == (gamma, delta, margin)
         assert cert.g_values == vals
         assert cert.g_max == max(vals.values())
-        assert g_values(g, spec.perron, gw, dw, gamma, delta) == vals
+        assert dict(zip(kernel.keys, kernel([gamma], [delta])[0])) == vals
+
+
+def test_kernel_grid_ignores_weight_key_order(corpus, cache):
+    """Building _Kernel from the weight dicts in reversed key order only
+    permutes the type columns: every grid row holds the same multiset of
+    values and the same max, so certify_gap's choice does not depend on the
+    order in which gamma_assignment and delta_assignment write their keys."""
+    graphs = _multicyclic(corpus)[::7] + [_connected_lift(bowtie(), 40)]
+    for g in graphs:
+        core = two_core(g)
+        gw, dw = gamma_assignment(core), delta_assignment(core)
+        perron = cache.spectrum(g).perron
+        forward = _Kernel(g, perron, gw, dw)(*zip(*_GRID))
+        backward = _Kernel(g, perron, dict(reversed(gw.items())), dict(reversed(dw.items())))
+        backward = backward(*zip(*_GRID))
+        assert forward.max(axis=1).tolist() == backward.max(axis=1).tolist()
+        assert [sorted(row) for row in forward.tolist()] == [
+            sorted(row) for row in backward.tolist()
+        ]
 
 
 # -- certificates ----------------------------------------------------------------------

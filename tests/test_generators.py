@@ -64,7 +64,7 @@ def test_two_cycles_glued_shape():
     g = two_cycles_glued(20, 20)
     assert g.n == 39
     assert cyclomatic_class(g) is CyclomaticClass.MULTICYCLIC
-    assert g.deg(0) == 4
+    assert g.degrees[0] == 4
     small = two_cycles_glued(3, 3)
     assert canonical_key(small) == canonical_key(bowtie())
 

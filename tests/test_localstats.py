@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from coverspectra import localstats
 from coverspectra.cover import orbit_distribution
 from coverspectra.localstats import (
     CANON_CAP,
@@ -15,7 +16,13 @@ from coverspectra.localstats import (
     tree_fraction,
     tv_distance,
 )
-from coverspectra.multigraph import MultiGraph, ball, induced_subgraph, is_tree
+from coverspectra.multigraph import (
+    CyclomaticClass,
+    MultiGraph,
+    ball,
+    cyclomatic_class,
+    induced_subgraph,
+)
 from coverspectra.generators import (
     bowtie,
     complete,
@@ -86,8 +93,8 @@ def test_cycles_are_valid(small_corpus):
                 assert len(c.edge_ids) == length
                 # consecutive half-edges chain through the graph
                 for i, h in enumerate(c.half_edges):
-                    assert g.source(h) == c.vertices[i]
-                    assert g.target(h) == c.vertices[(i + 1) % length]
+                    assert g.sources[h] == c.vertices[i]
+                    assert g.targets[h] == c.vertices[(i + 1) % length]
 
 
 # -- tree fractions --------------------------------------------------------------
@@ -110,7 +117,7 @@ def test_random_cubic_mostly_tree_like():
 def test_tree_fraction_one_iff_tree(corpus):
     for g in corpus[::11]:
         r_max = max(2, g.n)
-        if is_tree(g):
+        if cyclomatic_class(g) is CyclomaticClass.TREE:
             assert all(tree_fraction(g, r) == 1.0 for r in (1, 2, r_max))
         else:
             assert tree_fraction(g, r_max) < 1.0
@@ -152,7 +159,7 @@ def test_tree_ball_codes_match_ahu_oracle(corpus):
             for v in range(g.n):
                 depth = ball(g, v, r)
                 b = induced_subgraph(g, depth)
-                if is_tree(b):
+                if cyclomatic_class(b) is CyclomaticClass.TREE:
                     hits += 1
                     assert ball_code(g, v, r) == "t" + ahu_code(b, sorted(depth).index(v))
             if r:
@@ -355,6 +362,22 @@ def test_report_fields(zoo_graph):
     assert set(rep.cycle_fractions) == {1, 2, 3}
     for length, cnt in rep.cycle_max_counts.items():
         assert cnt <= zoo_graph.max_degree**length
+
+
+def test_report_reads_tree_fraction_off_its_histogram(monkeypatch):
+    """The report's tree fraction is the share of tree codes in its own
+    histogram, with no second ball pass, and equals tree_fraction's."""
+    g, _ = random_regular(200, 3, seed=5)
+    want = tree_fraction(g, 2)
+    assert 0.0 < want < 1.0
+
+    def refuse(*args):
+        raise AssertionError("a second ball pass")
+
+    monkeypatch.setattr(localstats, "tree_fraction", refuse)
+    assert local_stats_report(g, 2).tree_fraction == want
+    with pytest.raises(ValueError, match="at least 1"):
+        local_stats_report(g, 0)
 
 
 # -- lifts converge locally to the cover -------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ends,
     gnp_giant,
     probe_status,
     rho_by_bisection,
@@ -444,16 +445,16 @@ def _one_ulp_either_side(g, t, f):
     fr = [Fraction(x) for x in f]
     vsum = [Fraction(0)] * g.n
     for h, x in enumerate(fr):
-        vsum[g.source(h)] += x
+        vsum[ends(g, h)[0]] += x
     rooms = [
-        (fr[h] * (Fraction(t) - vsum[g.target(h)] + fr[h ^ 1]), h)
+        (fr[h] * (Fraction(t) - vsum[ends(g, h)[1]] + fr[h ^ 1]), h)
         for h in range(g.num_half_edges)
-        if g.source(h) != g.target(h)
+        if ends(g, h)[0] != ends(g, h)[1]
     ]
     if not rooms:
         return None
     _, h = min(rooms)
-    need = 1 / (Fraction(t) - vsum[g.target(h)] + fr[h ^ 1])
+    need = 1 / (Fraction(t) - vsum[ends(g, h)[1]] + fr[h ^ 1])
     near = float(need)
     if Fraction(near) < need:
         fail, ok = near, np.nextafter(near, math.inf)

@@ -29,7 +29,7 @@ def test_triangle_with_pendant_path():
     # each exterior half-edge points away from the core
     dist = g.distances_from(dec.core_vertices)
     for h in dec.ext_half_edges:
-        assert dist[g.source(h)] + 1 == dist[g.target(h)]
+        assert dist[g.sources[h]] + 1 == dist[g.targets[h]]
 
 
 def test_c4_with_leaf_per_vertex():
@@ -40,7 +40,7 @@ def test_c4_with_leaf_per_vertex():
     assert len(dec.ext_vertices) == 4
     assert len(dec.ext_half_edges) == 4
     for h in dec.ext_half_edges:
-        assert g.source(h) in dec.core_vertices
+        assert g.sources[h] in dec.core_vertices
 
 
 def test_loop_with_tail():
