@@ -23,7 +23,6 @@ from .gapcert import (
     unicyclic_defect,
 )
 from .generators import (
-    LiftSpec,
     biregular,
     bowtie,
     canonical_key,
@@ -41,14 +40,12 @@ from .generators import (
 from .localstats import (
     Cycle,
     CycleStats,
-    LocalStatsReport,
     MassTransportReport,
     ball_code,
     bs_histogram,
     cycle_stats,
     enumerate_cycles,
     find_bouquet,
-    local_stats_report,
     mass_transport_check,
     tree_fraction,
     tv_distance,
@@ -88,8 +85,6 @@ __all__ = [
     "CyclomaticClass",
     "GapCertificate",
     "GraphParseError",
-    "LiftSpec",
-    "LocalStatsReport",
     "MassTransportReport",
     "MultiGraph",
     "OrbitClass",
@@ -117,7 +112,6 @@ __all__ = [
     "gamma_assignment",
     "induced_subgraph",
     "load_graph",
-    "local_stats_report",
     "make",
     "mass_transport_check",
     "orbit_distribution",

@@ -241,11 +241,9 @@ def cmd_bs_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family not in _FAMILY_PARAMS:
-        names = ", ".join(sorted(_FAMILY_PARAMS))
-        raise ValueError(f"unknown family {args.family!r}; choose from: {names}")
     params = {}
-    for name in _FAMILY_PARAMS[args.family]:
+    # an unknown family has no parameters here and is rejected by make
+    for name in _FAMILY_PARAMS.get(args.family, ()):
         value = getattr(args, name)
         if value is None:
             raise ValueError(f"family {args.family!r} requires --{name}")

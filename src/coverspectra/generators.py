@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .multigraph import MultiGraph, canonical_code
@@ -150,33 +149,25 @@ def make(family: str, **params) -> tuple[MultiGraph, dict]:
     return out
 
 
-@dataclass(frozen=True)
-class LiftSpec:
-    """Record of a permutation lift: base edge i, read as directed
-    (edges[i][0] -> edges[i][1]), carries permutations[i]."""
-
-    base: MultiGraph
-    degree: int
-    permutations: dict[int, tuple[int, ...]]
-    seed: int
-
-
-def random_lift(base: MultiGraph, n: int, seed: int) -> tuple[MultiGraph, LiftSpec]:
-    """Uniform permutation n-lift: base vertex v becomes copies v*n + j, and
-    base edge (u, v) with permutation s becomes edges {u*n + j, v*n + s[j]}.
-    A loop lifts through its permutation's functional graph, so fixed points
-    stay loops. The lift need not be connected; callers can check."""
+def random_lift(
+    base: MultiGraph, n: int, seed: int
+) -> tuple[MultiGraph, tuple[tuple[int, ...], ...]]:
+    """Uniform permutation n-lift and its permutations, one per base edge in
+    edge order. Base vertex v becomes copies v*n + j, and base edge (u, v)
+    with permutation s becomes edges {u*n + j, v*n + s[j]}. A loop lifts
+    through its permutation's functional graph, so fixed points stay loops.
+    The lift need not be connected; callers can check."""
     if n < 1:
         raise ValueError("lift degree must be >= 1")
     rng = random.Random(seed)
-    perms: dict[int, tuple[int, ...]] = {}
+    perms: list[tuple[int, ...]] = []
     edges: list[tuple[int, int]] = []
-    for i, (u, v) in enumerate(base.edges):
+    for u, v in base.edges:
         p = list(range(n))
         rng.shuffle(p)
-        perms[i] = tuple(p)
+        perms.append(tuple(p))
         edges.extend((u * n + j, v * n + p[j]) for j in range(n))
-    return MultiGraph(base.n * n, tuple(edges)), LiftSpec(base, n, perms, seed)
+    return MultiGraph(base.n * n, tuple(edges)), tuple(perms)
 
 
 def canonical_key(g: MultiGraph) -> tuple[int, int, str]:

@@ -1,6 +1,8 @@
-"""Local-geometry statistics: tree-ball fractions, short-cycle structure,
-bouquet detection, mass-transport balance checks, and canonical radius-r
-ball histograms with total-variation comparison.
+"""Local-geometry statistics, one call each: tree-ball fractions
+(tree_fraction), short-cycle structure (cycle_stats), bouquet detection
+(find_bouquet), mass-transport balance checks (mass_transport_check), and
+canonical radius-r ball histograms (bs_histogram) with total-variation
+comparison (tv_distance).
 
 Cycle semantics on multigraphs: an l-cycle is a closed non-backtracking
 half-edge sequence through l distinct vertices and l distinct edges, taken up
@@ -31,9 +33,6 @@ class Cycle:
     half_edges: tuple[int, ...]
     vertices: tuple[int, ...]
     edge_ids: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.half_edges)
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -234,29 +233,3 @@ def tv_distance(h1: dict[str, int], h2: dict[str, int]) -> float:
         / 2
     )
     return float(tv)
-
-
-@dataclass(frozen=True)
-class LocalStatsReport:
-    radius: int
-    histogram: dict[str, int]
-    tree_fraction: float
-    cycle_fractions: dict[int, float]
-    cycle_max_counts: dict[int, int]
-
-
-def local_stats_report(
-    g: MultiGraph, r: int, lengths: tuple[int, ...] = (1, 2, 3)
-) -> LocalStatsReport:
-    if r < 1:
-        raise ValueError("radius must be at least 1")
-    # tree balls are exactly the "t" codes, so one ball pass per vertex
-    hist = bs_histogram(g, r)
-    per_l = {l: cycle_stats(g, l) for l in lengths}
-    return LocalStatsReport(
-        r,
-        hist,
-        sum(c for code, c in hist.items() if code[0] == "t") / g.n,
-        {l: s.fraction for l, s in per_l.items()},
-        {l: s.max_count for l, s in per_l.items()},
-    )

@@ -101,19 +101,6 @@ class MultiGraph:
     def max_degree(self) -> int:
         return max(self.degrees) if self.n else 0
 
-    @cached_property
-    def neighbor_multiplicities(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex: (neighbor, half-edge multiplicity) pairs. A loop at v
-        appears as (v, 2)."""
-        out = []
-        for v in range(self.n):
-            counts: dict[int, int] = {}
-            for h in self.half_edges_at[v]:
-                w = self.targets[h]
-                counts[w] = counts.get(w, 0) + 1
-            out.append(tuple(sorted(counts.items())))
-        return tuple(out)
-
     # -- matrices and traversal ----------------------------------------------
 
     def adjacency_matrix(self) -> np.ndarray:

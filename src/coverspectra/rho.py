@@ -61,13 +61,15 @@ Certify. With the estimate s and pad = tol / (4 s), at least one ulp of
 1, hi = s (1 + pad) needs a candidate F that, lifted to every half-edge,
 passes the supersolution check at hi exactly on the full graph, so hi rests
 neither on the quotient code nor on rounding. The candidate is the fold
-point, a supersolution at any t > rho(T), or, when there is none or it
-fails (trees, some unicyclic graphs), the least fixed point at the midpoint
-s (1 + pad / 2) from one Newton run. lo = s (1 - pad) needs one Newton run
-that diverges. Both runs start from the warm-up's last iterate (zeros on a
-tree), a subsolution below every supersolution at any t below the warm-up's
-last t. A side whose check fails doubles its pad, so the bracket is always
-a proof, only wider. hi stays at most the max degree, where F = 1 is a
+point, a supersolution at any t > rho(T), or, when there is none (a tree,
+or no bordered solve settled) or it fails, the least fixed point at the
+midpoint s (1 + pad / 2) from one Newton run. At the default tol the fold
+point passed on every graph with a cycle that was tried; it failed only at
+tol 1e-14 and below. lo = s (1 - pad) needs one Newton run that diverges.
+Both runs start from the warm-up's last iterate (zeros on a tree), a
+subsolution below every supersolution at any t below the warm-up's last t.
+A side whose check fails doubles its pad, so the bracket is always a proof,
+only wider. hi stays at most the max degree, where F = 1 is a
 supersolution, and lo at least sqrt(max degree), rounded down, the top
 eigenvalue of the star the cover contains at a vertex of max degree.
 """

@@ -127,14 +127,15 @@ def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:
 
 def closed_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
     """Exact counts of length-k closed walks at v for k in 0..k_max, in one
-    sweep. Each walk step picks a half-edge at the current vertex, so a loop
-    offers two continuations per visit."""
+    sweep that pushes each vertex's count along its half-edges. Each walk
+    step picks a half-edge at the current vertex, so a loop offers two
+    continuations per visit."""
     require_connected(g, "closed_walk_profile")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
     if k_max < 0:
         raise ValueError("walk length must be nonnegative")
-    nbr = g.neighbor_multiplicities
+    targets = g.targets
     x = [0] * g.n
     x[v] = 1
     counts = [x[v]]
@@ -143,8 +144,8 @@ def closed_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
         for u in range(g.n):
             xu = x[u]
             if xu:
-                for w, mult in nbr[u]:
-                    y[w] += xu * mult
+                for h in g.half_edges_at[u]:
+                    y[targets[h]] += xu
         x = y
         counts.append(x[v])
     return counts

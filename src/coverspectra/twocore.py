@@ -47,10 +47,9 @@ def two_core(g: MultiGraph) -> CoreDecomposition:
     alive = [True] * g.n
     ext_hes: list[int] = []
     queue = deque(v for v in range(g.n) if deg[v] <= 1)
+    # degrees only fall, so a vertex is queued once: at the start or on its step from 2 to 1
     while queue:
         u = queue.popleft()
-        if not alive[u] or deg[u] > 1:
-            continue
         alive[u] = False
         for h in g.half_edges_at[u]:
             w = g.targets[h]
@@ -62,8 +61,6 @@ def two_core(g: MultiGraph) -> CoreDecomposition:
                     queue.append(w)
 
     core = frozenset(v for v in range(g.n) if alive[v])
-    if not core:
-        raise ValueError("two_core: graph has no cycle")
     ext = frozenset(v for v in range(g.n) if not alive[v])
     int_hes = (h for h, u in enumerate(g.sources) if alive[u] and alive[g.targets[h]])
     return CoreDecomposition(g, core, ext, frozenset(int_hes), frozenset(ext_hes))

@@ -9,8 +9,21 @@ import pytest
 
 from coverspectra import cli
 from coverspectra.cli import build_parser, main
-from coverspectra.multigraph import MultiGraph, dump_graph, load_graph
-from coverspectra.generators import _FAMILIES, RANDOM_REGULAR_RETRIES, bowtie, cycle, star
+from coverspectra.multigraph import (
+    CyclomaticClass,
+    MultiGraph,
+    cyclomatic_class,
+    dump_graph,
+    load_graph,
+)
+from coverspectra.generators import (
+    _FAMILIES,
+    RANDOM_REGULAR_RETRIES,
+    bowtie,
+    cycle,
+    small_connected_multigraphs,
+    star,
+)
 
 
 @pytest.fixture
@@ -326,6 +339,29 @@ def test_verify_thm2_small(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].endswith("all pass")
     assert "tree" in out and "unicyclic" in out and "multicyclic" in out
+
+
+def test_verify_thm2_rejects_negative_tolerance(capsys):
+    err = run_error(capsys, ["verify-thm2", "--tol", "-1"])
+    assert err == "error: tolerance must be nonnegative\n"
+
+
+def test_verify_thm2_reports_certify_failures(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("no kernel")
+
+    monkeypatch.setattr(cli, "certify_gap", broken)
+    code = main(["verify-thm2", "--max-n", "3", "--max-m", "4"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 1
+    failed = [line for line in lines[:-1] if line.startswith("FAIL")]
+    multicyclic = sum(
+        cyclomatic_class(g) is CyclomaticClass.MULTICYCLIC
+        for g in small_connected_multigraphs(3, 4)
+    )
+    assert multicyclic > 0 and len(failed) == multicyclic
+    assert all("multicyclic" in line and "certify failed: no kernel" in line for line in failed)
+    assert lines[-1].endswith(f"{multicyclic} FAILED")
 
 
 # -- plumbing ----------------------------------------------------------------------

@@ -108,6 +108,12 @@ def test_odd_lengths_are_zero():
     assert backtracking_walk_profile(g, 0, 5)[1::2] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("v, k_max, message", [(3, 4, "out of range"), (0, -1, "nonnegative")])
+def test_walk_profile_rejects_bad_input(v, k_max, message):
+    with pytest.raises(ValueError, match=message):
+        backtracking_walk_profile(cycle(3), v, k_max)
+
+
 def test_tree_input_equals_plain_walk_counts():
     for g in (path(4), star(4), path(6)):
         for v in range(g.n):

@@ -89,6 +89,16 @@ def test_family_validation():
         star(0)
     with pytest.raises(ValueError):
         two_cycles_glued(1, 0)
+    with pytest.raises(ValueError, match="path needs n >= 1"):
+        path(0)
+    with pytest.raises(ValueError, match="complete needs n >= 1"):
+        complete(0)
+    with pytest.raises(ValueError, match="biregular needs a, b >= 1"):
+        biregular(0, 2)
+    with pytest.raises(ValueError, match="random_regular needs n, d >= 1"):
+        random_regular(0, 3, seed=0)
+    with pytest.raises(ValueError, match="random_regular needs n, d >= 1"):
+        random_regular(4, 0, seed=0)
 
 
 # -- random regular ----------------------------------------------------------------
@@ -127,9 +137,9 @@ def test_random_regular_exhausted_budget_is_flagged():
 
 def test_identity_degree_lift_is_isomorphic():
     for base in (bowtie(), cycle(5), MultiGraph(2, ((0, 1), (0, 1), (0, 0)))):
-        lift, spec = random_lift(base, 1, seed=9)
+        lift, perms = random_lift(base, 1, seed=9)
         assert canonical_key(lift) == canonical_key(base)
-        assert spec.degree == 1
+        assert perms == ((0,),) * base.m
 
 
 def test_lift_degree_sequence():
@@ -171,10 +181,10 @@ def test_lift_preserves_rho_bracket():
 
 def test_loop_lift_follows_permutation():
     base = MultiGraph(1, ((0, 0),))
-    lift, spec = random_lift(base, 4, seed=0)
+    lift, perms = random_lift(base, 4, seed=0)
     assert lift.n == 4 and lift.m == 4
     assert lift.degrees == (2, 2, 2, 2)
-    perm = spec.permutations[0]
+    (perm,) = perms
     assert lift.edges == tuple((j, perm[j]) for j in range(4))
 
 

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from coverspectra import localstats
 from coverspectra.cover import orbit_distribution
 from coverspectra.localstats import (
     CANON_CAP,
@@ -11,7 +10,6 @@ from coverspectra.localstats import (
     cycle_stats,
     enumerate_cycles,
     find_bouquet,
-    local_stats_report,
     mass_transport_check,
     tree_fraction,
     tv_distance,
@@ -171,6 +169,18 @@ def test_tree_ball_codes_match_ahu_oracle(corpus):
 def test_tree_fraction_validates_radius():
     with pytest.raises(ValueError):
         tree_fraction(cycle(3), 0)
+
+
+def test_statistics_validate_arguments():
+    g = cycle(3)
+    with pytest.raises(ValueError, match="cycle length must be at least 1"):
+        enumerate_cycles(g, 0)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        mass_transport_check(g, -1, 3)
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        bs_histogram(g, -1)
+    with pytest.raises(ValueError, match="histograms must be nonempty"):
+        tv_distance({}, {"t()": 1})
 
 
 # -- bouquets ----------------------------------------------------------------------
@@ -352,32 +362,6 @@ def test_loop_and_parallel_codes_differ():
     lp = MultiGraph(1, ((0, 0),))
     de = MultiGraph(2, ((0, 1), (0, 1)))
     assert ball_code(lp, 0, 1) != ball_code(de, 0, 1)
-
-
-def test_report_fields(zoo_graph):
-    rep = local_stats_report(zoo_graph, 2)
-    assert rep.radius == 2
-    assert sum(rep.histogram.values()) == zoo_graph.n
-    assert 0.0 <= rep.tree_fraction <= 1.0
-    assert set(rep.cycle_fractions) == {1, 2, 3}
-    for length, cnt in rep.cycle_max_counts.items():
-        assert cnt <= zoo_graph.max_degree**length
-
-
-def test_report_reads_tree_fraction_off_its_histogram(monkeypatch):
-    """The report's tree fraction is the share of tree codes in its own
-    histogram, with no second ball pass, and equals tree_fraction's."""
-    g, _ = random_regular(200, 3, seed=5)
-    want = tree_fraction(g, 2)
-    assert 0.0 < want < 1.0
-
-    def refuse(*args):
-        raise AssertionError("a second ball pass")
-
-    monkeypatch.setattr(localstats, "tree_fraction", refuse)
-    assert local_stats_report(g, 2).tree_fraction == want
-    with pytest.raises(ValueError, match="at least 1"):
-        local_stats_report(g, 0)
 
 
 # -- lifts converge locally to the cover -------------------------------------------

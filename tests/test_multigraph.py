@@ -53,6 +53,8 @@ def test_parse_comments_and_blanks():
         "3 1\nx y\n",
         "-1 0\n",
         "2 -1\n",
+        "x 3\n",                    # non-integer header
+        "3 1\n0 1 2\n",             # edge line with three fields
     ],
 )
 def test_parse_errors_name_a_line(text):

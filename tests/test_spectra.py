@@ -77,6 +77,22 @@ def test_rejects_disconnected():
         eigen_spectrum(MultiGraph(4, ((0, 1), (2, 3))))
 
 
+def test_wrong_perron_pair_is_rejected(monkeypatch):
+    """The quotient route's pair is checked on the whole graph: a vector with
+    a negative entry, or a lambda1 off by 0.1, raises."""
+    g = bowtie()
+    lam, perron = spectra._quotient_perron(g)
+    flipped = perron.copy()
+    flipped[1] = -flipped[1]
+    assert flipped.sum() > 0
+    monkeypatch.setattr(spectra, "_quotient_perron", lambda g: (lam, flipped))
+    with pytest.raises(ArithmeticError, match="not strictly positive"):
+        eigen_spectrum(g)
+    monkeypatch.setattr(spectra, "_quotient_perron", lambda g: (lam + 0.1, perron.copy()))
+    with pytest.raises(ArithmeticError, match="residual"):
+        eigen_spectrum(g)
+
+
 def test_iterative_path_agrees_with_dense(monkeypatch):
     # the second graph adds a loop at 0 and a second edge 1-2: A[0, 0] = 2
     # and A[1, 2] = 2 in the sparse adjacency too
