@@ -337,6 +337,8 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
             f"{'PASS' if ok else 'FAIL'} n={g.n} m={len(g.edges)} "
             f"{klass.name.lower():<12} lambda1={lam:.9f} rho={r.value:.9f} {note}"
         )
+    if not lines:  # checking nothing is no pass
+        raise ValueError(f"no connected graph has n <= {args.max_n} and m <= {args.max_m}")
     lines.append(
         f"checked {len(lines)} graphs "
         f"(n <= {args.max_n}, m <= {args.max_m}): "

@@ -70,16 +70,17 @@ class GapCertificate:
         return self.lambda1 - self.margin
 
 
-def _chain_step(core: CoreDecomposition) -> Fraction:
-    """epsilon = 1 / (2 * number of interior half-edges): no chain is that
-    long, so chain weights stay below 2."""
-    return Fraction(1, 2 * len(core.int_half_edges))
+def _chain_steps(core: CoreDecomposition) -> int:
+    """2 * interior half-edges, more than any chain: epsilon = 1 / steps keeps weights below 2."""
+    return 2 * len(core.int_half_edges)
 
 
 def gamma_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
     """Interior weights: 1 on half-edges leaving core vertices of core degree
     above 2, then +epsilon per step walking along degree-2 chains, with
-    epsilon = 1 / (2 * number of interior half-edges).
+    epsilon = 1 / steps and steps = 2 * number of interior half-edges. The
+    walk counts each half-edge's integer position j on its chain; its weight
+    is (steps + j) / steps.
 
     Requires a multicyclic core, where every core cycle passes through a
     vertex of core degree above 2, so every chain terminates.
@@ -87,50 +88,37 @@ def gamma_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
     g = core.graph
     if cyclomatic_class(g) is not CyclomaticClass.MULTICYCLIC:
         raise ValueError("gamma_assignment requires a multicyclic graph")
-    eps = _chain_step(core)
     core_deg = core.core_degrees
-    weights: dict[int, Fraction] = {}
+    position: dict[int, int] = {}
     # walk each chain from its root, a half-edge leaving a core vertex of
     # core degree above 2, one step on per chain vertex
     for h in sorted(h for h in core.int_half_edges if core_deg[g.sources[h]] > 2):
-        weights[h] = w = Fraction(1)
+        j = position[h] = 0
         while core_deg[g.targets[h]] == 2:  # a chain vertex: one way on
             at = g.half_edges_at[g.targets[h]]
             (h,) = [h2 for h2 in at if h2 != h ^ 1 and h2 in core.int_half_edges]
-            w += eps
-            weights[h] = w
+            j = position[h] = j + 1
 
-    if set(weights) != core.int_half_edges:  # pragma: no cover
-        raise AssertionError("interior weights missed some half-edges")
-    for h, w in weights.items():
-        if not (1 <= w < 2):  # pragma: no cover
-            raise AssertionError(f"interior weight {w} escaped [1, 2)")
-    return weights
+    steps = _chain_steps(core)
+    if set(position) != core.int_half_edges or max(position.values()) >= steps:  # pragma: no cover
+        raise AssertionError("interior weights miss a half-edge or escape [1, 2)")
+    weight = {j: Fraction(steps + j, steps) for j in set(position.values())}
+    return {h: weight[j] for h, j in position.items()}
 
 
 def delta_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
     """Pendant-tree weights: 1 on half-edges leaving the core, then each
     vertex with d onward half-edges passes 1/(d+1) of its inbound weight to
-    each, so children always sum below their parent."""
+    each, so children always sum below their parent. One pass in peel order
+    (core.ext_half_edges), where a half-edge out of a pendant vertex weighs
+    that vertex's inbound weight over its degree, d + 1."""
     g = core.graph
     weights: dict[int, Fraction] = {}
-    roots = sorted(h for h in core.ext_half_edges if g.sources[h] in core.core_vertices)
-    stack = []
-    for h in roots:
-        weights[h] = Fraction(1)
-        stack.append(h)
-    while stack:
-        h = stack.pop()
-        u = g.targets[h]
-        onward = [h2 for h2 in g.half_edges_at[u] if h2 != (h ^ 1)]
-        share = Fraction(weights[h], len(onward) + 1) if onward else None
-        for h2 in onward:
-            if h2 not in core.ext_half_edges:  # pragma: no cover
-                raise AssertionError("pendant tree walked into the core")
-            weights[h2] = share
-            stack.append(h2)
-    if set(weights) != set(core.ext_half_edges):  # pragma: no cover
-        raise AssertionError("exterior weights missed some half-edges")
+    inbound: dict[int, Fraction] = {}
+    for h in core.ext_half_edges:
+        u = g.sources[h]
+        w = Fraction(1) if u in core.core_vertices else inbound[u] / g.degrees[u]
+        weights[h] = inbound[g.targets[h]] = w
     return weights
 
 
@@ -205,8 +193,8 @@ def certify_gap(
     The 120 grid points are evaluated in one array pass (module docstring);
     the first widest margin in (gamma, delta) order wins, and g_values is
     expanded for that pair only."""
-    if not tol >= 0:  # NaN fails too
-        raise ValueError("tolerance must be nonnegative")
+    if not 0 <= tol < float("inf"):  # NaN fails too; +inf would skip the cross-check
+        raise ValueError("tolerance must be finite and nonnegative")
     if cyclomatic_class(g) is not CyclomaticClass.MULTICYCLIC:
         raise ValueError(
             "certify_gap requires a multicyclic graph; unicyclic and tree covers "
@@ -241,7 +229,7 @@ def certify_gap(
         delta,
         gamma_w,
         delta_w,
-        _chain_step(core),
+        Fraction(1, _chain_steps(core)),
         vals,
         g_max,
         lam,

@@ -4,14 +4,15 @@ The 2-core of a connected multigraph with at least one cycle is what remains
 after repeatedly deleting degree-1 vertices. Edges with both endpoints in the
 core are interior (kept in both half-edge directions); every other edge lies
 in a pendant tree and is kept as the single half-edge directed away from the
-core.
+core. core_degrees is the peel's own degree count on the survivors (loops
+count 2); ext_half_edges is in reverse peel order, so each half-edge's source
+is a core vertex or the target of an earlier entry.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .multigraph import MultiGraph, require_connected
 
@@ -22,15 +23,8 @@ class CoreDecomposition:
     core_vertices: frozenset[int]
     ext_vertices: frozenset[int]
     int_half_edges: frozenset[int]
-    ext_half_edges: frozenset[int]
-
-    @cached_property
-    def core_degrees(self) -> dict[int, int]:
-        """Degree within the core subgraph, half-edge counted (loops add 2)."""
-        deg = {v: 0 for v in self.core_vertices}
-        for h in self.int_half_edges:
-            deg[self.graph.sources[h]] += 1
-        return deg
+    ext_half_edges: tuple[int, ...]
+    core_degrees: dict[int, int] = field(compare=False)  # set by the fields above; a dict has no hash
 
 
 def two_core(g: MultiGraph) -> CoreDecomposition:
@@ -60,7 +54,7 @@ def two_core(g: MultiGraph) -> CoreDecomposition:
                 if deg[w] == 1:
                     queue.append(w)
 
-    core = frozenset(v for v in range(g.n) if alive[v])
+    core_deg = {v: deg[v] for v in range(g.n) if alive[v]}
     ext = frozenset(v for v in range(g.n) if not alive[v])
-    int_hes = (h for h, u in enumerate(g.sources) if alive[u] and alive[g.targets[h]])
-    return CoreDecomposition(g, core, ext, frozenset(int_hes), frozenset(ext_hes))
+    int_hes = frozenset(h for h, u in enumerate(g.sources) if alive[u] and alive[g.targets[h]])
+    return CoreDecomposition(g, frozenset(core_deg), ext, int_hes, tuple(ext_hes[::-1]), core_deg)

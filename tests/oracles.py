@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from coverspectra.cover import quotient
+from coverspectra.generators import random_lift
 from coverspectra.multigraph import MultiGraph, require_connected
 from coverspectra.rho import (
     _is_supersolution,
@@ -392,6 +393,26 @@ def gap_search_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, lam)
     return best
 
 
+def delta_by_dfs(core) -> dict[int, Fraction]:
+    """Pendant-tree weights by a depth-first walk down from the core, without
+    the peel order of core.ext_half_edges: 1 on each half-edge leaving the
+    core, then a vertex with d onward half-edges gives each of them 1/(d+1)
+    of its inbound weight."""
+    g = core.graph
+    ext = set(core.ext_half_edges)
+    stack = sorted(h for h in ext if g.sources[h] in core.core_vertices)
+    weights = {h: Fraction(1) for h in stack}
+    while stack:
+        h = stack.pop()
+        onward = [h2 for h2 in g.half_edges_at[g.targets[h]] if h2 != (h ^ 1)]
+        for h2 in onward:
+            assert h2 in ext, "pendant tree walked into the core"
+            weights[h2] = Fraction(weights[h], len(onward) + 1)
+            stack.append(h2)
+    assert set(weights) == ext, "exterior weights missed some half-edges"
+    return weights
+
+
 def mass_transport_by_distances(g: MultiGraph, R: int, length: int):
     """localstats.mass_transport_check from the n x n table of BFS
     distances over the whole graph: a reference for the version that reads
@@ -431,3 +452,12 @@ def gnp_giant(n: int, seed: int) -> MultiGraph:
     return MultiGraph.from_edges(
         len(comp), [(index[a], index[b]) for a, b in edges if a in index]
     )
+
+
+def connected_lift(base: MultiGraph, k: int) -> MultiGraph:
+    """The first connected k-lift of base over seeds 0, 1, 2, ..."""
+    for seed in range(100):
+        lift, _ = random_lift(base, k, seed)
+        if lift.is_connected:
+            return lift
+    raise AssertionError("no connected lift")  # pragma: no cover

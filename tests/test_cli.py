@@ -346,6 +346,13 @@ def test_verify_thm2_rejects_negative_tolerance(capsys):
     assert err == "error: tolerance must be nonnegative\n"
 
 
+@pytest.mark.parametrize("bounds", [("0", "7"), ("3", "-1")])
+def test_verify_thm2_rejects_bounds_that_select_nothing(capsys, bounds):
+    max_n, max_m = bounds
+    err = run_error(capsys, ["verify-thm2", "--max-n", max_n, "--max-m", max_m])
+    assert err == f"error: no connected graph has n <= {max_n} and m <= {max_m}\n"
+
+
 def test_verify_thm2_reports_certify_failures(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("no kernel")

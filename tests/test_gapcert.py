@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import g_values_by_loop, gap_search_by_loop
+from oracles import connected_lift, delta_by_dfs, g_values_by_loop, gap_search_by_loop, gnp_giant
 from coverspectra.gapcert import (
     _GRID,
     ROLE_ROOT,
@@ -24,7 +24,6 @@ from coverspectra.generators import (
     complete,
     cycle,
     path,
-    random_lift,
     theta,
     two_cycles_glued,
 )
@@ -117,6 +116,20 @@ def test_no_exterior_empty_map():
     assert delta_assignment(two_core(bowtie())) == {}
 
 
+def test_delta_one_pass_matches_depth_first_walk(corpus):
+    """The pass over the peel order gives exactly the weights of a
+    depth-first walk down each pendant tree."""
+    graphs = [g for g in corpus if g.m >= g.n]
+    graphs += [gnp_giant(300, seed) for seed in range(6)]  # many pendant trees
+    graphs += [
+        MultiGraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4))),
+        MultiGraph(6, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5))),
+    ]
+    for g in graphs:
+        core = two_core(g)
+        assert delta_assignment(core) == delta_by_dfs(core)
+
+
 def test_delta_inequality_exact(corpus):
     for g in corpus[::10]:
         if g.m < g.n:
@@ -157,20 +170,12 @@ def test_root_types_never_dominate(corpus, cache):
             assert max(roots) <= max(others) + 1e-12
 
 
-def _connected_lift(base, k):
-    for seed in range(100):
-        lift, _ = random_lift(base, k, seed)
-        if lift.is_connected:
-            return lift
-    raise AssertionError("no connected lift")  # pragma: no cover
-
-
 def test_grid_matches_loop_oracle_bit_for_bit(corpus, cache):
     """Every grid point of the one-pass evaluation equals the per-half-edge
     loop with ==, and so do certify_gap's chosen pair, margin and g values."""
     graphs = _multicyclic(corpus)[::5]
     graphs.append(two_cycles_glued(20, 20))
-    graphs += [_connected_lift(base, 10) for base in (bowtie(), complete(4), theta(1, 2, 3))]
+    graphs += [connected_lift(base, 10) for base in (bowtie(), complete(4), theta(1, 2, 3))]
     for g in graphs:
         core = two_core(g)
         gw, dw = gamma_assignment(core), delta_assignment(core)
@@ -196,7 +201,7 @@ def test_kernel_grid_ignores_weight_key_order(corpus, cache):
     permutes the type columns: every grid row holds the same multiset of
     values and the same max, so certify_gap's choice does not depend on the
     order in which gamma_assignment and delta_assignment write their keys."""
-    graphs = _multicyclic(corpus)[::7] + [_connected_lift(bowtie(), 40)]
+    graphs = _multicyclic(corpus)[::7] + [connected_lift(bowtie(), 40)]
     for g in graphs:
         core = two_core(g)
         gw, dw = gamma_assignment(core), delta_assignment(core)
@@ -254,6 +259,12 @@ def test_certificate_rejects_thin_graphs():
 def test_certificate_rejects_nan_tolerance():
     with pytest.raises(ValueError, match="tolerance"):
         certify_gap(bowtie(), tol=float("nan"))
+    # an infinite tolerance would switch the rho_tree cross-check off
+    g = bowtie()
+    real = rho_tree(g)
+    fake = dataclasses.replace(real, hi=real.hi + 1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        certify_gap(g, tol=math.inf, rho_result=fake)
 
 
 def test_inconsistent_cross_check_raises():

@@ -1,9 +1,10 @@
 import pytest
 
+from oracles import connected_lift, gnp_giant
 from coverspectra.localstats import enumerate_cycles
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.twocore import two_core
-from coverspectra.generators import bowtie, cycle, path
+from coverspectra.generators import bowtie, complete, cycle, path, theta
 
 
 def _all_cycles(g):
@@ -16,7 +17,7 @@ def test_bowtie_core_is_whole_graph():
     assert dec.core_vertices == frozenset(range(5))
     assert dec.ext_vertices == frozenset()
     assert dec.int_half_edges == frozenset(range(12))
-    assert dec.ext_half_edges == frozenset()
+    assert dec.ext_half_edges == ()
 
 
 def test_triangle_with_pendant_path():
@@ -78,7 +79,7 @@ def test_idempotent_and_min_degree_two(corpus):
         assert min(core.degrees) >= 2
         again = two_core(core)
         assert again.core_vertices == frozenset(range(core.n))
-        assert again.ext_half_edges == frozenset()
+        assert again.ext_half_edges == ()
         # partition and half-edge bookkeeping
         assert dec.core_vertices | dec.ext_vertices == frozenset(range(g.n))
         assert not (dec.core_vertices & dec.ext_vertices)
@@ -108,3 +109,39 @@ def test_multicyclic_cores_have_branch_vertex_on_every_cycle(corpus):
             assert any(dec.core_degrees[back[u]] > 2 for u in cyc.vertices)
         checked += 1
     assert checked > 1000
+
+
+def _peel_checked_graphs(corpus):
+    graphs = [g for g in corpus if g.m >= g.n]
+    graphs += [connected_lift(base, 40) for base in (bowtie(), complete(4), theta(1, 2, 3))]
+    graphs += [gnp_giant(300, seed) for seed in range(6)]
+    return graphs
+
+
+def test_core_degrees_match_a_recount(corpus):
+    """The peel's degree count on the survivors is the degree within the
+    core, loops counting 2."""
+    for g in _peel_checked_graphs(corpus):
+        dec = two_core(g)
+        recount = {v: 0 for v in dec.core_vertices}
+        for h in dec.int_half_edges:
+            recount[g.sources[h]] += 1
+        assert dec.core_degrees == recount
+
+
+def test_ext_half_edges_grow_outward_from_the_core(corpus):
+    """Each pendant half-edge leaves a core vertex or the target of an
+    earlier one."""
+    for g in _peel_checked_graphs(corpus):
+        dec = two_core(g)
+        reached = set(dec.core_vertices)
+        for h in dec.ext_half_edges:
+            assert g.sources[h] in reached
+            reached.add(g.targets[h])
+        assert reached == set(range(g.n))
+
+
+def test_decomposition_is_hashable_and_compares_equal():
+    g = bowtie()
+    assert two_core(g) == two_core(g)
+    assert hash(two_core(g)) == hash(two_core(g))
