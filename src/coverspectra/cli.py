@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Single-graph analyses print JSON (schema "cover-spectra/1", keys sorted);
-sweeps print CSV. All failures exit nonzero after a one-line
-"error: <reason>" on stderr. Identical argv and seeds produce byte-identical
-output.
+sweeps print CSV. Each subcommand maps its parsed arguments, graph files
+already read, to a JSON payload, or to text and an exit code; main alone
+checks that float flags are finite, reads the graphs, writes the output and
+turns every failure into exit 2 after a one-line "error: <reason>" on
+stderr. Identical argv and seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .multigraph import (
     dump_graph,
     load_graph,
 )
-from .rho import rho_tree
+from .rho import DEFAULT_TOL, rho_tree
 from .spectra import closed_walk_profile, eigen_spectrum, wr_fraction
 from .twocore import two_core
 
@@ -38,6 +40,9 @@ SCHEMA = "cover-spectra/1"
 _FAMILY_PARAMS = {
     name: tuple(inspect.signature(builder).parameters) for name, builder in _FAMILIES.items()
 }
+# the library's defaults for --tol and --eta, so each lives in one place
+_CERTIFY_TOL = inspect.signature(certify_gap).parameters["tol"].default
+_WR_ETA = inspect.signature(wr_fraction).parameters["eta"].default
 
 
 def _read_graph(path: str) -> MultiGraph:
@@ -61,213 +66,149 @@ def _write_text(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_finite(flag: str, value: float) -> None:
-    # JSON has no infinity to echo the value back with, and an infinite
-    # tolerance switches off the comparison it bounds
-    if not math.isfinite(value):
-        raise ValueError(f"{flag} must be finite, got {value}")
-
-
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def cmd_spectra(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    spec = eigen_spectrum(g)
-    _emit_json(
-        {
-            "n": g.n,
-            "m": len(g.edges),
-            "lambda1": spec.lambda1,
-            "eigenvalues": list(spec.eigenvalues) if spec.full else None,
-        },
-        args.out,
-    )
-    return 0
+def _make_family(args: argparse.Namespace, **given) -> tuple[MultiGraph, dict]:
+    """Build args.family from the values in given, else from its flags."""
+    params = {}
+    # an unknown family has no parameters here and is rejected by make
+    for name in _FAMILY_PARAMS.get(args.family, ()):
+        value = given.get(name, getattr(args, name, None))
+        if value is None:
+            raise ValueError(f"family {args.family!r} requires --{name}")
+        params[name] = value
+    return make(args.family, **params)
 
 
-def cmd_rho(args: argparse.Namespace) -> int:
-    _require_finite("--tol", args.tol)
-    g = _read_graph(args.graph)
-    r = rho_tree(g, tol=args.tol)
-    _emit_json(
-        {
-            "rho": r.value,
-            "lo": r.lo,
-            "hi": r.hi,
-            "tol": r.tol,
-            "probes": r.probes,
-            "ambiguous_probes": r.ambiguous_probes,
-            "vertex_slack_min": r.vertex_slack_min,
-        },
-        args.out,
-    )
-    return 0
+def cmd_spectra(args: argparse.Namespace) -> dict:
+    spec = eigen_spectrum(args.graph)
+    return {
+        "n": args.graph.n,
+        "m": len(args.graph.edges),
+        "lambda1": spec.lambda1,
+        "eigenvalues": list(spec.eigenvalues) if spec.full else None,
+    }
 
 
-def cmd_wr(args: argparse.Namespace) -> int:
-    _require_finite("--rho", args.rho)
-    _require_finite("--eta", args.eta)
-    g = _read_graph(args.graph)
-    spec = eigen_spectrum(g)
-    frac = wr_fraction(spec, args.rho, eta=args.eta)
-    _emit_json(
-        {
-            "wr_fraction": frac,
-            "rho": args.rho,
-            "eta": args.eta,
-            "n": g.n,
-        },
-        args.out,
-    )
-    return 0
+def cmd_rho(args: argparse.Namespace) -> dict:
+    r = rho_tree(args.graph, tol=args.tol)
+    return {
+        "rho": r.value,
+        "lo": r.lo,
+        "hi": r.hi,
+        "tol": r.tol,
+        "probes": r.probes,
+        "ambiguous_probes": r.ambiguous_probes,
+        "vertex_slack_min": r.vertex_slack_min,
+    }
 
 
-def cmd_treefrac(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    _emit_json({"r": args.r, "tree_fraction": tree_fraction(g, args.r)}, args.out)
-    return 0
+def cmd_wr(args: argparse.Namespace) -> dict:
+    spec = eigen_spectrum(args.graph)
+    return {
+        "wr_fraction": wr_fraction(spec, args.rho, eta=args.eta),
+        "rho": args.rho,
+        "eta": args.eta,
+        "n": args.graph.n,
+    }
 
 
-def cmd_core(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    core = two_core(g)
-    _emit_json(
-        {
-            "cyclomatic_class": cyclomatic_class(g).name.lower(),
-            "core_vertices": sorted(core.core_vertices),
-            "ext_vertices": sorted(core.ext_vertices),
-            "int_half_edges": sorted(core.int_half_edges),
-            "ext_half_edges": sorted(core.ext_half_edges),
-        },
-        args.out,
-    )
-    return 0
+def cmd_treefrac(args: argparse.Namespace) -> dict:
+    return {"r": args.r, "tree_fraction": tree_fraction(args.graph, args.r)}
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
-    _require_finite("--tol", args.tol)
-    g = _read_graph(args.graph)
-    cert = certify_gap(g, tol=args.tol)
-    _emit_json(
-        {
-            "gamma": cert.gamma,
-            "delta": cert.delta,
-            "epsilon_chain_step": _frac(cert.epsilon_chain_step),
-            "margin": cert.margin,
-            "g_max": cert.g_max,
-            "lambda1": cert.lambda1,
-            "rho_upper_implied": cert.rho_upper_bound,
-            "gamma_weights": {str(h): _frac(w) for h, w in cert.gamma_weights.items()},
-            "delta_weights": {str(h): _frac(w) for h, w in cert.delta_weights.items()},
-        },
-        args.out,
-    )
-    return 0
+def cmd_core(args: argparse.Namespace) -> dict:
+    core = two_core(args.graph)
+    return {
+        "cyclomatic_class": cyclomatic_class(args.graph).name.lower(),
+        "core_vertices": sorted(core.core_vertices),
+        "ext_vertices": sorted(core.ext_vertices),
+        "int_half_edges": sorted(core.int_half_edges),
+        "ext_half_edges": sorted(core.ext_half_edges),
+    }
 
 
-def cmd_unicyclic(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    spec = eigen_spectrum(g)
-    bound = unicyclic_defect(g, args.copies, spectrum=spec)
-    _emit_json(
-        {"copies": args.copies, "defect_bound": bound, "lambda1": spec.lambda1},
-        args.out,
-    )
-    return 0
+def cmd_certify(args: argparse.Namespace) -> dict:
+    cert = certify_gap(args.graph, tol=args.tol)
+    return {
+        "gamma": cert.gamma,
+        "delta": cert.delta,
+        "epsilon_chain_step": _frac(cert.epsilon_chain_step),
+        "margin": cert.margin,
+        "g_max": cert.g_max,
+        "lambda1": cert.lambda1,
+        "rho_upper_implied": cert.rho_upper_bound,
+        "gamma_weights": {str(h): _frac(w) for h, w in cert.gamma_weights.items()},
+        "delta_weights": {str(h): _frac(w) for h, w in cert.delta_weights.items()},
+    }
 
 
-def cmd_walks(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    closed = closed_walk_profile(g, args.vertex, args.kmax)
-    back = backtracking_walk_profile(g, args.vertex, args.kmax)
-    _emit_json(
-        {"vertex": args.vertex, "closed": list(closed), "backtracking": list(back)},
-        args.out,
-    )
-    return 0
+def cmd_unicyclic(args: argparse.Namespace) -> dict:
+    spec = eigen_spectrum(args.graph)
+    bound = unicyclic_defect(args.graph, args.copies, spectrum=spec)
+    return {"copies": args.copies, "defect_bound": bound, "lambda1": spec.lambda1}
 
 
-def cmd_orbits(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    dist = orbit_distribution(g)
-    _emit_json(
-        {
-            "rounds": dist.rounds,
-            "classes": [
-                {
-                    "representative": c.representative,
-                    "size": len(c.members),
-                    "p": _frac(c.p),
-                }
-                for c in dist.classes
-            ],
-        },
-        args.out,
-    )
-    return 0
+def cmd_walks(args: argparse.Namespace) -> dict:
+    closed = closed_walk_profile(args.graph, args.vertex, args.kmax)
+    back = backtracking_walk_profile(args.graph, args.vertex, args.kmax)
+    return {"vertex": args.vertex, "closed": list(closed), "backtracking": list(back)}
 
 
-def cmd_bouquet(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    pair = find_bouquet(g, args.vertex, args.k, args.length)
+def cmd_orbits(args: argparse.Namespace) -> dict:
+    dist = orbit_distribution(args.graph)
+    return {
+        "rounds": dist.rounds,
+        "classes": [
+            {
+                "representative": c.representative,
+                "size": len(c.members),
+                "p": _frac(c.p),
+            }
+            for c in dist.classes
+        ],
+    }
+
+
+def cmd_bouquet(args: argparse.Namespace) -> dict:
+    pair = find_bouquet(args.graph, args.vertex, args.k, args.length)
     payload: dict = {"found": pair is not None, "k": args.k, "length": args.length}
     if pair:
         payload["cycles"] = [sorted(c.vertex_set) for c in pair]
-    _emit_json(payload, args.out)
-    return 0
+    return payload
 
 
-def cmd_bs_dist(args: argparse.Namespace) -> int:
-    g1 = _read_graph(args.graph)
-    g2 = _read_graph(args.other)
-    h1 = bs_histogram(g1, args.r)
-    h2 = bs_histogram(g2, args.r)
+def cmd_bs_dist(args: argparse.Namespace) -> dict:
+    h1 = bs_histogram(args.graph, args.r)
+    h2 = bs_histogram(args.other, args.r)
     if args.csv is not None:
         rows = "".join(f"{code},{count}\n" for code, count in sorted(h1.items()))
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("code,count\n" + rows)
-    _emit_json(
-        {
-            "r": args.r,
-            "tv_distance": tv_distance(h1, h2),
-            "types_first": len(h1),
-            "types_second": len(h2),
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "r": args.r,
+        "tv_distance": tv_distance(h1, h2),
+        "types_first": len(h1),
+        "types_second": len(h2),
+    }
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
-    params = {}
-    # an unknown family has no parameters here and is rejected by make
-    for name in _FAMILY_PARAMS.get(args.family, ()):
-        value = getattr(args, name)
-        if value is None:
-            raise ValueError(f"family {args.family!r} requires --{name}")
-        params[name] = value
-    g, info = make(args.family, **params)
+def cmd_gen(args: argparse.Namespace) -> tuple[str, int]:
+    g, info = _make_family(args)
     header = "".join(f"# {k}={v}\n" for k, v in sorted(info.items()))
-    _write_text(header + dump_graph(g), args.out)
-    return 0
+    return header + dump_graph(g), 0
 
 
-def cmd_lift(args: argparse.Namespace) -> int:
-    base = _read_graph(args.graph)
-    lift, _ = random_lift(base, args.n, args.seed)
+def cmd_lift(args: argparse.Namespace) -> tuple[str, int]:
+    lift, _ = random_lift(args.graph, args.n, args.seed)
     components = len(lift.connected_components())
-    header = f"# components={components}\n"
-    _write_text(header + dump_graph(lift), args.out)
-    return 0
+    return f"# components={components}\n" + dump_graph(lift), 0
 
 
 def _experiment_row(args: argparse.Namespace, size: int, seed: int) -> dict:
-    params = {"n": size}
-    if args.family == "random_regular":
-        params.update(d=args.d, seed=seed)
-    g, info = make(args.family, **params)
+    g, info = _make_family(args, n=size, seed=seed)
     if info and not (info["simple"] and info["connected"]):
         raise ValueError(
             f"random_regular drew no simple connected graph for n={size}, d={args.d}, "
@@ -285,11 +226,9 @@ def _experiment_row(args: argparse.Namespace, size: int, seed: int) -> dict:
     }
 
 
-def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.family not in _FAMILY_PARAMS or "n" not in _FAMILY_PARAMS[args.family]:
+def cmd_experiment(args: argparse.Namespace) -> tuple[str, int]:
+    if "n" not in _FAMILY_PARAMS.get(args.family, ()):
         raise ValueError(f"family {args.family!r} has no size parameter")
-    if args.family == "random_regular" and args.d is None:
-        raise ValueError("random_regular requires --d")
     sizes = [int(s) for s in args.sizes.split(",") if s]
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if not sizes:
@@ -304,26 +243,24 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     )
     writer.writeheader()
     writer.writerows(rows)
-    _write_text(buf.getvalue(), args.out)
-    return 0
+    return buf.getvalue(), 0
 
 
-def cmd_verify_thm2(args: argparse.Namespace) -> int:
-    # an infinite tol reads every gap as "equal", a negative one every tree
-    # as a failure
-    _require_finite("--tol", args.tol)
+def cmd_verify_thm2(args: argparse.Namespace) -> tuple[str, int]:
+    # a negative tol reads every tree as a failure
     if args.tol < 0:
         raise ValueError("tolerance must be nonnegative")
     lines = []
     failures = 0
     for g in small_connected_multigraphs(args.max_n, args.max_m):
         klass = cyclomatic_class(g)
-        lam = eigen_spectrum(g).lambda1
+        spec = eigen_spectrum(g)
+        lam = spec.lambda1
         r = rho_tree(g)
         equal = abs(lam - r.value) <= args.tol
         if klass is CyclomaticClass.MULTICYCLIC:
             try:
-                cert = certify_gap(g, tol=args.tol, rho_result=r)
+                cert = certify_gap(g, tol=args.tol, rho_result=r, spectrum=spec)
                 ok = not equal and cert.margin > 0
                 note = f"margin={cert.margin:.3e}"
             except Exception as exc:  # noqa: BLE001 - reported in the table
@@ -344,8 +281,7 @@ def cmd_verify_thm2(args: argparse.Namespace) -> int:
         f"(n <= {args.max_n}, m <= {args.max_m}): "
         + ("all pass" if not failures else f"{failures} FAILED")
     )
-    _write_text("\n".join(lines) + "\n", args.out)
-    return 0 if not failures else 1
+    return "\n".join(lines) + "\n", 0 if not failures else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("spectra", cmd_spectra, "adjacency eigenvalues and lambda1")
 
     p = add("rho", cmd_rho, "certified cover-tree spectral radius")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("wr", cmd_wr, "fraction of eigenvalues at or below rho")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--eta", type=float, default=1e-9)
+    p.add_argument("--eta", type=float, default=_WR_ETA)
 
     p = add("treefrac", cmd_treefrac, "fraction of tree radius-r balls")
     p.add_argument("--r", type=int, required=True)
@@ -378,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("core", cmd_core, "2-core decomposition")
 
     p = add("certify", cmd_certify, "spectral-gap certificate (multicyclic)")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=_CERTIFY_TOL)
 
     p = add("unicyclic", cmd_unicyclic, "unicyclic approximation defect bound")
     p.add_argument("--copies", type=int, required=True)
@@ -414,12 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--d", type=int)
     p.add_argument("--r", type=int, default=2)
-    p.add_argument("--eta", type=float, default=1e-9)
+    p.add_argument("--eta", type=float, default=_WR_ETA)
 
     p = add("verify-thm2", cmd_verify_thm2, "exhaustive small-graph gap check", graph=False)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-m", type=int, default=5)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=_CERTIFY_TOL)
 
     return parser
 
@@ -427,7 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        for name, value in vars(args).items():
+            # JSON has no infinity to echo the value back with, and an
+            # infinite tolerance switches off the comparison it bounds
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{name} must be finite, got {value}")
+        for name in ("graph", "other"):  # the graph file positionals
+            if name in args:
+                setattr(args, name, _read_graph(getattr(args, name)))
+        result = args.func(args)
+        if isinstance(result, dict):
+            _emit_json(result, args.out)
+            return 0
+        text, code = result
+        _write_text(text, args.out)
+        return code
     except Exception as exc:  # noqa: BLE001 - single CLI error funnel
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -64,8 +64,10 @@ neither on the quotient code nor on rounding. The candidate is the fold
 point, a supersolution at any t > rho(T), or, when there is none (a tree,
 or no bordered solve settled) or it fails, the least fixed point at the
 midpoint s (1 + pad / 2) from one Newton run. At the default tol the fold
-point passed on every graph with a cycle that was tried; it failed only at
-tol 1e-14 and below. lo = s (1 - pad) needs one Newton run that diverges.
+point passes on every graph with a cycle among the connected multigraphs
+with n <= 5 and m <= 7, but not on all graphs: on an 11-vertex unicyclic
+graph in the tests it fails, and hi rests on the midpoint's fixed point.
+lo = s (1 - pad) needs one Newton run that diverges.
 Both runs start from the warm-up's last iterate (zeros on a tree), a
 subsolution below every supersolution at any t below the warm-up's last t.
 A side whose check fails doubles its pad, so the bracket is always a proof,

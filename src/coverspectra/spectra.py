@@ -117,8 +117,8 @@ def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:
     """Fraction of eigenvalues (all of them, top included) with |lam| <= rho + eta."""
     if not spectrum.full:
         raise ValueError("wr_fraction needs the full spectrum; input was truncated")
-    if not eta >= 0:  # NaN fails too
-        raise ValueError("eta must be nonnegative")
+    if not 0 <= eta < float("inf"):  # NaN fails too; +inf would count every eigenvalue
+        raise ValueError("eta must be finite and nonnegative")
     if np.isnan(rho):
         raise ValueError("rho must not be NaN")
     inside = int(np.count_nonzero(np.abs(spectrum.eigenvalues) <= rho + eta))

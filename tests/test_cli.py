@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import io
 import json
@@ -412,11 +413,36 @@ def test_missing_file_and_bad_format(capsys, tmp_path):
         ["verify-thm2", "--tol", "nan"],
         ["certify", "--tol", "inf"],
         ["verify-thm2", "--tol", "inf"],
+        ["experiment", "--family", "cycle", "--sizes", "5", "--eta", "inf"],
+        ["experiment", "--family", "cycle", "--sizes", "5", "--eta=-inf"],
     ],
 )
 def test_nan_tolerances_exit_with_error(capsys, write_graph, argv):
-    graph = [] if argv[0] == "verify-thm2" else [write_graph(bowtie())]
-    run_error(capsys, [argv[0], *graph, *argv[1:]])
+    graph = [] if argv[0] in ("verify-thm2", "experiment") else [write_graph(bowtie())]
+    err = run_error(capsys, [argv[0], *graph, *argv[1:]])
+    assert " must be finite, got " in err
+
+
+def test_every_float_flag_must_be_finite(capsys, write_graph):
+    """Walks the parser, so a float flag added later cannot skip the check."""
+    graph = write_graph(bowtie())
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    checked = []
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.type is not float:
+                continue
+            flag = action.option_strings[0]
+            argv = [command]
+            for other in parser._actions:
+                if not other.option_strings:
+                    argv.append(graph)
+                elif other.required and other is not action:
+                    argv += [other.option_strings[0], "1"]
+            err = run_error(capsys, [*argv, flag, "inf"])
+            assert err == f"error: {flag} must be finite, got inf\n", (command, flag)
+            checked.append((command, flag))
+    assert ("experiment", "--eta") in checked and len(checked) >= 6
 
 
 def test_non_finite_values_are_named(capsys, write_graph):

@@ -386,8 +386,8 @@ BEYOND_CORPUS = {
     "path50": lambda: path(50),
     "path200": lambda: path(200),
     "star7": lambda: star(7),
-    # its fold point fails the float check at s + tol/4, so hi rests on the
-    # least fixed point at the midpoint s + tol/8
+    # at the default tol its fold point fails the exact check at s + tol/4,
+    # so hi rests on the least fixed point at the midpoint s + tol/8
     "unicyclic_fold_fails": lambda: MultiGraph.from_edges(
         11, ((0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (2, 8), (3, 9), (3, 10), (6, 4))
     ),
@@ -412,6 +412,26 @@ def test_bracket_overlaps_bisection_on_corpus(corpus):
 @pytest.mark.parametrize("name", sorted(BEYOND_CORPUS))
 def test_bracket_overlaps_bisection_beyond_corpus(name):
     _assert_overlaps_bisection(BEYOND_CORPUS[name]())
+
+
+def test_midpoint_fixed_point_certifies_when_the_fold_point_fails(monkeypatch):
+    """On this unicyclic graph the fold point fails the exact check at the
+    first hi candidate, and the midpoint's least fixed point passes it at
+    the same t, so hi moves there on the first probe."""
+    g = BEYOND_CORPUS["unicyclic_fold_fails"]()
+    exact = rho_module._is_supersolution
+    checks = []
+
+    def spy(g, t, f):
+        slack = exact(g, t, f)
+        checks.append((t, slack is not None))
+        return slack
+
+    monkeypatch.setattr(rho_module, "_is_supersolution", spy)
+    res = rho_tree(g)
+    assert checks == [(res.hi, False), (res.hi, True)]
+    assert res.probes[0] == (res.hi, True, "certified")
+    assert res.lo <= eigen_spectrum(g).lambda1 <= res.hi
 
 
 @pytest.mark.parametrize("leaves, want", [(2, 2.6250003795), (4, 2.6965444222), (8, 3.1066478200)])

@@ -247,8 +247,9 @@ def test_wr_where_a_guarded_inertia_count_goes_wrong():
 
 
 def test_wr_rejects_nan_eta():
-    with pytest.raises(ValueError, match="eta"):
-        wr_fraction(eigen_spectrum(cycle(4)), 2.0, eta=float("nan"))
+    for eta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta"):
+            wr_fraction(eigen_spectrum(cycle(4)), 2.0, eta=eta)
     with pytest.raises(ValueError, match="rho"):
         wr_fraction(eigen_spectrum(cycle(4)), float("nan"))
     assert wr_fraction(eigen_spectrum(cycle(4)), float("inf")) == 1.0
