@@ -185,8 +185,7 @@ def cmd_bs_dist(args: argparse.Namespace) -> dict:
     h2 = bs_histogram(args.other, args.r)
     if args.csv is not None:
         rows = "".join(f"{code},{count}\n" for code, count in sorted(h1.items()))
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("code,count\n" + rows)
+        _write_text("code,count\n" + rows, args.csv)
     return {
         "r": args.r,
         "tv_distance": tv_distance(h1, h2),

@@ -43,8 +43,11 @@ class Quotient:
     """The quotient of g (module docstring). colors and rounds are refine's,
     cls[h] is the class of half-edge h (numbered by first half-edge), and C[a]
     and D[c] list the pairs (b, C[a, b]) and (a, D[c, a]) of nonzero counts
-    in increasing order. The walk tables only grow: branch[a][s] does not
-    depend on how deep they go; the ball codes are memoized the same way."""
+    in increasing order. members[c] lists the colour-c vertices in
+    increasing order, and the k x k integer colour matrix B[c, c'] counts
+    the colour-c' neighbours of each colour-c vertex (a loop twice). The
+    walk tables only grow: branch[a][s] does not depend on how deep they go;
+    the ball codes are memoized the same way."""
 
     def __init__(self, g: MultiGraph):
         colors, self.rounds = refine(g, [0] * g.n)
@@ -63,9 +66,17 @@ class Quotient:
                     out[cls[h]] = out.get(cls[h], 0) + 1
             return tuple(sorted(out.items()))
 
+        groups: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            groups.setdefault(c, []).append(v)
+        self.members = tuple(tuple(groups[c]) for c in range(len(groups)))
         # any member of a colour or a class will do: the partition is equitable
-        color_rep = {c: v for v, c in enumerate(colors)}
-        self.D = tuple(counts(g.half_edges_at[color_rep[c]]) for c in range(len(color_rep)))
+        self.D = tuple(counts(g.half_edges_at[vs[0]]) for vs in self.members)
+        target = [c for _, c in ids]  # the target colour of each class
+        self.B = np.zeros((len(groups), len(groups)), dtype=np.int64)
+        for c, row in enumerate(self.D):
+            for a, m in row:
+                self.B[c, target[a]] = m
         class_rep = {a: h for h, a in enumerate(cls)}  # keys in class order
         self.C = tuple(counts(g.half_edges_at[g.targets[h]], h ^ 1) for h in class_rep.values())
         self._branch = [[1] for _ in range(self.size)]
@@ -156,13 +167,5 @@ def orbit_distribution(g: MultiGraph) -> OrbitDistribution:
     uniform colouring (multigraph.refine)."""
     require_connected(g, "orbit_distribution")
     q = quotient(g)
-    colors = q.colors
-
-    members: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        members.setdefault(c, []).append(v)
-    classes = tuple(
-        OrbitClass(min(vs), tuple(vs), Fraction(len(vs), g.n))
-        for _, vs in sorted(members.items())
-    )
-    return OrbitDistribution(classes, colors, q.rounds)
+    classes = tuple(OrbitClass(vs[0], vs, Fraction(len(vs), g.n)) for vs in q.members)
+    return OrbitDistribution(classes, q.colors, q.rounds)

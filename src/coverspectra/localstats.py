@@ -213,8 +213,6 @@ def ball_code(g: MultiGraph, v: int, r: int) -> str:
 
 def bs_histogram(g: MultiGraph, r: int) -> dict[str, int]:
     """Counts of rooted radius-r ball types over all vertices."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
     hist: dict[str, int] = defaultdict(int)
     for v in range(g.n):
         hist[ball_code(g, v, r)] += 1

@@ -139,10 +139,32 @@ def _matrix(counts, shape: tuple[int, int], dense: bool):
     return csr_matrix((vals, (rows, cols)), shape=shape)
 
 
+def _solver(a):
+    """b -> a^-1 b, non-finite when a is exactly singular: np.linalg.solve
+    at every call for a dense array, one sparse LU factorization for a
+    sparse matrix."""
+    if isinstance(a, np.ndarray):
+
+        def solve(b):
+            try:
+                return np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:  # exactly singular
+                return np.full(b.shape, np.nan)
+
+        return solve
+    from scipy.sparse.linalg import splu
+
+    try:
+        return splu(a.tocsc()).solve
+    except RuntimeError:  # exactly singular
+        return lambda b: np.full(b.shape, np.nan)
+
+
 class _Operators:
     """The float64 view of a cover.Quotient that Newton, the fold solve and
     pivots use: C and D as dense arrays up to _DENSE_SOLVE_CAP classes and as
-    CSR matrices above, with linear solvers to match."""
+    CSR matrices above. Every linear solve, dense or sparse, goes through
+    _solver."""
 
     def __init__(self, q: Quotient):
         self.cls = q.cls
@@ -152,26 +174,12 @@ class _Operators:
         self.D = _matrix(q.D, (len(q.D), k), self.dense)
 
     def factor(self, w: np.ndarray):
-        """A solver for (I - diag(w) C) x = b: dense up to _DENSE_SOLVE_CAP
-        classes, from one sparse LU factorization above. A singular matrix
-        gives non-finite solutions."""
+        """A solver (_solver) for (I - diag(w) C) x = b."""
         if self.dense:
-            a = np.eye(self.size) - w[:, None] * self.C
-
-            def solve(b):
-                try:
-                    return np.linalg.solve(a, b)
-                except np.linalg.LinAlgError:  # exactly singular
-                    return np.full(b.shape, np.nan)
-
-            return solve
+            return _solver(np.eye(self.size) - w[:, None] * self.C)
         from scipy.sparse import diags, identity
-        from scipy.sparse.linalg import splu
 
-        try:
-            return splu((identity(self.size) - diags(w) @ self.C).tocsc()).solve
-        except RuntimeError:  # exactly singular
-            return lambda b: np.full(b.shape, np.nan)
+        return _solver(identity(self.size) - diags(w) @ self.C)
 
     def fold_step(self, f: np.ndarray, v: np.ndarray, t: float):
         """Newton's step (df, dv, dt) on the bordered fold system of the
@@ -184,21 +192,13 @@ class _Operators:
             a[:k, :k] = a[k:-1, k:-1] = np.diag(den) - f[:, None] * self.C
             a[k:-1, :k] = -v[:, None] * self.C - np.diag(cv)
             a[:k, -1], a[k:-1, -1], a[-1, k:-1] = f, v, 1.0
-            try:
-                d = np.linalg.solve(a, rhs)
-            except np.linalg.LinAlgError:  # exactly singular
-                d = np.full(2 * k + 1, np.nan)
         else:
             from scipy.sparse import bmat, diags
-            from scipy.sparse.linalg import splu
 
             h = diags(den) - diags(f) @ self.C
             dh = -(diags(v) @ self.C) - diags(cv)
             a = bmat([[h, None, f[:, None]], [dh, h, v[:, None]], [None, np.ones((1, k)), None]])
-            try:
-                d = splu(a.tocsc()).solve(rhs)
-            except RuntimeError:  # exactly singular
-                d = np.full(2 * k + 1, np.nan)
+        d = _solver(a)(rhs)
         return d[:k], d[k : 2 * k], d[2 * k]
 
 

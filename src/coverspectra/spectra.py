@@ -90,8 +90,8 @@ def eigen_spectrum(g: MultiGraph) -> Spectrum:
 
 
 def _quotient_perron(g: MultiGraph) -> tuple[float, np.ndarray]:
-    """lambda1 and A's Perron vector from the colour matrix B of
-    cover.quotient(g), read off one vertex per colour.
+    """lambda1 and A's Perron vector from the colour matrix B and the
+    colour sizes of cover.quotient(g).
 
     With s_c the size of colour c, s_c B[c, c'] = s_c' B[c', c], so
     S = sqrt(B o B^T) = diag(s)^(1/2) B diag(s)^(-1/2) is symmetric and
@@ -102,14 +102,10 @@ def _quotient_perron(g: MultiGraph) -> tuple[float, np.ndarray]:
 
     q = quotient(g)
     colors = np.array(q.colors)
-    k = len(q.D)
-    # any member of a colour will do: the partition is equitable
-    reps = {c: v for v, c in enumerate(q.colors)}
-    cells = [c * k + q.colors[g.targets[h]] for c, v in reps.items() for h in g.half_edges_at[v]]
-    b = np.bincount(np.array(cells, dtype=np.intp), minlength=k * k).reshape(k, k)
+    k, b = len(q.members), q.B
     # square roots of integers: finite, so skip scipy's scan
     top, u = eigh(np.sqrt(b * b.T), subset_by_index=(k - 1, k - 1), check_finite=False)
-    root = np.sqrt(np.bincount(colors, minlength=k))
+    root = np.sqrt([len(vs) for vs in q.members])
     return float(top[0]), u[colors, 0] / root[colors]
 
 

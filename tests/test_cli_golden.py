@@ -12,12 +12,13 @@ and review the diff of tests/data/cli before committing it.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import os
 from pathlib import Path
 
-from coverspectra.cli import main
+from coverspectra.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data" / "cli"
 
@@ -84,6 +85,12 @@ def test_cli_goldens(tmp_path):
             mismatched.append(name)
     assert mismatched == []
     assert _read(tmp_path / "bs-dist.csv") == _read(DATA / "bs-dist.csv")
+
+
+def test_every_subcommand_has_a_golden():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    covered = {argv[0] for argv, _ in CASES.values()}
+    assert sorted(set(sub.choices) - covered) == []
 
 
 def _write_goldens(tmp: Path) -> None:

@@ -227,6 +227,13 @@ def _assert_equitable(g):
     for v in range(g.n):
         counts = Counter(int(q.cls[h]) for h in g.half_edges_at[v])
         assert dict(q.D[q.colors[v]]) == counts
+        neighbours = Counter(q.colors[g.targets[h]] for h in g.half_edges_at[v])
+        assert {c: int(m) for c, m in enumerate(q.B[q.colors[v]]) if m} == neighbours
+    k = len(q.members)
+    assert q.B.shape == (k, k)
+    assert q.members == tuple(
+        tuple(v for v in range(g.n) if q.colors[v] == c) for c in range(k)
+    )
     # rho's float64 matrices carry the same counts
     ops = _Operators(q)
     assert np.array_equal(_dense(ops.C), _rows(q.C, q.size))

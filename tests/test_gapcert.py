@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import connected_lift, delta_by_dfs, g_values_by_loop, gap_search_by_loop, gnp_giant
@@ -273,6 +274,18 @@ def test_inconsistent_cross_check_raises():
     fake = dataclasses.replace(real, hi=real.hi + 1.0)
     with pytest.raises(CertificationError, match="inconsistent"):
         certify_gap(g, rho_result=fake)
+
+
+def test_no_positive_margin_is_an_error(monkeypatch):
+    """Every type at lambda1 leaves a best margin of 0, whatever the chain
+    step and the weights."""
+    g = bowtie()
+    lam = eigen_spectrum(g).lambda1
+    monkeypatch.setattr(
+        _Kernel, "__call__", lambda self, gammas, deltas: np.full((len(gammas), len(self.keys)), lam)
+    )
+    with pytest.raises(CertificationError, match="no positive margin"):
+        certify_gap(g)
 
 
 # -- unicyclic approximation -------------------------------------------------------------

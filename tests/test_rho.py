@@ -23,7 +23,9 @@ from coverspectra.cover import quotient
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.rho import (
     _DENSE_SOLVE_CAP,
+    _Operators,
     _is_supersolution,
+    _solver,
     rho_ball_power,
     rho_lower_sequence,
     rho_tree,
@@ -453,6 +455,29 @@ def test_sparse_quotient_path():
     assert walk_root <= res.value <= g.max_degree
     cert = np.array([res.fixed_point[h] for h in range(g.num_half_edges)])
     assert _is_supersolution(g, res.hi, cert) is not None
+
+
+# -- the one solve routine ------------------------------------------------------------------
+
+
+def test_solver_matches_numpy_and_gives_nan_when_singular():
+    """Both backends solve like np.linalg.solve, and an exactly singular
+    matrix gives all-NaN in the shape of b."""
+    from scipy.sparse import csr_matrix
+
+    regular = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    b = np.array([1.0, 2.0, 3.0])
+    for backend in (np.asarray, csr_matrix):
+        assert np.allclose(_solver(backend(regular))(b), np.linalg.solve(regular, b))
+        x = _solver(backend(singular))(b)
+        assert x.shape == b.shape and np.all(np.isnan(x))
+
+
+def test_factor_of_a_singular_newton_matrix_gives_nan():
+    # a cycle has one half-edge class with one continuation: I - C is 0
+    x = _Operators(quotient(cycle(5))).factor(np.ones(1))(np.ones(1))
+    assert x.shape == (1,) and np.all(np.isnan(x))
 
 
 # -- the exact supersolution check ---------------------------------------------------------
