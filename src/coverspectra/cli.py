@@ -23,13 +23,7 @@ from .cover import backtracking_walk_profile, orbit_distribution
 from .gapcert import certify_gap, unicyclic_defect
 from .generators import _FAMILIES, make, random_lift, small_connected_multigraphs
 from .localstats import bs_histogram, find_bouquet, tree_fraction, tv_distance
-from .multigraph import (
-    CyclomaticClass,
-    MultiGraph,
-    cyclomatic_class,
-    dump_graph,
-    load_graph,
-)
+from .multigraph import CyclomaticClass, MultiGraph, cyclomatic_class, dump_graph, load_graph
 from .rho import DEFAULT_TOL, rho_tree
 from .spectra import closed_walk_profile, eigen_spectrum, wr_fraction
 from .twocore import two_core
@@ -181,6 +175,8 @@ def cmd_bouquet(args: argparse.Namespace) -> dict:
 
 
 def cmd_bs_dist(args: argparse.Namespace) -> dict:
+    if args.csv == "":
+        raise ValueError("--csv needs a file path")
     h1 = bs_histogram(args.graph, args.r)
     h2 = bs_histogram(args.other, args.r)
     if args.csv is not None:

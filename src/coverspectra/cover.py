@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 import numpy as np
@@ -44,10 +44,10 @@ class Quotient:
     cls[h] is the class of half-edge h (numbered by first half-edge), and C[a]
     and D[c] list the pairs (b, C[a, b]) and (a, D[c, a]) of nonzero counts
     in increasing order. members[c] lists the colour-c vertices in
-    increasing order, and the k x k integer colour matrix B[c, c'] counts
-    the colour-c' neighbours of each colour-c vertex (a loop twice). The
-    walk tables only grow: branch[a][s] does not depend on how deep they go;
-    the ball codes are memoized the same way."""
+    increasing order; the k x k integer colour matrix B[c, c'], built from D
+    on first read, counts the colour-c' neighbours of each colour-c vertex (a
+    loop twice). The walk tables only grow: branch[a][s] does not depend on
+    how deep they go; the ball codes are memoized the same way."""
 
     def __init__(self, g: MultiGraph):
         colors, self.rounds = refine(g, [0] * g.n)
@@ -72,15 +72,19 @@ class Quotient:
         self.members = tuple(tuple(groups[c]) for c in range(len(groups)))
         # any member of a colour or a class will do: the partition is equitable
         self.D = tuple(counts(g.half_edges_at[vs[0]]) for vs in self.members)
-        target = [c for _, c in ids]  # the target colour of each class
-        self.B = np.zeros((len(groups), len(groups)), dtype=np.int64)
-        for c, row in enumerate(self.D):
-            for a, m in row:
-                self.B[c, target[a]] = m
+        self._target = tuple(c for _, c in ids)  # the target colour of each class
         class_rep = {a: h for h, a in enumerate(cls)}  # keys in class order
         self.C = tuple(counts(g.half_edges_at[g.targets[h]], h ^ 1) for h in class_rep.values())
         self._branch = [[1] for _ in range(self.size)]
         self._codes: dict[tuple, str] = {}
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        b = np.zeros((len(self.D),) * 2, dtype=np.int64)
+        for c, row in enumerate(self.D):
+            for a, m in row:
+                b[c, self._target[a]] = m
+        return b
 
     def walk_profile(self, color: int, k_max: int) -> list[int]:
         """[N_k(v) for k in 0..k_max] at any vertex v of the colour."""

@@ -174,6 +174,13 @@ def test_bs_dist_with_csv(capsys, write_graph, tmp_path):
     assert lines[1].endswith(",100")
 
 
+def test_bs_dist_rejects_an_empty_csv_path(capsys, write_graph):
+    graph = write_graph(cycle(5), "a.mg")
+    err = run_error(capsys, ["bs-dist", graph, graph, "--r", "1", "--csv", ""])
+    assert err == "error: --csv needs a file path\n"
+    assert capsys.readouterr().out == ""
+
+
 def test_bs_dist_cap_error(capsys, write_graph):
     from coverspectra.generators import complete
 

@@ -9,9 +9,10 @@ from coverspectra.cover import (
     orbit_distribution,
     quotient,
 )
+from coverspectra.localstats import bs_histogram
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class, refine
-from coverspectra.rho import _Operators
-from coverspectra.spectra import closed_walk_profile
+from coverspectra.rho import _Operators, rho_tree
+from coverspectra.spectra import closed_walk_profile, eigen_spectrum
 from coverspectra.generators import (
     biregular,
     bowtie,
@@ -183,6 +184,20 @@ def test_rebuilt_equal_graph_hits_the_quotient_cache():
     first = quotient(g)
     assert quotient(rebuilt) is first
     assert quotient.cache_info().hits == 1
+
+
+def test_only_eigen_spectrum_builds_the_colour_matrix():
+    """B has k^2 cells, k close to n on an irregular graph; the quotient's
+    other readers must not pay for it."""
+    g = gnp_giant(300, 5)
+    quotient.cache_clear()
+    rho_tree(g)
+    orbit_distribution(g)
+    backtracking_walk_profile(g, 0, 6)
+    bs_histogram(g, 2)
+    assert "B" not in quotient(g).__dict__
+    eigen_spectrum(g)
+    assert "B" in quotient(g).__dict__
 
 
 def test_ball_codes_are_the_materialized_cover_balls(small_corpus):
