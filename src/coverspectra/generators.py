@@ -1,5 +1,5 @@
 """Graph family constructors, random lifts, and the exhaustive corpus of
-small connected multigraphs.
+small connected multigraphs, built by one-edge augmentation.
 
 Every randomized constructor takes an explicit seed and draws from
 random.Random(seed) (Mersenne Twister), so identical parameters give
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 
 from .multigraph import MultiGraph, canonical_code
 
@@ -90,13 +89,10 @@ def two_cycles_glued(p: int, q: int) -> MultiGraph:
     return MultiGraph(p + q - 1, tuple(edges))
 
 
-def _is_simple(g: MultiGraph) -> bool:
-    seen = set()
-    for u, v in g.edges:
-        if u == v or (u, v) in seen:
-            return False
-        seen.add((u, v))
-    return True
+def _is_simple(pairs) -> bool:
+    """No loop and no unordered pair twice."""
+    keys = {(u, v) if u < v else (v, u) for u, v in pairs}
+    return len(keys) == len(pairs) and all(u != v for u, v in pairs)
 
 
 def random_regular(n: int, d: int, seed: int) -> tuple[MultiGraph, dict]:
@@ -112,14 +108,14 @@ def random_regular(n: int, d: int, seed: int) -> tuple[MultiGraph, dict]:
     stubs = [v for v in range(n) for _ in range(d)]
     for attempt in range(1, RANDOM_REGULAR_RETRIES + 1):
         rng.shuffle(stubs)
-        g = MultiGraph(
-            n, tuple((stubs[2 * i], stubs[2 * i + 1]) for i in range(n * d // 2))
-        )
-        simple = _is_simple(g)
-        connected = g.is_connected
-        if simple and connected:
-            return g, {"attempts": attempt, "simple": True, "connected": True}
-    return g, {"attempts": RANDOM_REGULAR_RETRIES, "simple": simple, "connected": connected}
+        pairs = tuple((stubs[2 * i], stubs[2 * i + 1]) for i in range(n * d // 2))
+        if _is_simple(pairs):
+            g = MultiGraph(n, pairs)
+            if g.is_connected:
+                return g, {"attempts": attempt, "simple": True, "connected": True}
+    g = MultiGraph(n, pairs)
+    flags = {"simple": _is_simple(pairs), "connected": g.is_connected}
+    return g, {"attempts": RANDOM_REGULAR_RETRIES, **flags}
 
 
 _FAMILIES = {
@@ -178,7 +174,22 @@ def canonical_key(g: MultiGraph) -> tuple[int, int, str]:
     return g.n, g.m, canonical_code(g, [0] * g.n)
 
 
-@lru_cache(maxsize=4)
+def _classes(candidates) -> list[MultiGraph]:
+    """One graph per isomorphism class among the candidates, sorted by edge
+    list. Each is relabelled to its lexicographically smallest sorted edge
+    list, pairs (u, v) with u <= v, over all n! labellings."""
+    reps: dict[tuple, MultiGraph] = {}
+    for g in candidates:
+        key = canonical_key(g)
+        if key not in reps:
+            smallest = min(
+                tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
+                for p in itertools.permutations(range(g.n))
+            )
+            reps[key] = MultiGraph(g.n, smallest)
+    return sorted(reps.values(), key=lambda g: g.edges)
+
+
 def small_connected_multigraphs(
     max_vertices: int = 5, max_edges: int = 7
 ) -> tuple[MultiGraph, ...]:
@@ -186,39 +197,26 @@ def small_connected_multigraphs(
     max_edges edges (loops and parallel edges included), one representative
     per isomorphism class, in a fixed deterministic order.
 
-    Enumerates edge multisets over the n(n+1)/2 vertex-pair slots, filters
-    for connectivity with a union-find, and dedups via canonical_key. The
-    default bounds scan roughly 200k labeled candidates. Each class keeps
-    the first labelling seen, which is its lexicographically smallest edge
-    list, and classes come in order of n, then m, then that edge list.
+    Built by one-edge augmentation, so every candidate is connected. A tree
+    on n vertices is a tree on n - 1 vertices plus a leaf. Any other
+    connected multigraph has a loop or a cycle edge whose removal leaves it
+    connected: it is a class with one edge fewer on the same n, plus an edge
+    in some vertex-pair slot. Candidates merge by canonical_key. Each class
+    keeps its smallest labelling, the first that a scan of edge multisets in
+    lexicographic order would meet, and classes come in order of n, then m,
+    then that edge list.
     """
-    out: dict[tuple, MultiGraph] = {}
-    for n in range(1, max_vertices + 1):
+    out: list[MultiGraph] = []
+    trees = [MultiGraph(1, ())]
+    for n in range(1, min(max_vertices, max_edges + 1) + 1):
+        if n > 1:
+            trees = _classes(
+                MultiGraph(n, g.edges + ((v, n - 1),)) for g in trees for v in range(n - 1)
+            )
         slots = [(i, j) for i in range(n) for j in range(i, n)]
-        lo = max(0, n - 1)
-        for m in range(lo, max_edges + 1):
-            for combo in itertools.combinations_with_replacement(
-                range(len(slots)), m
-            ):
-                parent = list(range(n))
-
-                def find(x: int) -> int:
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                merged = 0
-                for s in combo:
-                    u, v = slots[s]
-                    ru, rv = find(u), find(v)
-                    if ru != rv:
-                        parent[ru] = rv
-                        merged += 1
-                if merged != n - 1:
-                    continue
-                g = MultiGraph(n, tuple(slots[s] for s in combo))
-                key = canonical_key(g)
-                if key not in out:
-                    out[key] = g
-    return tuple(out.values())
+        layer = trees
+        out.extend(layer)
+        for _ in range(n, max_edges + 1):
+            layer = _classes(MultiGraph(n, g.edges + (s,)) for g in layer for s in slots)
+            out.extend(layer)
+    return tuple(out)

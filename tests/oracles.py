@@ -6,6 +6,7 @@ recomputed from first principles so agreement is evidence, not tautology.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from coverspectra.cover import quotient
-from coverspectra.generators import random_lift
+from coverspectra.generators import canonical_key, random_lift
 from coverspectra.multigraph import MultiGraph, require_connected
 from coverspectra.rho import (
     _is_supersolution,
@@ -461,3 +462,44 @@ def connected_lift(base: MultiGraph, k: int) -> MultiGraph:
         if lift.is_connected:
             return lift
     raise AssertionError("no connected lift")  # pragma: no cover
+
+
+def corpus_by_scan(max_vertices: int = 5, max_edges: int = 7) -> tuple[MultiGraph, ...]:
+    """small_connected_multigraphs by brute force.
+
+    Enumerates edge multisets over the n(n+1)/2 vertex-pair slots, filters
+    for connectivity with a union-find, and dedups via canonical_key. The
+    default bounds scan roughly 200k labeled candidates. Each class keeps
+    the first labelling seen, which is its lexicographically smallest edge
+    list, and classes come in order of n, then m, then that edge list.
+    """
+    out: dict[tuple, MultiGraph] = {}
+    for n in range(1, max_vertices + 1):
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        lo = max(0, n - 1)
+        for m in range(lo, max_edges + 1):
+            for combo in itertools.combinations_with_replacement(
+                range(len(slots)), m
+            ):
+                parent = list(range(n))
+
+                def find(x: int) -> int:
+                    while parent[x] != x:
+                        parent[x] = parent[parent[x]]
+                        x = parent[x]
+                    return x
+
+                merged = 0
+                for s in combo:
+                    u, v = slots[s]
+                    ru, rv = find(u), find(v)
+                    if ru != rv:
+                        parent[ru] = rv
+                        merged += 1
+                if merged != n - 1:
+                    continue
+                g = MultiGraph(n, tuple(slots[s] for s in combo))
+                key = canonical_key(g)
+                if key not in out:
+                    out[key] = g
+    return tuple(out.values())

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from coverspectra import generators
 from coverspectra.cover import orbit_distribution
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.rho import rho_tree
@@ -24,6 +25,7 @@ from coverspectra.generators import (
     theta,
     two_cycles_glued,
 )
+from oracles import corpus_by_scan
 
 
 # -- fixed families ---------------------------------------------------------------
@@ -122,6 +124,16 @@ def test_random_regular_deterministic():
 def test_random_regular_odd_product_rejected():
     with pytest.raises(ValueError, match="even"):
         random_regular(5, 3, seed=0)
+
+
+def test_random_regular_simple_means_no_parallel_pair():
+    # (u, v) and (v, u) are one pair; a draw holding both is not simple
+    for n, d in ((40, 4), (250, 3), (20, 3)):
+        for seed in range(50):
+            g, info = random_regular(n, d, seed)
+            if info["simple"]:
+                pairs = {(min(e), max(e)) for e in g.edges}
+                assert len(pairs) == g.m and all(u != v for u, v in pairs)
 
 
 def test_random_regular_exhausted_budget_is_flagged():
@@ -226,6 +238,27 @@ def test_corpus_is_deterministic(corpus):
     assert hashlib.sha256(listing).hexdigest() == (
         "507dd318aaca3ff2f3c6e52d859a4f67736ea6602db5ed62446ba07539422042"
     )
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0, 3), (3, -1), (1, 0), (1, 3), (2, 0), (3, 4), (4, 5), (5, 3), (6, 4)]
+)
+def test_corpus_equals_the_edge_multiset_scan(bounds):
+    # same classes, same representatives, same order; (5, 7) is pinned above
+    assert small_connected_multigraphs(*bounds) == corpus_by_scan(*bounds)
+
+
+def test_corpus_canonical_key_calls(monkeypatch):
+    # one call per augmentation candidate; the edge-multiset scan makes 53,886
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return canonical_key(g)
+
+    monkeypatch.setattr(generators, "canonical_key", counting)
+    assert len(small_connected_multigraphs(5, 7)) == 1177
+    assert len(calls) == 4001
 
 
 def test_corpus_contains_the_named_small_graphs(corpus, small_corpus):
