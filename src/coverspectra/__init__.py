@@ -4,8 +4,8 @@ The package computes, certifies, and compares three spectral quantities:
 the adjacency top eigenvalue of a finite connected multigraph G, the
 spectral radius of its universal cover tree, and the fraction of G's
 eigenvalues lying within the cover's radius. Around these sit exact walk
-counting on the cover, 2-core based gap certificates, local ball statistics,
-and generators for graph families sharing a common cover.
+counting on the cover, gap certificates on its quotient, local ball
+statistics, and generators for graph families sharing a common cover.
 """
 
 from .cover import (
@@ -18,8 +18,6 @@ from .gapcert import (
     CertificationError,
     GapCertificate,
     certify_gap,
-    delta_assignment,
-    gamma_assignment,
     unicyclic_defect,
 )
 from .generators import (
@@ -104,12 +102,10 @@ __all__ = [
     "cycle",
     "cycle_stats",
     "cyclomatic_class",
-    "delta_assignment",
     "dump_graph",
     "eigen_spectrum",
     "enumerate_cycles",
     "find_bouquet",
-    "gamma_assignment",
     "induced_subgraph",
     "load_graph",
     "make",

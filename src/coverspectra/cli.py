@@ -19,7 +19,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .cover import backtracking_walk_profile, orbit_distribution
+from .cover import backtracking_walk_profile, orbit_distribution, quotient
 from .gapcert import certify_gap, unicyclic_defect
 from .generators import _FAMILIES, make, random_lift, small_connected_multigraphs
 from .localstats import bs_histogram, find_bouquet, tree_fraction, tv_distance
@@ -126,6 +126,8 @@ def cmd_core(args: argparse.Namespace) -> dict:
 
 def cmd_certify(args: argparse.Namespace) -> dict:
     cert = certify_gap(args.graph, tol=args.tol)
+    gw, dw = cert.gamma_weights, cert.delta_weights  # per class: cls lifts them to half-edges
+    cls = list(enumerate(quotient(args.graph).cls.tolist()))
     return {
         "gamma": cert.gamma,
         "delta": cert.delta,
@@ -134,8 +136,8 @@ def cmd_certify(args: argparse.Namespace) -> dict:
         "g_max": cert.g_max,
         "lambda1": cert.lambda1,
         "rho_upper_implied": cert.rho_upper_bound,
-        "gamma_weights": {str(h): _frac(w) for h, w in cert.gamma_weights.items()},
-        "delta_weights": {str(h): _frac(w) for h, w in cert.delta_weights.items()},
+        "gamma_weights": {str(h): _frac(gw[a]) for h, a in cls if a in gw},
+        "delta_weights": {str(h): _frac(dw[a]) for h, a in cls if a in dw},
     }
 
 

@@ -41,13 +41,14 @@ from .multigraph import MultiGraph, refine, require_connected
 
 class Quotient:
     """The quotient of g (module docstring). colors and rounds are refine's,
-    cls[h] is the class of half-edge h (numbered by first half-edge), and C[a]
-    and D[c] list the pairs (b, C[a, b]) and (a, D[c, a]) of nonzero counts
-    in increasing order. members[c] lists the colour-c vertices in
-    increasing order; the k x k integer colour matrix B[c, c'], built from D
-    on first read, counts the colour-c' neighbours of each colour-c vertex (a
-    loop twice). The walk tables only grow: branch[a][s] does not depend on
-    how deep they go; the ball codes are memoized the same way."""
+    cls[h] is half-edge h's class (numbered by first half-edge), ends[a] its
+    (source, target) colours, and C[a] and D[c] list the pairs (b, C[a, b])
+    and (a, D[c, a]) of nonzero counts in increasing order. members[c] lists
+    the colour-c vertices in increasing order; the k x k integer colour
+    matrix B[c, c'], built from D on first read, counts the colour-c'
+    neighbours of each colour-c vertex (a loop twice). The walk tables only
+    grow: branch[a][s] does not depend on how deep they go; the ball codes
+    are memoized the same way."""
 
     def __init__(self, g: MultiGraph):
         colors, self.rounds = refine(g, [0] * g.n)
@@ -58,6 +59,7 @@ class Quotient:
         ]
         self.cls = np.array(cls, dtype=np.intp)
         self.size = len(ids)
+        self.ends = tuple(ids)
 
         def counts(half_edges, skip: int = -1) -> tuple[tuple[int, int], ...]:
             out: dict[int, int] = {}
@@ -72,7 +74,6 @@ class Quotient:
         self.members = tuple(tuple(groups[c]) for c in range(len(groups)))
         # any member of a colour or a class will do: the partition is equitable
         self.D = tuple(counts(g.half_edges_at[vs[0]]) for vs in self.members)
-        self._target = tuple(c for _, c in ids)  # the target colour of each class
         class_rep = {a: h for h, a in enumerate(cls)}  # keys in class order
         self.C = tuple(counts(g.half_edges_at[g.targets[h]], h ^ 1) for h in class_rep.values())
         self._branch = [[1] for _ in range(self.size)]
@@ -83,7 +84,7 @@ class Quotient:
         b = np.zeros((len(self.D),) * 2, dtype=np.int64)
         for c, row in enumerate(self.D):
             for a, m in row:
-                b[c, self._target[a]] = m
+                b[c, self.ends[a][1]] = m
         return b
 
     def walk_profile(self, color: int, k_max: int) -> list[int]:

@@ -1,36 +1,45 @@
 """Certified spectral gap between a multicyclic graph and its cover tree.
 
-The certificate splits edges at the 2-core: interior half-edges (core to
-core) get weights Gamma in [1, 2) built so that the weights of the
-continuations of any interior half-edge strictly outsum it, and pendant-tree
-half-edges directed away from the core get weights Delta in (0, 1] that
-strictly shrink along the tree. Scaling these weights by small parameters
-gamma and delta and pushing them through a weighted arithmetic-geometric
-mean bound on the cover's quadratic form yields, for every vertex type of the
-cover tree, a value g with |f_T(x)| <= max g * ||x||^2. The certified gap is
-lambda1(G) - max g, valid for any positive gamma and delta; a grid search
-picks a pair with a comfortable margin.
+It runs on cover.quotient(g): the cover's vertex types, the weights and the
+Perron vector, constant on colours (Godsil & Royle, Algebraic Graph Theory,
+9.3), are per class or per colour, so a lift costs what its base costs.
 
-All weight bookkeeping is in exact rationals; only the g evaluation against
-the Perron vector uses floats. It runs as arrays over half-edges, built once
-per certificate, and evaluates the whole gamma/delta grid in one pass: a
-(grid points x types) array whose every entry takes the same IEEE operations
-in the same order as a per-half-edge loop would (continuation sums add one
-padded column at a time, and a padded 0.0 adds exactly), so the search, the
-chosen pair and g_values do not depend on how the grid is batched.
+Weights. A class is outward (into a pendant tree) when all its continuations
+are, interior when neither it nor its reverse is. An interior class weighs
+1 + j * epsilon for its position j on a chain of core degree 2 colours from
+one of core degree above 2, epsilon = 1 / (2 (J + 1)) for the largest J: in
+[1, 1.5), outweighed by its continuations. An outward class weighs 1 out of
+a core colour, its inbound class's weight over its source's degree further.
+
+Bound. Scaled by gamma (interior) and delta (outward), the weights set an
+arithmetic-geometric mean bound on each cover edge: for any positive y,
+|f_T(x)| <= max g ||x||^2 over the types, a typed class (parent term plus
+sum over b of C[a, b] child_b) or a core colour as root (over its D row).
+With y the Perron vector at one member per colour times sqrt(n), the same
+on every lift, each g is lambda1 at gamma = delta = 0 and the weights push
+it below. Of 120 grid pairs, in one array pass, the smallest max g wins.
+
+Margin. g and CW_c = (B y)_c / y_c sum products and quotients of positive
+floats: with N roundings a term, a float sum is within a factor 1 -+ gamma_N,
+gamma_N = N u / (1 - N u), of the exact one (Higham, Accuracy and Stability
+of Numerical Algorithms, 3.1). g_hi = max g / (1 - gamma_N) and CW_lo =
+min CW (1 - gamma_N), one ulp out, prove lambda1 - rho(T) >= margin =
+CW_lo - g_hi rounded down, as lambda1 >= CW_lo (Collatz-Wielandt).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .cover import Quotient, quotient
 from .multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
-from .rho import RhoResult, rho_tree
+from .rho import RhoResult, _solver, rho_tree
 from .spectra import Spectrum, eigen_spectrum
-from .twocore import CoreDecomposition, two_core
+from .twocore import two_core
 
 ROLE_INT = "int-child"
 ROLE_EXT = "ext-child"
@@ -40,10 +49,10 @@ GAMMA_GRID_BITS = 40
 DELTA_POWERS = (1, 2, 3)
 # the search grid in search order: gamma = 2^-i, then delta = gamma^power
 _GRID = tuple(
-    (2.0**-i, (2.0**-i) ** power)
-    for i in range(1, GAMMA_GRID_BITS + 1)
-    for power in DELTA_POWERS
+    (2.0**-i, 2.0 ** (-i * p)) for i in range(1, GAMMA_GRID_BITS + 1) for p in DELTA_POWERS
 )
+# a child term's roundings: ratio, weight, product, quotient, sum, factor step, count
+_TERM_ROUNDINGS = 7
 
 
 class CertificationError(RuntimeError):
@@ -52,6 +61,9 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class GapCertificate:
+    """Weights per interior or outward class of cover.quotient(graph), whose
+    cls lifts them; g values per (class, role) or (core colour, root) type."""
+
     graph: MultiGraph
     gamma: float
     delta: float
@@ -70,114 +82,118 @@ class GapCertificate:
         return self.lambda1 - self.margin
 
 
-def _chain_steps(core: CoreDecomposition) -> int:
-    """2 * interior half-edges, more than any chain: epsilon = 1 / steps keeps weights below 2."""
-    return 2 * len(core.int_half_edges)
-
-
-def gamma_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
-    """Interior weights: 1 on half-edges leaving core vertices of core degree
-    above 2, then +epsilon per step walking along degree-2 chains, with
-    epsilon = 1 / steps and steps = 2 * number of interior half-edges. The
-    walk counts each half-edge's integer position j on its chain; its weight
-    is (steps + j) / steps.
-
-    Requires a multicyclic core, where every core cycle passes through a
-    vertex of core degree above 2, so every chain terminates.
-    """
-    g = core.graph
-    if cyclomatic_class(g) is not CyclomaticClass.MULTICYCLIC:
-        raise ValueError("gamma_assignment requires a multicyclic graph")
-    core_deg = core.core_degrees
+def _weights(q: Quotient) -> tuple[dict[int, Fraction], dict[int, Fraction], Fraction]:
+    """(interior weights, outward weights, epsilon) of a multicyclic quotient."""
+    outward, grown = None, set()
+    while grown != outward:  # to the least fixed point, one pendant depth a round
+        outward, grown = grown, {a for a, row in enumerate(q.C) if all(b in grown for b, _ in row)}
+    flipped = {q.ends[a][::-1] for a in outward}
+    pendant = set(outward) | {a for a, ends in enumerate(q.ends) if ends in flipped}
+    core_deg = [sum(m for a, m in row if a not in pendant) for row in q.D]
     position: dict[int, int] = {}
-    # walk each chain from its root, a half-edge leaving a core vertex of
-    # core degree above 2, one step on per chain vertex
-    for h in sorted(h for h in core.int_half_edges if core_deg[g.sources[h]] > 2):
-        j = position[h] = 0
-        while core_deg[g.targets[h]] == 2:  # a chain vertex: one way on
-            at = g.half_edges_at[g.targets[h]]
-            (h,) = [h2 for h2 in at if h2 != h ^ 1 and h2 in core.int_half_edges]
-            j = position[h] = j + 1
+    for a, (s, _) in enumerate(q.ends):
+        if a not in pendant and core_deg[s] > 2:  # a chain's first class
+            j = position[a] = 0
+            while core_deg[q.ends[a][1]] == 2:  # a chain colour: one way on
+                (a,) = [b for b, _ in q.C[a] if b not in pendant]
+                j = position[a] = j + 1
+    steps = 2 * (max(position.values()) + 1)
+    gamma_weights = {a: Fraction(steps + j, steps) for a, j in sorted(position.items())}
+    tree = sorted(a for a in outward if core_deg[q.ends[a][0]])
+    delta_weights = dict.fromkeys(tree, Fraction(1))
+    for a in tree:  # from the core out; the list grows as it is read
+        share = delta_weights[a] / sum(m for _, m in q.D[q.ends[a][1]])
+        for b, _ in q.C[a]:
+            delta_weights[b] = share
+            tree.append(b)
+    return gamma_weights, delta_weights, Fraction(1, steps)
 
-    steps = _chain_steps(core)
-    if set(position) != core.int_half_edges or max(position.values()) >= steps:  # pragma: no cover
-        raise AssertionError("interior weights miss a half-edge or escape [1, 2)")
-    weight = {j: Fraction(steps + j, steps) for j in set(position.values())}
-    return {h: weight[j] for h, j in position.items()}
+
+def _scaled_perron(q: Quotient, spec: Spectrum) -> np.ndarray:
+    """y per colour: the Perron vector at its first member, times sqrt(n).
+    Above the dense cap eigsh's vector is constant on colours to its residual
+    only; one inverse iteration step on the colour matrix mends that."""
+    sizes = np.array([len(vs) for vs in q.members])
+    y = np.asarray(spec.perron, dtype=float)[[vs[0] for vs in q.members]]
+    if not spec.full:
+        from scipy.sparse import coo_matrix
+
+        entries = [(c, q.ends[a][1], m) for c, row in enumerate(q.D) for a, m in row]
+        rows, cols, vals = zip(*entries, *((c, c, -spec.lambda1) for c in range(len(sizes))))
+        z = np.abs(_solver(coo_matrix((vals, (rows, cols)), shape=(len(sizes),) * 2))(y))
+        if np.all(z > 0):  # no NaN from an exactly singular matrix; any positive y will do
+            y = z / math.sqrt(np.dot(sizes, z * z))
+    return y * math.sqrt(sizes.sum())
 
 
-def delta_assignment(core: CoreDecomposition) -> dict[int, Fraction]:
-    """Pendant-tree weights: 1 on half-edges leaving the core, then each
-    vertex with d onward half-edges passes 1/(d+1) of its inbound weight to
-    each, so children always sum below their parent. One pass in peel order
-    (core.ext_half_edges), where a half-edge out of a pendant vertex weighs
-    that vertex's inbound weight over its degree, d + 1."""
-    g = core.graph
-    weights: dict[int, Fraction] = {}
-    inbound: dict[int, Fraction] = {}
-    for h in core.ext_half_edges:
-        u = g.sources[h]
-        w = Fraction(1) if u in core.core_vertices else inbound[u] / g.degrees[u]
-        weights[h] = inbound[g.targets[h]] = w
-    return weights
+def _padded(rows, pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, counts) arrays of rows of (class, count) pairs, padded with (pad, 0)."""
+    index = np.full((len(rows), max(map(len, rows))), pad, dtype=np.intp)
+    counts = np.zeros(index.shape)
+    for i, row in enumerate(rows):
+        for j, (a, m) in enumerate(row):
+            index[i, j], counts[i, j] = a, m
+    return index, counts
+
+
+def _row_sums(values: np.ndarray, terms: np.ndarray, index, counts) -> np.ndarray:
+    """values plus each row's sum of counts * terms, one padded column at a time."""
+    terms = np.concatenate([terms, np.zeros(terms.shape[:-1] + (1,))], axis=-1)  # padding: 0
+    for column, count in zip(index.T, counts.T):
+        values = values + count * terms[..., column]
+    return values
 
 
 class _Kernel:
-    """Per-type Rayleigh bound values (the certificate's g_values) as arrays
-    over g's half-edges, built once per certificate. A non-root type is the
-    half-edge its parent edge projects to (interior both ways, pendant edges
-    only away from the core); a root type, one per core vertex, takes the
-    child factor on every incident half-edge. The arrays: source and target
-    Perron entries, float weights, the interior mask, and per type (typed
-    half-edges, then core vertices) a padded row of the half-edges whose
-    child factors it sums, in g.half_edges_at order, with padding pointing at
-    a zero column. keys names the types in g_values order."""
+    """g values over the quotient's classes: per class the ratio y_t / y_s of
+    its colours, its inverse, the product y_s y_t, its float weight and an
+    interior mask; per type, in keys order, the padded (class, count) row of
+    the child terms it sums. roundings bounds the roundings on each term."""
 
-    def __init__(self, g, perron, gamma_weights, delta_weights):
-        y = np.asarray(perron, dtype=float)
-        src = y[np.array(g.sources, dtype=np.intp)]
-        tgt = y[np.array(g.targets, dtype=np.intp)]
+    def __init__(self, q: Quotient, y: np.ndarray, gamma_weights, delta_weights):
+        src, tgt = y[np.array(q.ends, dtype=np.intp).reshape(-1, 2).T]
         self.child_ratio = tgt / src
         self.parent_ratio = src / tgt
         self.products = src * tgt
-        self.weights = np.zeros(g.num_half_edges)
-        self.interior = np.zeros(g.num_half_edges, dtype=bool)
-        for h, w in gamma_weights.items():
-            self.weights[h] = float(w)
-            self.interior[h] = True
-        for h, w in delta_weights.items():
-            self.weights[h] = float(w)
-
-        typed = [*gamma_weights, *delta_weights]
-        core_vertices = sorted({g.sources[h] for h in gamma_weights})
-        self.keys = (
-            [(h, ROLE_INT) for h in gamma_weights]
-            + [(h, ROLE_EXT) for h in delta_weights]
-            + [(v, ROLE_ROOT) for v in core_vertices]
-        )
-        self.typed = np.array(typed, dtype=np.intp)
-        rows = [[h2 for h2 in g.half_edges_at[g.targets[h]] if h2 != (h ^ 1)] for h in typed]
-        rows += [g.half_edges_at[v] for v in core_vertices]
-        width = max(map(len, rows), default=0)
-        self.children = np.full((len(rows), width), g.num_half_edges, dtype=np.intp)
-        for row, hs in zip(self.children, rows):
-            row[: len(hs)] = hs
+        weights = {**delta_weights, **gamma_weights}
+        self.weights = np.array([float(weights.get(a, 0)) for a in range(q.size)])
+        self.interior = np.array([a in gamma_weights for a in range(q.size)])
+        roots = sorted({q.ends[a][0] for a in gamma_weights})
+        self.keys = [(a, ROLE_INT) for a in gamma_weights] + [(a, ROLE_EXT) for a in delta_weights]
+        self.keys += [(c, ROLE_ROOT) for c in roots]
+        self.typed = np.array([*gamma_weights, *delta_weights], dtype=np.intp)
+        self.children = _padded([q.C[a] for a in self.typed] + [q.D[c] for c in roots], q.size)
+        self.roundings = _TERM_ROUNDINGS + self.children[0].shape[1]  # one a summed column
 
     def __call__(self, gammas, deltas) -> np.ndarray:
         """g at every (gamma, delta) pair: one row per pair, one column per
-        type. A type's parent term comes first, then its child factors."""
+        type. A type's parent term comes first, then its child terms."""
         scale = np.where(self.interior, np.array(gammas)[:, None], np.array(deltas)[:, None])
         factor = 1.0 + self.weights * scale / self.products
         # interior factors divide going down and multiply going up; pendant
         # factors the other way round
         child = np.where(self.interior, self.child_ratio / factor, self.child_ratio * factor)
         parent = np.where(self.interior, self.parent_ratio * factor, self.parent_ratio / factor)
-        child = np.hstack([child, np.zeros((len(child), 1))])
-        values = np.zeros((len(child), len(self.keys)))
+        values = np.zeros((len(factor), len(self.keys)))
         values[:, : len(self.typed)] = parent[:, self.typed]
-        for column in self.children.T:
-            values += child[:, column]
-        return values
+        return _row_sums(values, child, *self.children)
+
+
+def _widen(x: float, roundings: int, toward: float) -> float:
+    """A bound toward +-inf on the positive sum whose float value x took
+    `roundings` roundings a term; gamma for two more and the ulp step cover
+    forming the bound."""
+    gamma = (roundings + 2) * 2.0**-53 / (1 - (roundings + 2) * 2.0**-53)
+    return math.nextafter(x / (1 - gamma) if toward > 0 else x * (1 - gamma), toward)
+
+
+def _proven_bounds(q: Quotient, kernel: _Kernel, g_max: float) -> tuple[float, float]:
+    """(CW_lo, g_hi) for the kernel's y and the float max g (module docstring)."""
+    # CW_c sums D[c, a] * y_t / y_c: two roundings a term, one a summed column
+    index, counts = _padded(q.D, q.size)
+    cw = _row_sums(np.zeros(len(q.D)), kernel.child_ratio, index, counts)
+    cw_lo = _widen(float(cw.min()), 2 + index.shape[1], -math.inf)
+    return cw_lo, _widen(g_max, kernel.roundings, math.inf)
 
 
 def certify_gap(
@@ -187,12 +203,9 @@ def certify_gap(
     spectrum: Spectrum | None = None,
 ) -> GapCertificate:
     """Search gamma = 2^-1 .. 2^-40 and delta in {gamma, gamma^2, gamma^3}
-    for the widest certified margin lambda1 - max g, then cross-check the
-    implied bound against rho_tree's certified bracket for rho(T).
-
-    The 120 grid points are evaluated in one array pass (module docstring);
-    the first widest margin in (gamma, delta) order wins, and g_values is
-    expanded for that pair only."""
+    for the smallest max g, prove the margin at that pair (module
+    docstring), then cross-check the implied bound against rho_tree's
+    certified bracket for rho(T)."""
     if not 0 <= tol < float("inf"):  # NaN fails too; +inf would skip the cross-check
         raise ValueError("tolerance must be finite and nonnegative")
     if cyclomatic_class(g) is not CyclomaticClass.MULTICYCLIC:
@@ -200,41 +213,29 @@ def certify_gap(
             "certify_gap requires a multicyclic graph; unicyclic and tree covers "
             "carry no gap (see unicyclic_defect)"
         )
-    core = two_core(g)
-    gamma_w = gamma_assignment(core)
-    delta_w = delta_assignment(core)
+    q = quotient(g)
+    gamma_w, delta_w, epsilon = _weights(q)
     spec = spectrum if spectrum is not None else eigen_spectrum(g)
-    lam = spec.lambda1
-
-    kernel = _Kernel(g, spec.perron, gamma_w, delta_w)
+    kernel = _Kernel(q, _scaled_perron(q, spec), gamma_w, delta_w)
     grid = kernel(*zip(*_GRID))
-    best = int(np.argmax(lam - grid.max(axis=1)))
+    best = int(np.argmin(grid.max(axis=1)))
     gamma, delta = _GRID[best]
-    vals = dict(zip(kernel.keys, grid[best]))
+    vals = dict(zip(kernel.keys, grid[best].tolist()))
     g_max = max(vals.values())
-    margin = lam - g_max
+    cw_lo, g_hi = _proven_bounds(q, kernel, g_max)
+    margin = math.nextafter(cw_lo - g_hi, -math.inf)
     if margin <= 0:
         raise CertificationError(f"no positive margin found (best {margin:.3e})")
 
     rho = rho_result if rho_result is not None else rho_tree(g)
-    if rho.hi > lam - margin + tol:
+    if rho.hi > spec.lambda1 - margin + tol:
         raise CertificationError(
-            f"certified bound {lam - margin:.9f} is inconsistent with the "
+            f"certified bound {spec.lambda1 - margin:.9f} is inconsistent with the "
             f"rho_tree bracket hi = {rho.hi:.9f}"
         )
 
     return GapCertificate(
-        g,
-        gamma,
-        delta,
-        gamma_w,
-        delta_w,
-        Fraction(1, _chain_steps(core)),
-        vals,
-        g_max,
-        lam,
-        margin,
-        spec.perron,
+        g, gamma, delta, gamma_w, delta_w, epsilon, vals, g_max, spec.lambda1, margin, spec.perron
     )
 
 

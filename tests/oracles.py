@@ -338,60 +338,142 @@ def rho_by_bisection(g: MultiGraph, tol: float) -> tuple[float, float]:
     return lo, hi
 
 
-def g_values_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, gamma, delta):
-    """gapcert._Kernel one half-edge at a time: each type's parent term,
-    then the child factors of its continuations in g.half_edges_at order."""
+def gamma_assignment(core, epsilon: Fraction) -> dict[int, Fraction]:
+    """Interior weights one half-edge at a time, off the graph's own peel:
+    1 + j * epsilon for the integer position j of each interior half-edge on
+    its chain, walked from the half-edges leaving core vertices of core
+    degree above 2. Requires a multicyclic core, where every chain ends."""
+    g = core.graph
+    if g.m - g.n < 1:
+        raise ValueError("gamma_assignment requires a multicyclic graph")
+    core_deg = core.core_degrees
+    position: dict[int, int] = {}
+    for h in sorted(h for h in core.int_half_edges if core_deg[ends(g, h)[0]] > 2):
+        j = position[h] = 0
+        while core_deg[ends(g, h)[1]] == 2:  # a chain vertex: one way on
+            at = g.half_edges_at[ends(g, h)[1]]
+            (h,) = [h2 for h2 in at if h2 != h ^ 1 and h2 in core.int_half_edges]
+            j = position[h] = j + 1
+    assert set(position) == core.int_half_edges, "a chain misses an interior half-edge"
+    return {h: 1 + j * epsilon for h, j in position.items()}
+
+
+def delta_assignment(core) -> dict[int, Fraction]:
+    """Pendant-tree weights in one pass over the graph's peel order
+    (core.ext_half_edges): 1 on half-edges leaving the core, and a
+    half-edge out of a pendant vertex weighs that vertex's inbound weight
+    over its degree."""
+    g = core.graph
+    weights: dict[int, Fraction] = {}
+    inbound: dict[int, Fraction] = {}
+    for h in core.ext_half_edges:
+        u, w = ends(g, h)
+        weights[h] = inbound[w] = Fraction(1) if u in core.core_vertices else inbound[u] / g.degrees[u]
+    return weights
+
+
+def per_half_edge(g: MultiGraph, weights: dict) -> dict:
+    """Class weights lifted to the half-edges of their classes."""
+    return {h: weights[a] for h, a in enumerate(quotient(g).cls.tolist()) if a in weights}
+
+
+class HalfEdgeKernel:
+    """gapcert._Kernel over half-edges instead of classes: y per vertex,
+    weights per half-edge, one type per interior half-edge, per pendant
+    half-edge directed away from the core and per core vertex, whose row
+    sums the child terms of the half-edges at its head (at the vertex for
+    a root) one padded column at a time, in g.half_edges_at order."""
+
+    def __init__(self, g: MultiGraph, y, gamma_weights, delta_weights):
+        from coverspectra.gapcert import ROLE_EXT, ROLE_INT, ROLE_ROOT
+
+        y = np.asarray(y, dtype=float)
+        src = y[np.array(g.sources, dtype=np.intp)]
+        tgt = y[np.array(g.targets, dtype=np.intp)]
+        self.child_ratio = tgt / src
+        self.parent_ratio = src / tgt
+        self.products = src * tgt
+        self.weights = np.zeros(g.num_half_edges)
+        self.interior = np.zeros(g.num_half_edges, dtype=bool)
+        for h, w in gamma_weights.items():
+            self.weights[h] = float(w)
+            self.interior[h] = True
+        for h, w in delta_weights.items():
+            self.weights[h] = float(w)
+
+        typed = [*gamma_weights, *delta_weights]
+        core_vertices = sorted({g.sources[h] for h in gamma_weights})
+        self.keys = (
+            [(h, ROLE_INT) for h in gamma_weights]
+            + [(h, ROLE_EXT) for h in delta_weights]
+            + [(v, ROLE_ROOT) for v in core_vertices]
+        )
+        self.typed = np.array(typed, dtype=np.intp)
+        rows = [[h2 for h2 in g.half_edges_at[g.targets[h]] if h2 != (h ^ 1)] for h in typed]
+        rows += [g.half_edges_at[v] for v in core_vertices]
+        width = max(map(len, rows), default=0)
+        self.children = np.full((len(rows), width), g.num_half_edges, dtype=np.intp)
+        for row, hs in zip(self.children, rows):
+            row[: len(hs)] = hs
+
+    def __call__(self, gammas, deltas) -> np.ndarray:
+        scale = np.where(self.interior, np.array(gammas)[:, None], np.array(deltas)[:, None])
+        factor = 1.0 + self.weights * scale / self.products
+        child = np.where(self.interior, self.child_ratio / factor, self.child_ratio * factor)
+        parent = np.where(self.interior, self.parent_ratio * factor, self.parent_ratio / factor)
+        child = np.hstack([child, np.zeros((len(child), 1))])
+        values = np.zeros((len(child), len(self.keys)))
+        values[:, : len(self.typed)] = parent[:, self.typed]
+        for column in self.children.T:
+            values += child[:, column]
+        return values
+
+
+def g_values_by_fractions(g: MultiGraph, y, gamma_weights, delta_weights, gamma, delta):
+    """The exact g of every type of gapcert._Kernel, in Fractions of the
+    float y (one entry per colour), of the exact class weights and of
+    (gamma, delta). Each type is read at one representative, a half-edge of
+    the class or a vertex of the colour, summing over its half-edges in g.
+    Keyed like _Kernel.keys."""
     from coverspectra.gapcert import ROLE_EXT, ROLE_INT, ROLE_ROOT
 
-    y = perron
-    gam = {h: float(w) for h, w in gamma_weights.items()}
-    del_ = {h: float(w) for h, w in delta_weights.items()}
+    q = quotient(g)
+    cls = q.cls.tolist()
+    yv = [Fraction(float(y[c])) for c in q.colors]
 
-    def child_factor(h: int) -> float:
+    def factor(h: int) -> Fraction:
         u, w = ends(g, h)
-        ratio = y[w] / y[u]
-        if h in gam:
-            return ratio / (1.0 + gam[h] * gamma / (y[u] * y[w]))
-        return ratio * (1.0 + del_[h] * delta / (y[u] * y[w]))
+        a = cls[h]
+        weight, scale = (gamma_weights[a], gamma) if a in gamma_weights else (delta_weights[a], delta)
+        return 1 + weight * Fraction(scale) / (yv[u] * yv[w])
 
+    def child(h: int) -> Fraction:
+        u, w = ends(g, h)
+        # interior factors divide going down and multiply going up
+        return yv[w] / yv[u] / factor(h) if cls[h] in gamma_weights else yv[w] / yv[u] * factor(h)
+
+    first = {}
+    for h, a in enumerate(cls):
+        first.setdefault(a, h)
     values = {}
-    for h in gamma_weights:
+    for a, role in [(a, ROLE_INT) for a in gamma_weights] + [(a, ROLE_EXT) for a in delta_weights]:
+        h = first[a]
         p, u = ends(g, h)
-        total = (y[p] / y[u]) * (1.0 + gam[h] * gamma / (y[p] * y[u]))
-        for h2 in g.half_edges_at[u]:
-            if h2 != (h ^ 1):
-                total += child_factor(h2)
-        values[(h, ROLE_INT)] = total
-    for h in delta_weights:
-        p, u = ends(g, h)
-        total = (y[p] / y[u]) / (1.0 + del_[h] * delta / (y[p] * y[u]))
-        for h2 in g.half_edges_at[u]:
-            if h2 != (h ^ 1):
-                total += child_factor(h2)
-        values[(h, ROLE_EXT)] = total
-
-    core_vertices = sorted({ends(g, h)[0] for h in gamma_weights})
-    for v in core_vertices:
-        values[(v, ROLE_ROOT)] = sum(child_factor(h) for h in g.half_edges_at[v])
+        total = yv[p] / yv[u] * factor(h) if role == ROLE_INT else yv[p] / yv[u] / factor(h)
+        values[(a, role)] = total + sum(child(h2) for h2 in g.half_edges_at[u] if h2 != h ^ 1)
+    for c in sorted({q.ends[a][0] for a in gamma_weights}):
+        values[(c, ROLE_ROOT)] = sum(child(h) for h in g.half_edges_at[q.members[c][0]])
     return values
 
 
-def gap_search_by_loop(g: MultiGraph, perron, gamma_weights, delta_weights, lam):
-    """certify_gap's grid search point by point with g_values_by_loop: the
-    first strictly widest margin over gamma = 2^-i, delta = gamma^power.
-    Returns (margin, gamma, delta, g values)."""
-    from coverspectra.gapcert import DELTA_POWERS, GAMMA_GRID_BITS
-
-    best = None
-    for i in range(1, GAMMA_GRID_BITS + 1):
-        gamma = 2.0**-i
-        for power in DELTA_POWERS:
-            delta = gamma**power
-            vals = g_values_by_loop(g, perron, gamma_weights, delta_weights, gamma, delta)
-            margin = lam - max(vals.values())
-            if best is None or margin > best[0]:
-                best = (margin, gamma, delta, vals)
-    return best
+def collatz_wielandt_by_fractions(g: MultiGraph, y) -> list[Fraction]:
+    """(A y)_v / y_v at one vertex v of each colour, in Fractions of the
+    float y (one entry per colour), summed over v's half-edges."""
+    q = quotient(g)
+    yv = [Fraction(float(y[c])) for c in q.colors]
+    return [
+        sum(yv[ends(g, h)[1]] for h in g.half_edges_at[vs[0]]) / yv[vs[0]] for vs in q.members
+    ]
 
 
 def delta_by_dfs(core) -> dict[int, Fraction]:

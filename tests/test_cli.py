@@ -104,8 +104,8 @@ def test_certify_bowtie(capsys, write_graph):
     assert payload["rho_upper_implied"] == pytest.approx(
         payload["lambda1"] - payload["margin"], abs=1e-15
     )
-    assert payload["epsilon_chain_step"] == "1/24"
-    assert set(payload["gamma_weights"].values()) == {"1/1", "25/24", "13/12"}
+    assert payload["epsilon_chain_step"] == "1/6"
+    assert set(payload["gamma_weights"].values()) == {"1/1", "7/6", "4/3"}
 
 
 def test_certify_rejects_unicyclic(capsys, write_graph):

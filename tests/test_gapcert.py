@@ -5,15 +5,28 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import connected_lift, delta_by_dfs, g_values_by_loop, gap_search_by_loop, gnp_giant
+from oracles import (
+    HalfEdgeKernel,
+    collatz_wielandt_by_fractions,
+    connected_lift,
+    delta_assignment,
+    delta_by_dfs,
+    g_values_by_fractions,
+    gamma_assignment,
+    gnp_giant,
+    per_half_edge,
+)
+from coverspectra.cover import quotient
 from coverspectra.gapcert import (
     _GRID,
     ROLE_ROOT,
     CertificationError,
     _Kernel,
+    _proven_bounds,
+    _scaled_perron,
+    _weights,
+    _widen,
     certify_gap,
-    delta_assignment,
-    gamma_assignment,
     unicyclic_defect,
 )
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
@@ -29,9 +42,33 @@ from coverspectra.generators import (
     two_cycles_glued,
 )
 
+# two cycles joined by a pendant path: the smallest margin of the n <= 6 run
+# before the chain step stopped depending on the graph's size
+TWO_LOOPS_ON_A_PATH = MultiGraph(6, ((0, 0), (0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (4, 5), (5, 5)))
+
 
 def _multicyclic(graphs):
     return [g for g in graphs if cyclomatic_class(g) is CyclomaticClass.MULTICYCLIC]
+
+
+@pytest.fixture(scope="module")
+def sweep(corpus):
+    """Every multicyclic corpus graph, gnp_giant(300, 0..5) and 10-lifts of
+    the bowtie, K4 and theta(1, 2, 3)."""
+    graphs = _multicyclic(corpus) + [gnp_giant(300, seed) for seed in range(6)]
+    return graphs + [connected_lift(base, 10) for base in (bowtie(), complete(4), theta(1, 2, 3))]
+
+
+def _lifted_weights(g):
+    """certify_gap's class weights lifted to half-edges, and epsilon."""
+    gw, dw, eps = _weights(quotient(g))
+    return per_half_edge(g, gw), per_half_edge(g, dw), eps
+
+
+def _kernel(g, spec):
+    q = quotient(g)
+    gw, dw, _ = _weights(q)
+    return _Kernel(q, _scaled_perron(q, spec), gw, dw)
 
 
 # -- interior weighting -------------------------------------------------------------
@@ -39,8 +76,8 @@ def _multicyclic(graphs):
 
 def test_bowtie_gamma_chain():
     g = bowtie()
-    w = gamma_assignment(two_core(g))
-    eps = Fraction(1, 24)
+    w, _, eps = _lifted_weights(g)
+    assert eps == Fraction(1, 6)  # the longest chain has positions 0, 1, 2
     # half-edges leaving the degree-4 center carry weight 1
     for h, val in w.items():
         if g.sources[h] == 0:
@@ -53,8 +90,8 @@ def test_bowtie_gamma_chain():
 
 def test_theta_gamma_values():
     g = theta(2, 2, 2)
-    w = gamma_assignment(two_core(g))
-    eps = Fraction(1, 24)
+    w, _, eps = _lifted_weights(g)
+    assert eps == Fraction(1, 4)
     hubs = [v for v in range(g.n) if g.degrees[v] == 3]
     assert len(hubs) == 2
     for h, val in w.items():
@@ -62,7 +99,7 @@ def test_theta_gamma_values():
 
 
 def test_dense_core_gamma_all_one():
-    w = gamma_assignment(two_core(complete(4)))
+    w, _, _ = _lifted_weights(complete(4))
     assert set(w.values()) == {Fraction(1)}
     assert len(w) == 12
 
@@ -70,9 +107,9 @@ def test_dense_core_gamma_all_one():
 def test_gamma_covers_interior_and_stays_in_range(corpus):
     for g in _multicyclic(corpus[::10]):
         core = two_core(g)
-        w = gamma_assignment(core)
+        w, _, _ = _lifted_weights(g)
         assert set(w) == set(core.int_half_edges)
-        assert all(1 <= val < 2 for val in w.values())
+        assert all(1 <= val < Fraction(3, 2) for val in w.values())
 
 
 def test_gamma_inequality_exact(corpus):
@@ -80,7 +117,7 @@ def test_gamma_inequality_exact(corpus):
     must strictly dominate the incoming one, in exact rationals."""
     for g in _multicyclic(corpus[::10]):
         core = two_core(g)
-        w = gamma_assignment(core)
+        w, _, _ = _lifted_weights(g)
         for h in core.int_half_edges:
             v = g.targets[h]
             onward = [
@@ -91,35 +128,49 @@ def test_gamma_inequality_exact(corpus):
 
 def test_gamma_rejects_thin_inputs():
     with pytest.raises(ValueError, match="multicyclic"):
-        gamma_assignment(two_core(cycle(4)))
+        gamma_assignment(two_core(cycle(4)), Fraction(1, 8))
+    with pytest.raises(ValueError, match="multicyclic"):
+        certify_gap(cycle(4))
+
+
+def test_class_weights_match_half_edge_oracles(sweep):
+    """The peel on the quotient gives every half-edge of a class the weight
+    that the peel on the graph gives it, at the same epsilon."""
+    for g in sweep:
+        core = two_core(g)
+        gw, dw, eps = _lifted_weights(g)
+        assert gw == gamma_assignment(core, eps)
+        assert dw == delta_assignment(core)
 
 
 # -- exterior weighting -------------------------------------------------------------
 
 
 def test_pendant_path_deltas():
-    # triangle with a two-edge tail hanging off vertex 0
-    g = MultiGraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4)))
-    core = two_core(g)
-    w = delta_assignment(core)
+    # two triangles at vertex 0 with a two-edge tail hanging off it
+    g = MultiGraph(7, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6)))
+    _, w, _ = _lifted_weights(g)
     by_edge = {(g.sources[h], g.targets[h]): val for h, val in w.items()}
-    assert by_edge == {(0, 3): Fraction(1), (3, 4): Fraction(1, 2)}
+    assert by_edge == {(0, 5): Fraction(1), (5, 6): Fraction(1, 2)}
 
 
 def test_pendant_branching_deltas():
-    # tail that forks: 0-3, then 3-4 and 3-5
-    g = MultiGraph(6, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5)))
-    w = delta_assignment(two_core(g))
+    # a tail that forks: 0-5, then 5-6 and 5-7
+    g = MultiGraph(
+        8, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0), (0, 5), (5, 6), (5, 7))
+    )
+    _, w, _ = _lifted_weights(g)
     assert sorted(w.values()) == [Fraction(1, 3), Fraction(1, 3), Fraction(1)]
 
 
 def test_no_exterior_empty_map():
-    assert delta_assignment(two_core(bowtie())) == {}
+    assert _weights(quotient(bowtie()))[1] == {}
 
 
 def test_delta_one_pass_matches_depth_first_walk(corpus):
     """The pass over the peel order gives exactly the weights of a
-    depth-first walk down each pendant tree."""
+    depth-first walk down each pendant tree, and so does the peel on the
+    quotient."""
     graphs = [g for g in corpus if g.m >= g.n]
     graphs += [gnp_giant(300, seed) for seed in range(6)]  # many pendant trees
     graphs += [
@@ -128,15 +179,16 @@ def test_delta_one_pass_matches_depth_first_walk(corpus):
     ]
     for g in graphs:
         core = two_core(g)
-        assert delta_assignment(core) == delta_by_dfs(core)
+        want = delta_by_dfs(core)
+        assert delta_assignment(core) == want
+        if cyclomatic_class(g) is CyclomaticClass.MULTICYCLIC:
+            assert _lifted_weights(g)[1] == want
 
 
 def test_delta_inequality_exact(corpus):
-    for g in corpus[::10]:
-        if g.m < g.n:
-            continue
+    for g in _multicyclic(corpus[::10]):
         core = two_core(g)
-        w = delta_assignment(core)
+        _, w, _ = _lifted_weights(g)
         assert set(w) == set(core.ext_half_edges)
         for h, val in w.items():
             assert 0 < val <= 1
@@ -152,18 +204,14 @@ def test_g_collapses_to_lambda1_at_zero(zoo_graph, cache):
     g = zoo_graph
     if cyclomatic_class(g) is not CyclomaticClass.MULTICYCLIC:
         return
-    core = two_core(g)
     spec = cache.spectrum(g)
-    kernel = _Kernel(g, spec.perron, gamma_assignment(core), delta_assignment(core))
-    for val in kernel([0.0], [0.0])[0]:
+    for val in _kernel(g, spec)([0.0], [0.0])[0]:
         assert val == pytest.approx(spec.lambda1, abs=1e-8)
 
 
 def test_root_types_never_dominate(corpus, cache):
     for g in _multicyclic(corpus[::25]):
-        core = two_core(g)
-        spec = cache.spectrum(g)
-        kernel = _Kernel(g, spec.perron, gamma_assignment(core), delta_assignment(core))
+        kernel = _kernel(g, cache.spectrum(g))
         for gamma in (2.0**-6, 2.0**-12):
             vals = kernel([gamma], [gamma**2])[0]
             roots = [v for (_, role), v in zip(kernel.keys, vals) if role == ROLE_ROOT]
@@ -171,49 +219,80 @@ def test_root_types_never_dominate(corpus, cache):
             assert max(roots) <= max(others) + 1e-12
 
 
-def test_grid_matches_loop_oracle_bit_for_bit(corpus, cache):
-    """Every grid point of the one-pass evaluation equals the per-half-edge
-    loop with ==, and so do certify_gap's chosen pair, margin and g values."""
-    graphs = _multicyclic(corpus)[::5]
-    graphs.append(two_cycles_glued(20, 20))
-    graphs += [connected_lift(base, 10) for base in (bowtie(), complete(4), theta(1, 2, 3))]
-    for g in graphs:
-        core = two_core(g)
-        gw, dw = gamma_assignment(core), delta_assignment(core)
+def test_grid_matches_loop_oracle_bit_for_bit(sweep, cache):
+    """Every grid row of the class kernel equals its own one-point evaluation
+    with ==, and the half-edge kernel's value at each type's half-edges and
+    core vertices within 1e-12 relative; certify_gap takes the first pair
+    with the smallest max."""
+    for g in sweep:
         spec = cache.spectrum(g)
-        kernel = _Kernel(g, spec.perron, gw, dw)
+        q = quotient(g)
+        kernel = _kernel(g, spec)
         grid = kernel(*zip(*_GRID))
         assert grid.shape == (120, len(kernel.keys))
+        maxima = []
         for (gamma, delta), row in zip(_GRID, grid):
-            want = g_values_by_loop(g, spec.perron, gw, dw, gamma, delta)
-            assert list(want) == kernel.keys
-            assert row.tolist() == list(want.values())
+            point = kernel([gamma], [delta])[0]
+            assert row.tolist() == point.tolist()
+            maxima.append(point.max())
 
-        margin, gamma, delta, vals = gap_search_by_loop(g, spec.perron, gw, dw, spec.lambda1)
+        gw, dw, _ = _lifted_weights(g)
+        y = _scaled_perron(q, spec)
+        oracle = HalfEdgeKernel(g, y[list(q.colors)], gw, dw)
+        column = {key: i for i, key in enumerate(kernel.keys)}
+        cls = q.cls.tolist()
+        mapped = [
+            column[(q.colors[x], role) if role == ROLE_ROOT else (cls[x], role)]
+            for x, role in oracle.keys
+        ]
+        assert set(mapped) == set(range(len(kernel.keys)))
+        want = oracle(*zip(*_GRID))
+        assert np.all(np.abs(grid[:, mapped] - want) <= 1e-12 * np.abs(want))
+
         cert = certify_gap(g, rho_result=cache.rho(g), spectrum=spec)
-        assert (cert.gamma, cert.delta, cert.margin) == (gamma, delta, margin)
-        assert cert.g_values == vals
-        assert cert.g_max == max(vals.values())
-        assert dict(zip(kernel.keys, kernel([gamma], [delta])[0])) == vals
+        assert (cert.gamma, cert.delta) == _GRID[maxima.index(min(maxima))]
+        best = kernel([cert.gamma], [cert.delta])[0]
+        assert cert.g_values == dict(zip(kernel.keys, best.tolist()))
+        assert cert.g_max == max(cert.g_values.values())
 
 
 def test_kernel_grid_ignores_weight_key_order(corpus, cache):
     """Building _Kernel from the weight dicts in reversed key order only
     permutes the type columns: every grid row holds the same multiset of
     values and the same max, so certify_gap's choice does not depend on the
-    order in which gamma_assignment and delta_assignment write their keys."""
+    order in which the peel writes its keys."""
     graphs = _multicyclic(corpus)[::7] + [connected_lift(bowtie(), 40)]
     for g in graphs:
-        core = two_core(g)
-        gw, dw = gamma_assignment(core), delta_assignment(core)
-        perron = cache.spectrum(g).perron
-        forward = _Kernel(g, perron, gw, dw)(*zip(*_GRID))
-        backward = _Kernel(g, perron, dict(reversed(gw.items())), dict(reversed(dw.items())))
+        q = quotient(g)
+        gw, dw, _ = _weights(q)
+        y = _scaled_perron(q, cache.spectrum(g))
+        forward = _Kernel(q, y, gw, dw)(*zip(*_GRID))
+        backward = _Kernel(q, y, dict(reversed(gw.items())), dict(reversed(dw.items())))
         backward = backward(*zip(*_GRID))
         assert forward.max(axis=1).tolist() == backward.max(axis=1).tolist()
         assert [sorted(row) for row in forward.tolist()] == [
             sorted(row) for row in backward.tolist()
         ]
+
+
+def test_proven_bounds_enclose_the_exact_values(sweep, cache):
+    """At the chosen pair, every widened g is at least its exact value and
+    CW_lo at most every exact (B y)_c / y_c, both in Fractions of the float
+    y; the margin is at most CW_lo - g_hi in exact arithmetic."""
+    for g in sweep:
+        spec = cache.spectrum(g)
+        cert = certify_gap(g, rho_result=cache.rho(g), spectrum=spec)
+        q = quotient(g)
+        kernel = _kernel(g, spec)
+        y = _scaled_perron(q, spec)
+        exact = g_values_by_fractions(g, y, cert.gamma_weights, cert.delta_weights, cert.gamma, cert.delta)
+        assert list(exact) == kernel.keys
+        for key, value in cert.g_values.items():
+            assert Fraction(_widen(value, kernel.roundings, math.inf)) >= exact[key]
+        cw_lo, g_hi = _proven_bounds(q, kernel, cert.g_max)
+        assert Fraction(g_hi) >= max(exact.values())
+        assert Fraction(cw_lo) <= min(collatz_wielandt_by_fractions(g, y))
+        assert 0 < Fraction(cert.margin) <= Fraction(cw_lo) - Fraction(g_hi)
 
 
 # -- certificates ----------------------------------------------------------------------
@@ -225,7 +304,7 @@ def test_bowtie_certificate():
     assert 0 < cert.margin <= true_gap + 1e-12
     assert cert.margin <= 0.04
     assert cert.rho_upper_bound >= (math.sqrt(3) + math.sqrt(11)) / 2 - 1e-9
-    assert cert.g_max == cert.lambda1 - cert.margin
+    assert cert.rho_upper_bound >= cert.g_max
 
 
 def test_k4_certificate():
@@ -248,6 +327,44 @@ def test_certificates_sound_on_corpus(corpus, cache):
         cert = certify_gap(g, rho_result=rho, spectrum=cache.spectrum(g))
         assert cert.margin > 0
         assert rho.hi <= cert.lambda1 - cert.margin + 1e-6
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_random_graphs_certify(seed, cache):
+    """A chain step fixed by the cover, not by the graph's size, leaves a
+    margin well above rounding on a sparse random graph's giant component."""
+    g = gnp_giant(300, seed)
+    rho, spec = cache.rho(g), cache.spectrum(g)
+    cert = certify_gap(g, rho_result=rho, spectrum=spec)
+    assert 1e-11 < cert.margin <= spec.lambda1 - rho.lo
+    assert rho.hi <= spec.lambda1 - cert.margin + 1e-6
+
+
+def test_two_cycles_on_a_pendant_path_keep_a_margin():
+    assert certify_gap(TWO_LOOPS_ON_A_PATH).margin >= 1e-8
+
+
+@pytest.mark.parametrize("name", ["bowtie", "k4", "theta123", "glued20"])
+def test_lifts_keep_the_base_certificate(name, cache):
+    """On connected 10-, 40- and 150-lifts the chain step and the chosen
+    pair are the base's, and the margin is within 1e-12 of it (the
+    glued(20, 20) 150-lift has 5,850 vertices, above the dense cap)."""
+    base = {
+        "bowtie": bowtie(),
+        "k4": complete(4),
+        "theta123": theta(1, 2, 3),
+        "glued20": two_cycles_glued(20, 20),
+    }[name]
+    want = certify_gap(base)
+    for k in (10, 40, 150):
+        lift = connected_lift(base, k)
+        cert = certify_gap(lift, rho_result=cache.rho(lift), spectrum=cache.spectrum(lift))
+        assert (cert.epsilon_chain_step, cert.gamma, cert.delta) == (
+            want.epsilon_chain_step,
+            want.gamma,
+            want.delta,
+        )
+        assert abs(cert.margin - want.margin) <= 1e-12
 
 
 def test_certificate_rejects_thin_graphs():
@@ -277,8 +394,8 @@ def test_inconsistent_cross_check_raises():
 
 
 def test_no_positive_margin_is_an_error(monkeypatch):
-    """Every type at lambda1 leaves a best margin of 0, whatever the chain
-    step and the weights."""
+    """Every type at lambda1 leaves no positive margin: the widened g is
+    above lambda1 and CW_lo at or below it, whatever the weights."""
     g = bowtie()
     lam = eigen_spectrum(g).lambda1
     monkeypatch.setattr(
