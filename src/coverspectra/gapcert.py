@@ -17,7 +17,7 @@ arithmetic-geometric mean bound on each cover edge: for any positive y,
 sum over b of C[a, b] child_b) or a core colour as root (over its D row).
 With y the Perron vector at one member per colour times sqrt(n), the same
 on every lift, each g is lambda1 at gamma = delta = 0 and the weights push
-it below. Of 120 grid pairs, in one array pass, the smallest max g wins.
+it below. Of 129 grid pairs, in one array pass, the smallest max g wins.
 
 Margin. g and CW_c = (B y)_c / y_c sum products and quotients of positive
 floats: with N roundings a term, a float sum is within a factor 1 -+ gamma_N,
@@ -49,7 +49,7 @@ GAMMA_GRID_BITS = 40
 DELTA_POWERS = (1, 2, 3)
 # the search grid in search order: gamma = 2^-i, then delta = gamma^power
 _GRID = tuple(
-    (2.0**-i, 2.0 ** (-i * p)) for i in range(1, GAMMA_GRID_BITS + 1) for p in DELTA_POWERS
+    (2.0**-i, 2.0 ** (-i * p)) for i in range(-2, GAMMA_GRID_BITS + 1) for p in DELTA_POWERS
 )
 # a child term's roundings: ratio, weight, product, quotient, sum, factor step, count
 _TERM_ROUNDINGS = 7
@@ -202,7 +202,7 @@ def certify_gap(
     rho_result: RhoResult | None = None,
     spectrum: Spectrum | None = None,
 ) -> GapCertificate:
-    """Search gamma = 2^-1 .. 2^-40 and delta in {gamma, gamma^2, gamma^3}
+    """Search gamma = 2^2 .. 2^-40 and delta in {gamma, gamma^2, gamma^3}
     for the smallest max g, prove the margin at that pair (module
     docstring), then cross-check the implied bound against rho_tree's
     certified bracket for rho(T)."""

@@ -4,6 +4,12 @@
 canonical radius-r ball histograms (bs_histogram) with total-variation
 comparison (tv_distance).
 
+Ball sweep. tree_fraction, bs_histogram and mass_transport_check read all
+radius-r balls off one sparse sweep, not a BFS per vertex: row v of reach =
+(A + I)^r clipped to 0/1 is B_r(v), the clipped powers k = 0..r sum to
+r + 1 - dist(v, u) at u, and B_r(v) is a tree iff rowsum((reach A) o reach)
+is 2(|B_r(v)| - 1). The cover's (r + 1)-balls bound the row blocks' size.
+
 Cycle semantics on multigraphs: an l-cycle is a closed non-backtracking
 half-edge sequence through l distinct vertices and l distinct edges, taken up
 to rotation and reflection. A loop is a 1-cycle, a parallel edge pair a
@@ -19,11 +25,15 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+import numpy as np
 
 from .cover import quotient
 from .multigraph import MultiGraph, ball, canonical_code, induced_subgraph, require_connected
 
 CANON_CAP = 64
+_BLOCK_ENTRIES = 1 << 18  # the most entries of reach A in one block of _balls
 
 
 @dataclass(frozen=True)
@@ -109,21 +119,39 @@ def cycle_stats(g: MultiGraph, length: int) -> CycleStats:
     return CycleStats(length, tuple(cycles), tuple(counts))
 
 
-def _is_tree_ball(g: MultiGraph, depth: dict[int, int]) -> bool:
-    # a ball is connected, so it is a tree exactly when it holds |ball| - 1
-    # edges: 2(|ball| - 1) half-edges with both ends inside, a loop giving two
-    inside = sum(1 for u in depth for h in g.half_edges_at[u] if g.targets[h] in depth)
-    return inside == 2 * (len(depth) - 1)
+def _balls(g: MultiGraph, r: int):
+    """The ball sweep (module docstring) by blocks: yields (vertices, reach, tree)."""
+    from scipy.sparse import csr_matrix, identity
+
+    n, q = g.n, quotient(g)
+    cols = np.fromiter(chain.from_iterable(g.neighbours), np.int32, 2 * g.m)
+    adj = csr_matrix((np.ones(2 * g.m, np.int32), cols, np.cumsum((0,) + g.degrees)), (n, n))
+    eye = identity(n, dtype=bool, format="csr")
+    step = (adj + eye).astype(bool)
+    sub = [1] * q.size  # cover ball sizes below each class's head, capped at n
+    for _ in range(r):
+        sub = [min(n, 1 + sum(m * sub[b] for b, m in row)) for row in q.C]
+    sizes = np.array([min(n, 1 + sum(m * sub[a] for a, m in row)) for row in q.D])
+    ends = np.cumsum(np.concatenate(([0], sizes[list(q.colors)])))
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _BLOCK_ENTRIES, "right")) - 1)
+        reach = eye[lo:hi]
+        total = reach.astype(np.int32)
+        for _ in range(r):
+            reach = reach @ step
+            total = total + reach
+        inside = np.asarray((reach @ adj).multiply(reach).sum(axis=1)).ravel()
+        total.sort_indices()
+        yield np.arange(lo, hi), total, inside == 2 * (np.diff(reach.indptr) - 1)
+        lo = hi
 
 
 def tree_fraction(g: MultiGraph, r: int) -> float:
-    """Fraction of vertices whose induced radius-r ball is a tree, decided
-    from each ball's depth map with no subgraph built; ball_code uses the
-    same test."""
+    """Fraction of vertices whose induced radius-r ball is a tree, off the sweep's mask."""
     if r < 1:
         raise ValueError("radius must be at least 1")
-    hits = sum(1 for v in range(g.n) if _is_tree_ball(g, ball(g, v, r)))
-    return hits / g.n
+    return sum(int(tree.sum()) for _, _, tree in _balls(g, r)) / g.n
 
 
 def find_bouquet(
@@ -182,16 +210,23 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     n = g.n
     stats = cycle_stats(g, length)
     on_cycle = [c > 0 for c in stats.counts]
-    balls = [ball(g, v, R).keys() for v in range(n)]
-    mass = Fraction(sum(len(balls[o]) for o in range(n) if on_cycle[o]), n)
-    hypothesis = all(len(b) >= R for b in balls)
-    nr_total = sum(1 for b in balls for c in stats.cycles if not b.isdisjoint(c.vertex_set))
+    balls = (set(b.tolist()) for _, x, _ in _balls(g, R) for b in np.split(x.indices, x.indptr[1:-1]))
+    sizes, nr_total = [], 0
+    for b in balls:  # one block of the sweep at a time
+        sizes.append(len(b))
+        nr_total += sum(not b.isdisjoint(c.vertex_set) for c in stats.cycles)
+    mass = Fraction(sum(size for size, on in zip(sizes, on_cycle) if on), n)
+    hypothesis = all(size >= R for size in sizes)
     nr_average = Fraction(nr_total, n)
     nr_bound = Fraction(R, length) * Fraction(sum(on_cycle), n)
     nr_holds = (nr_average >= nr_bound) if hypothesis else None
-    return MassTransportReport(
-        R, length, mass, mass, hypothesis, nr_average, nr_bound, nr_holds
-    )
+    return MassTransportReport(R, length, mass, mass, hypothesis, nr_average, nr_bound, nr_holds)
+
+
+def _cyclic_code(g: MultiGraph, v: int, vs: list[int], depths: list[int]) -> str:
+    if len(vs) > CANON_CAP:
+        raise ValueError(f"ball at vertex {v} has {len(vs)} vertices, over the cap of {CANON_CAP}")
+    return "g" + canonical_code(induced_subgraph(g, vs), depths)
 
 
 def ball_code(g: MultiGraph, v: int, r: int) -> str:
@@ -202,20 +237,28 @@ def ball_code(g: MultiGraph, v: int, r: int) -> str:
     it must have at most CANON_CAP vertices and goes through canonical_code,
     coloured by the depths of its depth map."""
     depth = ball(g, v, r)
-    if _is_tree_ball(g, depth):
+    if sum(w in depth for u in depth for w in g.neighbours[u]) == 2 * (len(depth) - 1):
         return "t" + quotient(g).ball_code(v, r)
-    if len(depth) > CANON_CAP:
-        raise ValueError(
-            f"ball at vertex {v} has {len(depth)} vertices, over the cap of {CANON_CAP}"
-        )
-    return "g" + canonical_code(induced_subgraph(g, depth), [depth[u] for u in sorted(depth)])
+    return _cyclic_code(g, v, sorted(depth), [depth[u] for u in sorted(depth)])
 
 
 def bs_histogram(g: MultiGraph, r: int) -> dict[str, int]:
-    """Counts of rooted radius-r ball types over all vertices."""
+    """Counts of ball_code over all vertices, off one sweep: tree balls once per
+    refinement colour, a ball with a cycle from its row's vertices and depths."""
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    q = quotient(g)
+    colors = np.array(q.colors)
     hist: dict[str, int] = defaultdict(int)
-    for v in range(g.n):
-        hist[ball_code(g, v, r)] += 1
+    trees = 0
+    for vs, reach, tree in _balls(g, r):
+        trees = trees + np.bincount(colors[vs[tree]], minlength=len(q.members))
+        for i in np.flatnonzero(~tree).tolist():
+            row = slice(reach.indptr[i], reach.indptr[i + 1])
+            depths = (r + 1 - reach.data[row]).tolist()
+            hist[_cyclic_code(g, vs[i], reach.indices[row].tolist(), depths)] += 1
+    for c in np.flatnonzero(trees).tolist():
+        hist["t" + q.ball_code(q.members[c][0], r)] += int(trees[c])
     return dict(hist)
 
 

@@ -94,6 +94,10 @@ class MultiGraph:
         return tuple(tuple(b) for b in buckets)
 
     @cached_property
+    def neighbours(self) -> tuple[tuple[int, ...], ...]:  # sorted half-edge targets
+        return tuple(tuple(sorted(self.targets[h] for h in hs)) for hs in self.half_edges_at)
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.half_edges_at)
 
@@ -210,10 +214,10 @@ _CANON_LEAF_BUDGET = 1_000_000
 
 def refine(g: MultiGraph, colors) -> tuple[list[int], int]:
     """Equitable refinement of a vertex colouring: recolour every vertex by
-    (own colour, sorted neighbour colours over its half-edges) until a round
-    splits no class. Colour ids are re-ranked by signature each round, so
-    isomorphic inputs end in identical id sequences. Returns the stable
-    colours and the number of rounds, the final non-splitting one included.
+    (own colour, sorted colours of g.neighbours) until a round splits no
+    class. Colour ids are re-ranked by signature each round, so isomorphic
+    inputs end in identical id sequences. Returns the stable colours and the
+    number of rounds, the final non-splitting one included.
 
     From the uniform colouring this is the degree refinement: two vertices
     end in one class exactly when their rooted universal covers are
@@ -222,10 +226,7 @@ def refine(g: MultiGraph, colors) -> tuple[list[int], int]:
     classes = len(set(colors))
     rounds = 0
     while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[g.targets[h]] for h in g.half_edges_at[v])))
-            for v in range(g.n)
-        ]
+        sigs = [(c, tuple(sorted([colors[w] for w in ws]))) for c, ws in zip(colors, g.neighbours)]
         palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
         colors = [palette[s] for s in sigs]
         rounds += 1
@@ -244,11 +245,11 @@ def _code_for_order(g: MultiGraph, pos: list[int]) -> str:
 def canonical_code(g: MultiGraph, colors) -> str:
     """Minimal edge-list code over the vertex orderings that respect an
     initial colouring, searched by individualization-refinement (McKay and
-    Piperno, 2014): refine, branch on the first non-singleton class, keep the
-    lexicographically smallest leaf. The branches take one member per twin
-    class of that cell: twins (same loop count, same multiplicity to every
-    other vertex) are swapped by an automorphism that fixes the colouring, so
-    their subtrees hold the same leaf codes.
+    Piperno, 2014): refine, branch on the first non-singleton cell, keep the
+    lexicographically smallest leaf. Twins (equal g.neighbours once swapped)
+    are swapped by an automorphism that fixes the colouring: a branch takes
+    one member per twin class of the cell, and a node whose split cells are
+    each one twin class, which automorphisms permute freely, is a leaf.
 
     Isomorphisms that preserve the colouring give equal codes, and equal
     codes mean isomorphic graphs; the colouring itself is not recorded. The
@@ -260,8 +261,7 @@ def canonical_code(g: MultiGraph, colors) -> str:
     def twins(u: int, w: int) -> bool:
         # the transposition (u w) maps the edges at u onto those at w
         swap = {u: w, w: u}
-        mapped = sorted(swap.get(g.targets[h], g.targets[h]) for h in g.half_edges_at[u])
-        return mapped == sorted(g.targets[h] for h in g.half_edges_at[w])
+        return sorted([swap.get(x, x) for x in g.neighbours[u]]) == list(g.neighbours[w])
 
     def search(colors: list[int]) -> None:
         nonlocal best, budget
@@ -269,10 +269,8 @@ def canonical_code(g: MultiGraph, colors) -> str:
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cells.setdefault(c, []).append(v)
-        target = next(
-            (cells[c] for c in sorted(cells) if len(cells[c]) > 1), None
-        )
-        if target is None:
+        split = [cells[c] for c in sorted(cells) if len(cells[c]) > 1]
+        if all(twins(cell[0], u) for cell in split for u in cell[1:]):
             budget -= 1
             if budget < 0:  # pragma: no cover - only for huge automorphism groups
                 raise RuntimeError("canonical form leaf budget exceeded")
@@ -280,11 +278,10 @@ def canonical_code(g: MultiGraph, colors) -> str:
             for i, v in enumerate(sorted(range(g.n), key=colors.__getitem__)):
                 pos[v] = i
             code = _code_for_order(g, pos)
-            if best is None or code < best:
-                best = code
+            best = code if best is None else min(best, code)
             return
         reps: list[int] = []
-        for m in target:
+        for m in split[0]:
             if any(twins(m, u) for u in reps):
                 continue
             reps.append(m)

@@ -16,7 +16,7 @@ import numpy as np
 
 from coverspectra.cover import quotient
 from coverspectra.generators import canonical_key, random_lift
-from coverspectra.multigraph import MultiGraph, require_connected
+from coverspectra.multigraph import MultiGraph, ball, induced_subgraph, require_connected
 from coverspectra.rho import (
     _is_supersolution,
     _newton,
@@ -242,6 +242,87 @@ def ahu_code(b: MultiGraph, root: int) -> str:
         kids = sorted(codes[w] for w in (b.targets[h] for h in b.half_edges_at[u]) if parent.get(w) == u)
         codes[u] = "(" + "".join(kids) + ")"
     return codes[root]
+
+
+def canonical_code_by_search(g: MultiGraph, colors) -> str:
+    """multigraph.canonical_code without its twin-cell leaves: every node
+    refines (over half_edges_at and targets, not the cached neighbour
+    lists) and branches on one member per twin class of its first
+    non-singleton cell, down to discrete leaves, and the smallest leaf code
+    wins."""
+
+    def refine(colors: list[int]) -> list[int]:
+        classes = len(set(colors))
+        while True:
+            sigs = [
+                (colors[v], tuple(sorted(colors[g.targets[h]] for h in g.half_edges_at[v])))
+                for v in range(g.n)
+            ]
+            palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
+            colors = [palette[s] for s in sigs]
+            if len(palette) == classes:
+                return colors
+            classes = len(palette)
+
+    def twins(u: int, w: int) -> bool:
+        swap = {u: w, w: u}
+        mapped = sorted(swap.get(g.targets[h], g.targets[h]) for h in g.half_edges_at[u])
+        return mapped == sorted(g.targets[h] for h in g.half_edges_at[w])
+
+    codes = []
+
+    def search(colors: list[int]) -> None:
+        colors = refine(colors)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            pairs = sorted((min(colors[u], colors[v]), max(colors[u], colors[v])) for u, v in g.edges)
+            codes.append(f"{g.n};" + ",".join(f"{a}-{c}" for a, c in pairs))
+            return
+        reps: list[int] = []
+        for m in target:
+            if not any(twins(m, u) for u in reps):
+                reps.append(m)
+                search([2 * c - (v == m) for v, c in enumerate(colors)])
+
+    search(list(colors))
+    return min(codes)
+
+
+def _tree_ball_by_count(g: MultiGraph, depth: dict[int, int]) -> bool:
+    # connected, so a tree exactly when it holds |ball| - 1 edges
+    edges = sum(1 for a, b in g.edges if a in depth and b in depth)
+    return edges == len(depth) - 1
+
+
+def tree_fraction_by_balls(g: MultiGraph, r: int) -> float:
+    """localstats.tree_fraction one vertex at a time: a depth-limited BFS
+    per vertex and a count of the edges with both ends in its ball."""
+    return sum(_tree_ball_by_count(g, ball(g, v, r)) for v in range(g.n)) / g.n
+
+
+def bs_histogram_by_balls(g: MultiGraph, r: int) -> dict[str, int]:
+    """localstats.bs_histogram one vertex at a time: a depth-limited BFS per
+    vertex, a tree ball coded off the cover quotient and a ball with a cycle
+    by canonical_code_by_search, with the same cap and error message."""
+    from coverspectra.localstats import CANON_CAP
+
+    hist: dict[str, int] = {}
+    for v in range(g.n):
+        depth = ball(g, v, r)
+        if _tree_ball_by_count(g, depth):
+            code = "t" + quotient(g).ball_code(v, r)
+        elif len(depth) > CANON_CAP:
+            raise ValueError(
+                f"ball at vertex {v} has {len(depth)} vertices, over the cap of {CANON_CAP}"
+            )
+        else:
+            sub = induced_subgraph(g, depth)
+            code = "g" + canonical_code_by_search(sub, [depth[u] for u in sorted(depth)])
+        hist[code] = hist.get(code, 0) + 1
+    return hist
 
 
 def tree_ball_top_eigenvalue(tb: TreeBall, radius: int) -> float:

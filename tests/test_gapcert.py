@@ -229,7 +229,7 @@ def test_grid_matches_loop_oracle_bit_for_bit(sweep, cache):
         q = quotient(g)
         kernel = _kernel(g, spec)
         grid = kernel(*zip(*_GRID))
-        assert grid.shape == (120, len(kernel.keys))
+        assert grid.shape == (len(_GRID), len(kernel.keys))
         maxima = []
         for (gamma, delta), row in zip(_GRID, grid):
             point = kernel([gamma], [delta])[0]
@@ -311,6 +311,15 @@ def test_k4_certificate():
     cert = certify_gap(complete(4))
     assert 0 < cert.margin <= 3 - 2 * math.sqrt(2) + 1e-12
     assert cert.margin == pytest.approx(1 / 6, abs=1e-12)
+
+
+def test_grid_reaches_weights_above_one():
+    """Three loops at one vertex: lambda1 = 6 and rho(T) = sqrt(20). The
+    best pair has gamma = delta = 1, above the grid's old top of 1/2, where
+    the margin was 7/6."""
+    cert = certify_gap(MultiGraph(1, ((0, 0), (0, 0), (0, 0))))
+    assert cert.margin >= 1.5 - 1e-12
+    assert cert.margin <= 6 - math.sqrt(20)
 
 
 def test_glued_cycles_tiny_but_positive():

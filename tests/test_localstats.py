@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from coverspectra import localstats, multigraph
 from coverspectra.cover import orbit_distribution
 from coverspectra.localstats import (
     CANON_CAP,
@@ -18,6 +20,7 @@ from coverspectra.multigraph import (
     CyclomaticClass,
     MultiGraph,
     ball,
+    canonical_code,
     cyclomatic_class,
     induced_subgraph,
 )
@@ -32,7 +35,15 @@ from coverspectra.generators import (
     theta,
 )
 
-from oracles import ahu_code, gnp_giant, mass_transport_by_distances, tree_ball
+from oracles import (
+    ahu_code,
+    bs_histogram_by_balls,
+    canonical_code_by_search,
+    gnp_giant,
+    mass_transport_by_distances,
+    tree_ball,
+    tree_fraction_by_balls,
+)
 
 
 def _girth(g):
@@ -362,6 +373,87 @@ def test_loop_and_parallel_codes_differ():
     lp = MultiGraph(1, ((0, 0),))
     de = MultiGraph(2, ((0, 1), (0, 1)))
     assert ball_code(lp, 0, 1) != ball_code(de, 0, 1)
+
+
+# -- the ball sweep against the per-vertex loop -------------------------------------
+
+
+def _assert_sweep_matches_loop(g, r):
+    assert bs_histogram(g, r) == bs_histogram_by_balls(g, r)
+    if r:
+        assert tree_fraction(g, r) == tree_fraction_by_balls(g, r)
+
+
+def test_sweep_matches_loop_on_corpus(corpus):
+    for g in corpus:
+        for r in range(4):
+            _assert_sweep_matches_loop(g, r)
+
+
+def test_sweep_matches_loop_on_larger_graphs():
+    for g in _tree_ball_graphs():
+        for r in (1, 2, 3):
+            _assert_sweep_matches_loop(g, r)
+    for seed in range(6):
+        _assert_sweep_matches_loop(gnp_giant(300, seed), 2)
+    _assert_sweep_matches_loop(path(200), 40)
+
+
+def test_sweep_keeps_the_cap_error():
+    with pytest.raises(ValueError, match="cap") as want:
+        bs_histogram_by_balls(complete(70), 1)
+    with pytest.raises(ValueError, match="cap") as got:
+        bs_histogram(complete(70), 1)
+    assert str(got.value) == str(want.value)
+
+
+def test_canonizer_matches_full_search(corpus):
+    """The twin-cell leaves give the code of the full search, from the
+    uniform colouring and from the degree colouring."""
+    for g in corpus:
+        for colors in ([0] * g.n, list(g.degrees)):
+            assert canonical_code(g, colors) == canonical_code_by_search(g, colors)
+
+
+def test_sweep_runs_no_bfs(monkeypatch):
+    g = random_lift(bowtie(), 150, 0)[0]
+    calls = []
+    bfs = multigraph._bfs
+
+    def counted(*args):
+        calls.append(args[1:])
+        return bfs(*args)
+
+    monkeypatch.setattr(multigraph, "_bfs", counted)
+    hist = bs_histogram(g, 2)
+    assert tree_fraction(g, 2) < 1.0 and any(code.startswith("g") for code in hist)
+    assert calls == []
+    ball_code(g, 0, 2)
+    assert len(calls) == 1
+
+
+def test_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
+    """On rr(600, 3) at r = 5 the rows of reach A hold more than four blocks'
+    entries; the traced peak of the blocked sweep stays under a third of the
+    sweep in one block."""
+    g, r = random_regular(600, 3, 1)[0], 5
+    entries = sum(len(ball(g, v, r + 1)) for v in range(g.n))
+    monkeypatch.setattr(localstats, "_BLOCK_ENTRIES", 1 << 14)
+    assert entries >= 4 * localstats._BLOCK_ENTRIES
+    tree_fraction(g, r)  # imports and the quotient, outside the trace
+
+    def traced() -> tuple[float, int]:
+        tracemalloc.start()
+        try:
+            return tree_fraction(g, r), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocked, blocked_peak = traced()
+    monkeypatch.setattr(localstats, "_BLOCK_ENTRIES", g.n**2)
+    whole, whole_peak = traced()
+    assert blocked == whole
+    assert 3 * blocked_peak < whole_peak
 
 
 # -- lifts converge locally to the cover -------------------------------------------
