@@ -44,11 +44,11 @@ class Quotient:
     cls[h] is half-edge h's class (numbered by first half-edge), ends[a] its
     (source, target) colours, and C[a] and D[c] list the pairs (b, C[a, b])
     and (a, D[c, a]) of nonzero counts in increasing order. members[c] lists
-    the colour-c vertices in increasing order; the k x k integer colour
-    matrix B[c, c'], built from D on first read, counts the colour-c'
-    neighbours of each colour-c vertex (a loop twice). The walk tables only
-    grow: branch[a][s] does not depend on how deep they go; the ball codes
-    are memoized the same way."""
+    the colour-c vertices in increasing order; the k x k colour matrix B, a
+    CSR matrix of integers, counts in B[c, c'] the colour-c' neighbours of a
+    colour-c vertex (a loop twice). B and the 2-core's peel are built on
+    first read. The walk tables only grow: branch[a][s] does not depend on
+    how deep they go; the ball codes are memoized the same way."""
 
     def __init__(self, g: MultiGraph):
         colors, self.rounds = refine(g, [0] * g.n)
@@ -80,12 +80,29 @@ class Quotient:
         self._codes: dict[tuple, str] = {}
 
     @cached_property
-    def B(self) -> np.ndarray:
-        b = np.zeros((len(self.D),) * 2, dtype=np.int64)
-        for c, row in enumerate(self.D):
-            for a, m in row:
-                b[c, self.ends[a][1]] = m
-        return b
+    def B(self):
+        from scipy.sparse import csr_matrix
+
+        # no entry repeats in a row; int32 indices skip scipy's upcast check
+        cols = np.array([self.ends[a][1] for row in self.D for a, _ in row], dtype=np.int32)
+        vals = np.array([m for row in self.D for _, m in row], dtype=np.int64)
+        indptr = np.cumsum([0] + [len(row) for row in self.D], dtype=np.int32)
+        return csr_matrix((vals, cols, indptr), shape=(len(self.D),) * 2)
+
+    @cached_property
+    def peel(self) -> tuple[dict[int, int], tuple[int, ...]]:
+        """The 2-core: (outward, core degree per colour). outward, the least
+        fixed point of "all continuations are outward", maps each class into
+        a pendant tree to the tree's height (1 into a leaf), the round it
+        joins at. A core degree counts the interior half-edges at a vertex:
+        of classes neither outward nor reversed outward."""
+        out: dict[int, int] = {}
+        succ = [{b for b, _ in row} for row in self.C]
+        while grown := [a for a, s in enumerate(succ) if a not in out and s <= out.keys()]:
+            out.update({a: 1 + max((out[b] for b in succ[a]), default=0) for a in grown})
+        flipped = {self.ends[a][::-1] for a in out}
+        inner = [a not in out and ends not in flipped for a, ends in enumerate(self.ends)]
+        return out, tuple(sum(m for a, m in row if inner[a]) for row in self.D)
 
     def walk_profile(self, color: int, k_max: int) -> list[int]:
         """[N_k(v) for k in 0..k_max] at any vertex v of the colour."""

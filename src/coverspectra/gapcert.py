@@ -4,8 +4,9 @@ It runs on cover.quotient(g): the cover's vertex types, the weights and the
 Perron vector, constant on colours (Godsil & Royle, Algebraic Graph Theory,
 9.3), are per class or per colour, so a lift costs what its base costs.
 
-Weights. A class is outward (into a pendant tree) when all its continuations
-are, interior when neither it nor its reverse is. An interior class weighs
+Weights. They read the quotient's peel of the 2-core (Quotient.peel): a
+class is outward (into a pendant tree) when all its continuations are,
+interior when neither it nor its reverse is. An interior class weighs
 1 + j * epsilon for its position j on a chain of core degree 2 colours from
 one of core degree above 2, epsilon = 1 / (2 (J + 1)) for the largest J: in
 [1, 1.5), outweighed by its continuations. An outward class weighs 1 out of
@@ -84,18 +85,14 @@ class GapCertificate:
 
 def _weights(q: Quotient) -> tuple[dict[int, Fraction], dict[int, Fraction], Fraction]:
     """(interior weights, outward weights, epsilon) of a multicyclic quotient."""
-    outward, grown = None, set()
-    while grown != outward:  # to the least fixed point, one pendant depth a round
-        outward, grown = grown, {a for a, row in enumerate(q.C) if all(b in grown for b, _ in row)}
-    flipped = {q.ends[a][::-1] for a in outward}
-    pendant = set(outward) | {a for a, ends in enumerate(q.ends) if ends in flipped}
-    core_deg = [sum(m for a, m in row if a not in pendant) for row in q.D]
+    # out of a core colour a class is interior or outward, never inward
+    outward, core_deg = q.peel
     position: dict[int, int] = {}
     for a, (s, _) in enumerate(q.ends):
-        if a not in pendant and core_deg[s] > 2:  # a chain's first class
+        if a not in outward and core_deg[s] > 2:  # a chain's first class
             j = position[a] = 0
             while core_deg[q.ends[a][1]] == 2:  # a chain colour: one way on
-                (a,) = [b for b, _ in q.C[a] if b not in pendant]
+                (a,) = [b for b, _ in q.C[a] if b not in outward]
                 j = position[a] = j + 1
     steps = 2 * (max(position.values()) + 1)
     gamma_weights = {a: Fraction(steps + j, steps) for a, j in sorted(position.items())}
@@ -116,11 +113,9 @@ def _scaled_perron(q: Quotient, spec: Spectrum) -> np.ndarray:
     sizes = np.array([len(vs) for vs in q.members])
     y = np.asarray(spec.perron, dtype=float)[[vs[0] for vs in q.members]]
     if not spec.full:
-        from scipy.sparse import coo_matrix
+        from scipy.sparse import identity
 
-        entries = [(c, q.ends[a][1], m) for c, row in enumerate(q.D) for a, m in row]
-        rows, cols, vals = zip(*entries, *((c, c, -spec.lambda1) for c in range(len(sizes))))
-        z = np.abs(_solver(coo_matrix((vals, (rows, cols)), shape=(len(sizes),) * 2))(y))
+        z = np.abs(_solver(q.B - spec.lambda1 * identity(len(sizes)))(y))
         if np.all(z > 0):  # no NaN from an exactly singular matrix; any positive y will do
             y = z / math.sqrt(np.dot(sizes, z * z))
     return y * math.sqrt(sizes.sum())

@@ -109,13 +109,14 @@ class RhoResult:
     (t, feasible, status): a hi candidate "certified" by the exact check,
     which moves hi to t, or "uncertified", and a lo Newton run "diverged"
     or "uncertified" (it converged). iterations_per_probe holds their
-    Newton steps, the first also counting the estimate's."""
+    Newton steps, the first also counting the estimate's. fixed_point, the
+    certificate behind hi, has one value per class of cover.quotient(g)."""
 
     value: float
     lo: float
     hi: float
     tol: float
-    fixed_point: dict[int, float]
+    fixed_point: tuple[float, ...]
     vertex_slack_min: float
     iterations_per_probe: tuple[int, ...]
     ambiguous_probes: int
@@ -202,22 +203,20 @@ class _Operators:
         return d[:k], d[k : 2 * k], d[2 * k]
 
 
-def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray) -> float | None:
-    """The supersolution check on every half-edge of g, in exact arithmetic.
-
-    Every float is a dyadic rational, so t and f are scaled by one power of
-    two, 2^k, to the Python integers T and F; then the vertex sums of F are
-    at most T, and f (t - continuation sum) >= 1 is F (T - continuation
-    sum) >= 4^k. Returns the vertex slack t - (largest vertex sum of f),
-    evaluated in float64, when f passes, else None."""
+def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray, cls: np.ndarray) -> float | None:
+    """The supersolution check of f[cls] (f per class, cls each half-edge's)
+    on every half-edge of g, in exact arithmetic. Every float is a dyadic
+    rational, so t and f are scaled by one power of two, 2^k, to the Python
+    integers T and F; then the vertex sums of F are at most T, and f (t -
+    continuation sum) >= 1 is F (T - continuation sum) >= 4^k. Returns the
+    vertex slack t - (largest vertex sum of f[cls]), evaluated in float64,
+    when f passes, else None."""
     if not np.all(np.isfinite(f) & (f > 0.0)):
         return None
-    # a lifted certificate has one distinct value per class: convert those
-    values, index = np.unique(f, return_inverse=True)
-    ratios = [x.as_integer_ratio() for x in [t, *values.tolist()]]
+    ratios = [x.as_integer_ratio() for x in [t, *f.tolist()]]
     k = max(den.bit_length() for _, den in ratios) - 1
     big_t, *big_values = [num << (k + 1 - den.bit_length()) for num, den in ratios]
-    big_f = [big_values[i] for i in index.tolist()]
+    big_f = [big_values[a] for a in cls.tolist()]
     vsum = [0] * g.n
     for u, x in zip(g.sources, big_f):
         vsum[u] += x
@@ -228,7 +227,7 @@ def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray) -> float | None:
     for h, (x, w) in enumerate(zip(big_f, g.targets)):
         if x * (big_t - vsum[w] + big_f[h ^ 1]) < one:
             return None
-    vsum_float = np.bincount(np.array(g.sources, dtype=np.intp), weights=f, minlength=g.n)
+    vsum_float = np.bincount(np.array(g.sources, dtype=np.intp), weights=f[cls], minlength=g.n)
     slack = t - float(vsum_float.max())
     # the exact vertex sums are at most t; only float rounding can say less
     return max(slack, 0.0)
@@ -349,7 +348,7 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     if not tol > 0:  # NaN fails too
         raise ValueError("tolerance must be positive")
     if g.m == 0:
-        return RhoResult(0.0, 0.0, 0.0, tol, {}, 0.0, (), 0, ())
+        return RhoResult(0.0, 0.0, 0.0, tol, (), 0.0, (), 0, ())
 
     q = _Operators(quotient(g))
     hi = float(g.max_degree)
@@ -370,20 +369,20 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     first_pad = pad = max(tol / (4.0 * est), math.ulp(1.0))
     while fixed is None and lo < (t := est * (1.0 + pad)) < hi:
         cand, n = fold, 0
-        slack = None if fold is None else _is_supersolution(g, t, fold[q.cls])
+        slack = None if fold is None else _is_supersolution(g, t, fold, q.cls)
         if slack is None:
             # the least fixed point at the midpoint; the start lies above it
             # when the warm-up's last t is below the midpoint (it ran down to
             # rounding), which is harmless: hi rests on the exact check alone
             _, cand, n, _ = _newton(q, est * (1.0 + 0.5 * pad), start, solve)
-            slack = _is_supersolution(g, t, cand[q.cls])
+            slack = _is_supersolution(g, t, cand, q.cls)
         checks.append((t, slack is not None, "uncertified" if slack is None else "certified", n))
         if slack is not None:
-            hi, fixed, slack_min = t, cand[q.cls], slack
+            hi, fixed, slack_min = t, cand, slack
         pad *= 2.0
     if fixed is None:  # F = 1 is a supersolution at the max degree
-        fixed = np.ones(g.num_half_edges)
-        slack_min = _is_supersolution(g, hi, fixed)
+        fixed = np.ones(q.size)
+        slack_min = _is_supersolution(g, hi, fixed, q.cls)
         if slack_min is None:
             raise RuntimeError(f"certificate at t = {hi!r} fails the full-graph check")
 
@@ -404,7 +403,7 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
         lo,
         hi,
         tol,
-        dict(enumerate(fixed.tolist())),
+        tuple(fixed.tolist()),
         slack_min,
         tuple(iterations),
         sum(status == "uncertified" for _, _, status, _ in checks),

@@ -102,7 +102,7 @@ def _quotient_perron(g: MultiGraph) -> tuple[float, np.ndarray]:
 
     q = quotient(g)
     colors = np.array(q.colors)
-    k, b = len(q.members), q.B
+    k, b = len(q.members), q.B.toarray()
     # square roots of integers: finite, so skip scipy's scan
     top, u = eigh(np.sqrt(b * b.T), subset_by_index=(k - 1, k - 1), check_finite=False)
     root = np.sqrt([len(vs) for vs in q.members])

@@ -1,19 +1,20 @@
-"""2-core decomposition by iterated leaf removal.
+"""2-core decomposition, lifted from the cover's quotient.
 
-The 2-core of a connected multigraph with at least one cycle is what remains
-after repeatedly deleting degree-1 vertices. Edges with both endpoints in the
-core are interior (kept in both half-edge directions); every other edge lies
-in a pendant tree and is kept as the single half-edge directed away from the
-core. core_degrees is the peel's own degree count on the survivors (loops
-count 2); ext_half_edges is in reverse peel order, so each half-edge's source
-is a core vertex or the target of an earlier entry.
+The 2-core of a connected multigraph with a cycle is what remains after
+repeatedly deleting degree-1 vertices. A half-edge points into a pendant
+tree exactly when its cover branch is finite, which its class decides, so
+the peel is the quotient's (cover.Quotient.peel). An interior edge keeps
+both half-edges, a pendant edge the one directed away from the core, and
+core_degrees counts interior half-edges (a loop twice). ext_half_edges runs
+by decreasing height of the tree below, then by id: each source is a core
+vertex or the target of an earlier entry.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
+from .cover import quotient
 from .multigraph import MultiGraph, require_connected
 
 
@@ -28,7 +29,7 @@ class CoreDecomposition:
 
 
 def two_core(g: MultiGraph) -> CoreDecomposition:
-    """Peel leaves until every remaining vertex has degree >= 2.
+    """The 2-core of g, read off its quotient's peel.
 
     Requires a connected input with at least one cycle (a tree peels away
     completely and is rejected).
@@ -37,24 +38,11 @@ def two_core(g: MultiGraph) -> CoreDecomposition:
     if g.m < g.n:
         raise ValueError("two_core requires at least one cycle; input is a tree")
 
-    deg = list(g.degrees)
-    alive = [True] * g.n
-    ext_hes: list[int] = []
-    queue = deque(v for v in range(g.n) if deg[v] <= 1)
-    # degrees only fall, so a vertex is queued once: at the start or on its step from 2 to 1
-    while queue:
-        u = queue.popleft()
-        alive[u] = False
-        for h in g.half_edges_at[u]:
-            w = g.targets[h]
-            if alive[w]:
-                # u's one live half-edge: its inverse points away from the core
-                ext_hes.append(h ^ 1)
-                deg[w] -= 1
-                if deg[w] == 1:
-                    queue.append(w)
-
-    core_deg = {v: deg[v] for v in range(g.n) if alive[v]}
-    ext = frozenset(v for v in range(g.n) if not alive[v])
-    int_hes = frozenset(h for h, u in enumerate(g.sources) if alive[u] and alive[g.targets[h]])
-    return CoreDecomposition(g, frozenset(core_deg), ext, int_hes, tuple(ext_hes[::-1]), core_deg)
+    q = quotient(g)
+    out, colour_deg = q.peel
+    cls = q.cls.tolist()
+    ext_hes = [h for _, h in sorted((-out[a], h) for h, a in enumerate(cls) if a in out)]
+    int_hes = frozenset(h for h, a in enumerate(cls) if a not in out and cls[h ^ 1] not in out)
+    core_deg = {v: colour_deg[c] for v, c in enumerate(q.colors) if colour_deg[c]}
+    ext = frozenset(v for v, c in enumerate(q.colors) if not colour_deg[c])
+    return CoreDecomposition(g, frozenset(core_deg), ext, int_hes, tuple(ext_hes), core_deg)

@@ -23,6 +23,7 @@ from coverspectra.rho import (
     _Operators,
     rho_lower_sequence,
 )
+from coverspectra.twocore import CoreDecomposition
 
 
 TREE_BALL_NODE_CAP = 20_000_000
@@ -385,7 +386,7 @@ def probe_status(g: MultiGraph, t: float) -> str:
         return "diverged"
     # f is a subsolution below every supersolution at any t' < t too
     _, cert, _, _ = _newton(q, t * (1.0 - PROBE_SHIFT), f, solve)
-    if _is_supersolution(g, t, cert[q.cls]) is None:
+    if _is_supersolution(g, t, cert, q.cls) is None:
         return "uncertified"
     return "certified"
 
@@ -417,6 +418,39 @@ def rho_by_bisection(g: MultiGraph, tol: float) -> tuple[float, float]:
             probe(mid + 0.25 * tol)
             break
     return lo, hi
+
+
+def two_core_by_peel(g: MultiGraph) -> CoreDecomposition:
+    """twocore.two_core by the graph's own peel, without the quotient:
+    leaves are deleted one at a time, breadth first, until every remaining
+    vertex has degree >= 2. ext_half_edges is in reverse peel order, so each
+    half-edge's source is a core vertex or the target of an earlier entry;
+    core_degrees is the peel's degree count on the survivors (loops count
+    2). Requires a connected graph with a cycle."""
+    assert g.is_connected and g.m >= g.n, "two_core_by_peel needs a connected graph with a cycle"
+    deg = list(g.degrees)
+    alive = [True] * g.n
+    ext_hes: list[int] = []
+    queue = deque(v for v in range(g.n) if deg[v] <= 1)
+    # degrees only fall, so a vertex is queued once: at the start or on its step from 2 to 1
+    while queue:
+        u = queue.popleft()
+        alive[u] = False
+        for h in g.half_edges_at[u]:
+            w = ends(g, h)[1]
+            if alive[w]:
+                # u's one live half-edge: its inverse points away from the core
+                ext_hes.append(h ^ 1)
+                deg[w] -= 1
+                if deg[w] == 1:
+                    queue.append(w)
+
+    core_deg = {v: deg[v] for v in range(g.n) if alive[v]}
+    ext = frozenset(v for v in range(g.n) if not alive[v])
+    int_hes = frozenset(
+        h for h in range(g.num_half_edges) if all(alive[v] for v in ends(g, h))
+    )
+    return CoreDecomposition(g, frozenset(core_deg), ext, int_hes, tuple(ext_hes[::-1]), core_deg)
 
 
 def gamma_assignment(core, epsilon: Fraction) -> dict[int, Fraction]:

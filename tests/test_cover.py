@@ -239,13 +239,14 @@ def _assert_equitable(g):
             int(q.cls[h2]) for h2 in g.half_edges_at[g.targets[h]] if h2 != h ^ 1
         )
         assert dict(q.C[q.cls[h]]) == counts
+    b = q.B.toarray()
     for v in range(g.n):
         counts = Counter(int(q.cls[h]) for h in g.half_edges_at[v])
         assert dict(q.D[q.colors[v]]) == counts
         neighbours = Counter(q.colors[g.targets[h]] for h in g.half_edges_at[v])
-        assert {c: int(m) for c, m in enumerate(q.B[q.colors[v]]) if m} == neighbours
+        assert {c: int(m) for c, m in enumerate(b[q.colors[v]]) if m} == neighbours
     k = len(q.members)
-    assert q.B.shape == (k, k)
+    assert b.shape == (k, k)
     assert q.members == tuple(
         tuple(v for v in range(g.n) if q.colors[v] == c) for c in range(k)
     )

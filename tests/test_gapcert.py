@@ -15,6 +15,7 @@ from oracles import (
     gamma_assignment,
     gnp_giant,
     per_half_edge,
+    two_core_by_peel,
 )
 from coverspectra.cover import quotient
 from coverspectra.gapcert import (
@@ -31,7 +32,6 @@ from coverspectra.gapcert import (
 )
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.rho import rho_tree
-from coverspectra.twocore import two_core
 from coverspectra.spectra import eigen_spectrum
 from coverspectra.generators import (
     bowtie,
@@ -106,7 +106,7 @@ def test_dense_core_gamma_all_one():
 
 def test_gamma_covers_interior_and_stays_in_range(corpus):
     for g in _multicyclic(corpus[::10]):
-        core = two_core(g)
+        core = two_core_by_peel(g)
         w, _, _ = _lifted_weights(g)
         assert set(w) == set(core.int_half_edges)
         assert all(1 <= val < Fraction(3, 2) for val in w.values())
@@ -116,7 +116,7 @@ def test_gamma_inequality_exact(corpus):
     """At the far end of any interior half-edge, the outgoing interior weights
     must strictly dominate the incoming one, in exact rationals."""
     for g in _multicyclic(corpus[::10]):
-        core = two_core(g)
+        core = two_core_by_peel(g)
         w, _, _ = _lifted_weights(g)
         for h in core.int_half_edges:
             v = g.targets[h]
@@ -128,7 +128,7 @@ def test_gamma_inequality_exact(corpus):
 
 def test_gamma_rejects_thin_inputs():
     with pytest.raises(ValueError, match="multicyclic"):
-        gamma_assignment(two_core(cycle(4)), Fraction(1, 8))
+        gamma_assignment(two_core_by_peel(cycle(4)), Fraction(1, 8))
     with pytest.raises(ValueError, match="multicyclic"):
         certify_gap(cycle(4))
 
@@ -137,7 +137,7 @@ def test_class_weights_match_half_edge_oracles(sweep):
     """The peel on the quotient gives every half-edge of a class the weight
     that the peel on the graph gives it, at the same epsilon."""
     for g in sweep:
-        core = two_core(g)
+        core = two_core_by_peel(g)
         gw, dw, eps = _lifted_weights(g)
         assert gw == gamma_assignment(core, eps)
         assert dw == delta_assignment(core)
@@ -178,7 +178,7 @@ def test_delta_one_pass_matches_depth_first_walk(corpus):
         MultiGraph(6, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (3, 5))),
     ]
     for g in graphs:
-        core = two_core(g)
+        core = two_core_by_peel(g)
         want = delta_by_dfs(core)
         assert delta_assignment(core) == want
         if cyclomatic_class(g) is CyclomaticClass.MULTICYCLIC:
@@ -187,7 +187,7 @@ def test_delta_one_pass_matches_depth_first_walk(corpus):
 
 def test_delta_inequality_exact(corpus):
     for g in _multicyclic(corpus[::10]):
-        core = two_core(g)
+        core = two_core_by_peel(g)
         _, w, _ = _lifted_weights(g)
         assert set(w) == set(core.ext_half_edges)
         for h, val in w.items():

@@ -82,6 +82,11 @@ def test_d_regular_family():
         assert abs(res.value - 2 * math.sqrt(d - 1)) <= res.tol
 
 
+def _lifted(g, res):
+    """res.fixed_point, one value per class, lifted to g's half-edges."""
+    return np.array(res.fixed_point)[quotient(g).cls]
+
+
 # -- bracket contract ---------------------------------------------------------------
 
 
@@ -94,8 +99,8 @@ def test_bracket_invariants(corpus, cache):
         assert res.vertex_slack_min >= 0
         assert [t for t, _, s in res.probes if s == "certified"] in ([], [res.hi])
         if res.fixed_point:
-            vals = list(res.fixed_point.values())
-            assert len(vals) == g.num_half_edges
+            assert len(res.fixed_point) == quotient(g).size
+            vals = _lifted(g, res)
             assert min(vals) > 0
             assert max(vals) <= res.hi + 1e-12
             if res.lo < res.hi:
@@ -106,8 +111,9 @@ def test_fixed_point_slacks(zoo_graph):
     g = zoo_graph
     res = rho_tree(g)
     t = res.hi
+    f = _lifted(g, res)
     for v in range(g.n):
-        s = sum(res.fixed_point[h] for h in g.half_edges_at[v])
+        s = sum(f[h] for h in g.half_edges_at[v])
         assert t - s >= -1e-12
 
 
@@ -321,9 +327,9 @@ def test_candidate_failing_the_exact_check_is_not_certified(monkeypatch):
     exact = rho_module._is_supersolution
     calls = []
 
-    def reject_first(g, t, f):
+    def reject_first(g, t, f, cls):
         calls.append(t)
-        return None if len(calls) == 1 else exact(g, t, f)
+        return None if len(calls) == 1 else exact(g, t, f, cls)
 
     monkeypatch.setattr(rho_module, "_is_supersolution", reject_first)
     res = rho_tree(bowtie())
@@ -424,8 +430,8 @@ def test_midpoint_fixed_point_certifies_when_the_fold_point_fails(monkeypatch):
     exact = rho_module._is_supersolution
     checks = []
 
-    def spy(g, t, f):
-        slack = exact(g, t, f)
+    def spy(g, t, f, cls):
+        slack = exact(g, t, f, cls)
         checks.append((t, slack is not None))
         return slack
 
@@ -453,8 +459,7 @@ def test_sparse_quotient_path():
     assert res.width <= res.tol
     walk_root = max(max(rho_lower_sequence(g, v, 6)) for v in range(g.n))
     assert walk_root <= res.value <= g.max_degree
-    cert = np.array([res.fixed_point[h] for h in range(g.num_half_edges)])
-    assert _is_supersolution(g, res.hi, cert) is not None
+    assert _is_supersolution(g, res.hi, np.array(res.fixed_point), quotient(g).cls) is not None
 
 
 # -- the one solve routine ------------------------------------------------------------------
@@ -514,15 +519,19 @@ def test_exact_check_matches_fractions(corpus, cache):
     perturbed = 0
     for g in corpus:
         res = cache.rho(g)
-        f = np.array([res.fixed_point[h] for h in range(g.num_half_edges)])
+        values, cls = np.array(res.fixed_point), quotient(g).cls
         below = float(np.nextafter(res.hi, 0.0))
-        cases = [(res.hi, f, True), (below, f, None)]
-        pair = _one_ulp_either_side(g, res.hi, f)
+        # the certificate per class, as rho_tree passes it; a copy with one
+        # half-edge moved is not constant on classes, so it goes per
+        # half-edge, through the identity class map
+        cases = [(res.hi, values, cls, True), (below, values, cls, None)]
+        pair = _one_ulp_either_side(g, res.hi, values[cls])
         if pair is not None:
             perturbed += 1
-            cases += [(res.hi, pair[0], True), (res.hi, pair[1], False)]
-        for t, cert, want in cases:
-            exact = supersolution_by_fractions(g, t, cert)
+            identity = np.arange(g.num_half_edges)
+            cases += [(res.hi, pair[0], identity, True), (res.hi, pair[1], identity, False)]
+        for t, cert, index, want in cases:
+            exact = supersolution_by_fractions(g, t, cert[index])
             assert want is None or exact is want
-            assert (_is_supersolution(g, t, cert) is not None) is exact
+            assert (_is_supersolution(g, t, cert, index) is not None) is exact
     assert perturbed > 1000

@@ -1,10 +1,18 @@
+import dataclasses
+
 import pytest
 
-from oracles import connected_lift, gnp_giant
+from oracles import connected_lift, gnp_giant, two_core_by_peel
 from coverspectra.localstats import enumerate_cycles
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.twocore import two_core
 from coverspectra.generators import bowtie, complete, cycle, path, theta
+
+
+# triangle 0-1-2 plus path 0-3-4
+TRIANGLE_WITH_TAIL = MultiGraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4)))
+# two loops joined by a path, with a fork hanging off its middle
+LOOPS_ON_A_FORK = MultiGraph(7, ((0, 0), (0, 1), (1, 2), (2, 2), (1, 3), (3, 4), (3, 5), (5, 6)))
 
 
 def _all_cycles(g):
@@ -21,8 +29,7 @@ def test_bowtie_core_is_whole_graph():
 
 
 def test_triangle_with_pendant_path():
-    # triangle 0-1-2 plus path 0-3-4
-    g = MultiGraph(5, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4)))
+    g = TRIANGLE_WITH_TAIL
     dec = two_core(g)
     assert dec.core_vertices == frozenset({0, 1, 2})
     assert dec.ext_vertices == frozenset({3, 4})
@@ -116,6 +123,27 @@ def _peel_checked_graphs(corpus):
     graphs += [connected_lift(base, 40) for base in (bowtie(), complete(4), theta(1, 2, 3))]
     graphs += [gnp_giant(300, seed) for seed in range(6)]
     return graphs
+
+
+def test_matches_the_graph_peel(corpus):
+    """The lift of the quotient's peel is the graph's own peel; only the
+    order of the pendant half-edges may differ."""
+    for g in _peel_checked_graphs(corpus):
+        dec, want = two_core(g), two_core_by_peel(g)
+        assert dec == dataclasses.replace(want, ext_half_edges=dec.ext_half_edges)
+        assert dec.core_degrees == want.core_degrees
+        assert sorted(dec.ext_half_edges) == sorted(want.ext_half_edges)
+
+
+@pytest.mark.parametrize("base", [bowtie(), theta(1, 2, 3), TRIANGLE_WITH_TAIL, LOOPS_ON_A_FORK])
+def test_a_lift_has_its_base_core_degrees(base):
+    """Each vertex of a connected lift has its base vertex's core degree,
+    and lies off the core exactly when its base vertex does."""
+    k = 40
+    lift, base_dec = connected_lift(base, k), two_core_by_peel(base)
+    dec, base_deg = two_core(lift), base_dec.core_degrees
+    assert dec.core_degrees == {v: base_deg[v // k] for v in range(lift.n) if v // k in base_deg}
+    assert dec.ext_vertices == frozenset(v for v in range(lift.n) if v // k in base_dec.ext_vertices)
 
 
 def test_core_degrees_match_a_recount(corpus):
