@@ -43,12 +43,11 @@ class Quotient:
     """The quotient of g (module docstring). colors and rounds are refine's,
     cls[h] is half-edge h's class (numbered by first half-edge), ends[a] its
     (source, target) colours, and C[a] and D[c] list the pairs (b, C[a, b])
-    and (a, D[c, a]) of nonzero counts in increasing order. members[c] lists
-    the colour-c vertices in increasing order; the k x k colour matrix B, a
-    CSR matrix of integers, counts in B[c, c'] the colour-c' neighbours of a
-    colour-c vertex (a loop twice). B and the 2-core's peel are built on
-    first read. The walk tables only grow: branch[a][s] does not depend on
-    how deep they go; the ball codes are memoized the same way."""
+    and (a, D[c, a]) of nonzero counts in increasing order (count_matrix
+    turns such rows into a matrix). members[c] lists the colour-c vertices in
+    increasing order. The 2-core's peel is built on first read. The walk
+    tables only grow: branch[a][s] does not depend on how deep they go; the
+    ball codes are memoized the same way."""
 
     def __init__(self, g: MultiGraph):
         colors, self.rounds = refine(g, [0] * g.n)
@@ -79,15 +78,11 @@ class Quotient:
         self._branch = [[1] for _ in range(self.size)]
         self._codes: dict[tuple, str] = {}
 
-    @cached_property
-    def B(self):
-        from scipy.sparse import csr_matrix
-
-        # no entry repeats in a row; int32 indices skip scipy's upcast check
-        cols = np.array([self.ends[a][1] for row in self.D for a, _ in row], dtype=np.int32)
-        vals = np.array([m for row in self.D for _, m in row], dtype=np.int64)
-        indptr = np.cumsum([0] + [len(row) for row in self.D], dtype=np.int32)
-        return csr_matrix((vals, cols, indptr), shape=(len(self.D),) * 2)
+    def colour_matrix(self, dense: bool):
+        """The k x k colour matrix B, by count_matrix: B[c, c'] counts the
+        colour-c' neighbours of a colour-c vertex, a loop twice."""
+        rows = [[(self.ends[a][1], m) for a, m in row] for row in self.D]
+        return count_matrix(rows, len(rows), dense)
 
     @cached_property
     def peel(self) -> tuple[dict[int, int], tuple[int, ...]]:
@@ -137,6 +132,23 @@ class Quotient:
             kids = sorted((self._code(self.C[b], depth - 1), m) for b, m in children) if depth else ()
             self._codes[key] = "(" + "".join(code * m for code, m in kids) + ")"
         return self._codes[key]
+
+
+def count_matrix(rows, width: int, dense: bool):
+    """The float64 matrix of rows of (column, count) pairs, no column twice
+    in a row, such as the quotient's C and D: a dense array, or a CSR matrix
+    built straight from its index arrays."""
+    cols = [j for row in rows for j, _ in row]
+    vals = [float(m) for row in rows for _, m in row]
+    if dense:
+        out = np.zeros((len(rows), width))
+        out[[i for i, row in enumerate(rows) for _ in row], cols] = vals
+        return out
+    from scipy.sparse import csr_matrix
+
+    # int32 indices skip scipy's upcast check
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int32)
+    return csr_matrix((vals, np.array(cols, np.int32), indptr), (len(rows), width))
 
 
 # one graph's quotient serves its walks, ball codes, rho and orbits; a few

@@ -115,7 +115,7 @@ def _scaled_perron(q: Quotient, spec: Spectrum) -> np.ndarray:
     if not spec.full:
         from scipy.sparse import identity
 
-        z = np.abs(_solver(q.B - spec.lambda1 * identity(len(sizes)))(y))
+        z = np.abs(_solver(q.colour_matrix(dense=False) - spec.lambda1 * identity(len(sizes)))(y))
         if np.all(z > 0):  # no NaN from an exactly singular matrix; any positive y will do
             y = z / math.sqrt(np.dot(sizes, z * z))
     return y * math.sqrt(sizes.sum())

@@ -25,7 +25,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 import numpy as np
 
@@ -120,12 +119,10 @@ def cycle_stats(g: MultiGraph, length: int) -> CycleStats:
 
 
 def _balls(g: MultiGraph, r: int):
-    """The ball sweep (module docstring) by blocks: yields (vertices, reach, tree)."""
-    from scipy.sparse import csr_matrix, identity
+    """The ball sweep (module docstring) on g.adjacency: yields (vertices, reach, tree) by block."""
+    from scipy.sparse import identity
 
-    n, q = g.n, quotient(g)
-    cols = np.fromiter(chain.from_iterable(g.neighbours), np.int32, 2 * g.m)
-    adj = csr_matrix((np.ones(2 * g.m, np.int32), cols, np.cumsum((0,) + g.degrees)), (n, n))
+    n, q, adj = g.n, quotient(g), g.adjacency
     eye = identity(n, dtype=bool, format="csr")
     step = (adj + eye).astype(bool)
     sub = [1] * q.size  # cover ball sizes below each class's head, capped at n

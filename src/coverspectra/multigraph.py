@@ -34,7 +34,8 @@ class MultiGraph:
     """Multigraph on vertices 0..n-1 with an explicit edge tuple.
 
     The half-edge h = 2*i + b runs from sources[h] = edges[i][b] to
-    targets[h] = edges[i][1 - b]; its inverse is h ^ 1.
+    targets[h] = edges[i][1 - b]; its inverse is h ^ 1. adjacency, the one
+    CSR adjacency matrix, is built from the half-edges on first read.
     """
 
     n: int
@@ -107,12 +108,17 @@ class MultiGraph:
 
     # -- matrices and traversal ----------------------------------------------
 
-    def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.int64)
-        for u, v in self.edges:
-            a[u, v] += 1
-            a[v, u] += 1
-        return a
+    @cached_property
+    def adjacency(self):
+        """A as a canonical scipy CSR matrix of int64 counts, one per half-edge
+        summed: a loop puts 2 on the diagonal, parallel edges add up."""
+        from scipy.sparse import csr_matrix
+
+        ends = (self.sources, self.targets)
+        return csr_matrix((np.ones(self.num_half_edges, np.int64), ends), (self.n, self.n))
+
+    def adjacency_matrix(self) -> np.ndarray:  # the dense view of adjacency
+        return self.adjacency.toarray()
 
     def distances_from(self, starts) -> list[int]:
         """BFS distance from a vertex or an iterable of source vertices.

@@ -84,7 +84,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cover import Quotient, backtracking_walk_profile, quotient
+from .cover import Quotient, backtracking_walk_profile, count_matrix, quotient
 from .multigraph import MultiGraph, require_connected
 
 DEFAULT_TOL = 1e-9
@@ -127,19 +127,6 @@ class RhoResult:
         return self.hi - self.lo
 
 
-def _matrix(counts, shape: tuple[int, int], dense: bool):
-    rows = [i for i, row in enumerate(counts) for _ in row]
-    cols = [j for row in counts for j, _ in row]
-    vals = [float(m) for row in counts for _, m in row]
-    if dense:
-        out = np.zeros(shape)
-        out[rows, cols] = vals
-        return out
-    from scipy.sparse import csr_matrix
-
-    return csr_matrix((vals, (rows, cols)), shape=shape)
-
-
 def _solver(a):
     """b -> a^-1 b, non-finite when a is exactly singular: np.linalg.solve
     at every call for a dense array, one sparse LU factorization for a
@@ -163,16 +150,16 @@ def _solver(a):
 
 class _Operators:
     """The float64 view of a cover.Quotient that Newton, the fold solve and
-    pivots use: C and D as dense arrays up to _DENSE_SOLVE_CAP classes and as
-    CSR matrices above. Every linear solve, dense or sparse, goes through
-    _solver."""
+    pivots use: C and D (cover.count_matrix) as dense arrays up to
+    _DENSE_SOLVE_CAP classes and as CSR matrices above. Every linear solve,
+    dense or sparse, goes through _solver."""
 
     def __init__(self, q: Quotient):
         self.cls = q.cls
         self.size = k = q.size
         self.dense = k <= _DENSE_SOLVE_CAP
-        self.C = _matrix(q.C, (k, k), self.dense)
-        self.D = _matrix(q.D, (len(q.D), k), self.dense)
+        self.C = count_matrix(q.C, k, self.dense)
+        self.D = count_matrix(q.D, k, self.dense)
 
     def factor(self, w: np.ndarray):
         """A solver (_solver) for (I - diag(w) C) x = b."""
@@ -452,7 +439,7 @@ def rho_ball_power(g: MultiGraph, v: int, radius: int) -> float:
 
     cq = quotient(g)
     q = _Operators(cq)
-    at_root = _matrix([cq.D[cq.colors[v]]], (1, q.size), True)[0]
+    at_root = count_matrix([cq.D[cq.colors[v]]], q.size, True)[0]
     # present[d - 1]: the classes of the half-edges entering depth d
     present = [at_root > 0]
     for _ in range(1, radius):

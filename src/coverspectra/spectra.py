@@ -5,9 +5,10 @@ matrix of the cover's quotient (cover.quotient): its colours form an
 equitable partition (Godsil & Royle, Algebraic Graph Theory, section 9.3).
 That matrix is the same on every lift of a graph, and so is lambda1. The
 other eigenvalues come from one dense eigenvalues-only solve when first
-read. Above the cap lambda1 and its vector come from an iterative solve on a
-sparse adjacency. Walk counts are done in arbitrary-precision integers so
-that combinatorial identities can be asserted exactly.
+read. Above the cap lambda1 and its vector come from an iterative solve on
+the graph's CSR adjacency (MultiGraph.adjacency). Walk counts are done in
+arbitrary-precision integers so that combinatorial identities can be
+asserted exactly.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def eigen_spectrum(g: MultiGraph) -> Spectrum:
     """lambda1 and the Perron vector of a connected multigraph's adjacency.
 
     Up to DENSE_EIGEN_CAP vertices both come from the quotient's colour
-    matrix (_quotient_perron); above it, from eigsh on a sparse adjacency.
+    matrix (_quotient_perron); above it, from eigsh on g.adjacency.
     No n x n array is formed unless Spectrum.eigenvalues is read. The Perron
     vector is normalized to unit 2-norm, strictly positive, with residual
     ||A y - lambda1 y|| at most 1e-10 * max degree.
@@ -67,14 +68,10 @@ def eigen_spectrum(g: MultiGraph) -> Spectrum:
     if g.n <= DENSE_EIGEN_CAP:
         lam, perron = _quotient_perron(g)
     else:
-        from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import eigsh
 
-        # one entry per half-edge: a loop's two give 2 on the diagonal, and
-        # parallel edges add up
-        a = csr_matrix((np.ones(g.num_half_edges), (sources, targets)), shape=(g.n, g.n))
         v0 = np.ones(g.n) / np.sqrt(g.n)
-        top, vec = eigsh(a, k=1, which="LA", v0=v0)
+        top, vec = eigsh(g.adjacency.astype(float), k=1, which="LA", v0=v0)
         lam, perron = float(top[0]), vec[:, 0].copy()
 
     if perron.sum() < 0:
@@ -90,7 +87,7 @@ def eigen_spectrum(g: MultiGraph) -> Spectrum:
 
 
 def _quotient_perron(g: MultiGraph) -> tuple[float, np.ndarray]:
-    """lambda1 and A's Perron vector from the colour matrix B and the
+    """lambda1 and A's Perron vector from the dense colour matrix B and the
     colour sizes of cover.quotient(g).
 
     With s_c the size of colour c, s_c B[c, c'] = s_c' B[c', c], so
@@ -102,7 +99,7 @@ def _quotient_perron(g: MultiGraph) -> tuple[float, np.ndarray]:
 
     q = quotient(g)
     colors = np.array(q.colors)
-    k, b = len(q.members), q.B.toarray()
+    k, b = len(q.members), q.colour_matrix(dense=True)
     # square roots of integers: finite, so skip scipy's scan
     top, u = eigh(np.sqrt(b * b.T), subset_by_index=(k - 1, k - 1), check_finite=False)
     root = np.sqrt([len(vs) for vs in q.members])

@@ -154,9 +154,19 @@ def stack_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
     return [count(k, ()) for k in range(k_max + 1)]
 
 
+def adjacency_by_edges(g: MultiGraph) -> np.ndarray:
+    """The dense int64 adjacency matrix, one edge at a time: a loop adds 2 to
+    its diagonal entry and parallel edges add up."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        a[u, v] += 1
+        a[v, u] += 1
+    return a
+
+
 def matrix_walk_count(g: MultiGraph, v: int, k: int) -> int:
     """(A^k)[v][v] via exact integer matrix powers."""
-    a = np.array(g.adjacency_matrix(), dtype=object)
+    a = np.array(adjacency_by_edges(g), dtype=object)
     out = np.eye(g.n, dtype=object)
     for _ in range(k):
         out = out @ a
@@ -168,7 +178,7 @@ def spectrum_by_eigh(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
     eigh with every eigenvector, sign-fixed and normalized like
     eigen_spectrum's."""
     require_connected(g, "spectrum_by_eigh")
-    vals, vecs = np.linalg.eigh(g.adjacency_matrix().astype(np.float64))
+    vals, vecs = np.linalg.eigh(adjacency_by_edges(g).astype(np.float64))
     order = np.argsort(vals)[::-1]
     perron = vecs[:, order[0]].copy()
     if perron.sum() < 0:

@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from coverspectra import spectra
 from coverspectra.cover import (
+    Quotient,
     backtracking_walk_profile,
     orbit_distribution,
     quotient,
@@ -28,6 +30,7 @@ from coverspectra.generators import (
 from oracles import (
     BallCapExceeded,
     ahu_code,
+    connected_lift,
     gnp_giant,
     stack_walk_profile,
     tree_ball,
@@ -186,18 +189,52 @@ def test_rebuilt_equal_graph_hits_the_quotient_cache():
     assert quotient.cache_info().hits == 1
 
 
-def test_only_eigen_spectrum_builds_the_colour_matrix():
+def test_only_eigen_spectrum_builds_the_colour_matrix(monkeypatch):
     """B has k^2 cells, k close to n on an irregular graph; the quotient's
-    other readers must not pay for it."""
+    other readers must not pay for it, and eigen_spectrum asks for it dense."""
+    asked = []
+    build = Quotient.colour_matrix
+
+    def spy(q, dense):
+        asked.append(dense)
+        return build(q, dense)
+
+    monkeypatch.setattr(Quotient, "colour_matrix", spy)
     g = gnp_giant(300, 5)
     quotient.cache_clear()
     rho_tree(g)
     orbit_distribution(g)
     backtracking_walk_profile(g, 0, 6)
     bs_histogram(g, 2)
-    assert "B" not in quotient(g).__dict__
+    assert asked == []
     eigen_spectrum(g)
-    assert "B" in quotient(g).__dict__
+    assert asked == [True]
+
+
+def test_dense_and_sparse_colour_matrices_agree(small_corpus):
+    graphs = list(small_corpus) + [gnp_giant(300, 5), connected_lift(bowtie(), 40)]
+    for g in graphs:
+        q = quotient(g)
+        dense, sparse = q.colour_matrix(dense=True), q.colour_matrix(dense=False)
+        assert isinstance(dense, np.ndarray) and dense.dtype == np.float64
+        assert sparse.dtype == np.float64
+        assert np.array_equal(sparse.toarray(), dense)
+
+
+def test_small_eigen_spectrum_builds_no_sparse_matrix(monkeypatch, small_corpus):
+    """At or below DENSE_EIGEN_CAP the quotient's colour matrix is built dense:
+    no scipy.sparse matrix (every one the library makes is an spmatrix)."""
+    from scipy.sparse import spmatrix
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a scipy.sparse matrix was built")
+
+    graphs = list(small_corpus[::5]) + [connected_lift(bowtie(), 800), gnp_giant(300, 5)]
+    quotient.cache_clear()
+    monkeypatch.setattr(spmatrix, "__init__", refuse, raising=False)
+    for g in graphs:
+        assert g.n <= spectra.DENSE_EIGEN_CAP
+        eigen_spectrum(g)
 
 
 def test_ball_codes_are_the_materialized_cover_balls(small_corpus):
@@ -239,7 +276,7 @@ def _assert_equitable(g):
             int(q.cls[h2]) for h2 in g.half_edges_at[g.targets[h]] if h2 != h ^ 1
         )
         assert dict(q.C[q.cls[h]]) == counts
-    b = q.B.toarray()
+    b = q.colour_matrix(dense=True)
     for v in range(g.n):
         counts = Counter(int(q.cls[h]) for h in g.half_edges_at[v])
         assert dict(q.D[q.colors[v]]) == counts

@@ -1,6 +1,9 @@
+from functools import cached_property
+
+import numpy as np
 import pytest
 
-from oracles import ball_by_full_bfs, ends
+from oracles import adjacency_by_edges, ball_by_full_bfs, connected_lift, ends, gnp_giant
 
 from coverspectra.multigraph import (
     CyclomaticClass,
@@ -12,7 +15,9 @@ from coverspectra.multigraph import (
     induced_subgraph,
     load_graph,
 )
-from coverspectra.generators import bowtie, cycle, path, random_regular
+from coverspectra.generators import bowtie, complete, cycle, path, random_regular, theta
+from coverspectra.localstats import bs_histogram, tree_fraction
+from coverspectra.spectra import eigen_spectrum
 
 
 # -- parsing -------------------------------------------------------------------
@@ -91,6 +96,46 @@ def test_adjacency_row_sums_are_degrees(corpus):
         a = g.adjacency_matrix()
         assert tuple(a.sum(axis=1)) == g.degrees
         assert (a == a.T).all()
+
+
+def test_adjacency_is_the_edge_count_matrix(corpus):
+    """The one CSR, in canonical form, is the per-edge count matrix: loops
+    and parallel edges included."""
+    lifts = [connected_lift(base, 40) for base in (bowtie(), complete(4), theta(1, 2, 3))]
+    for g in list(corpus) + lifts + [gnp_giant(300, 0)]:
+        a = g.adjacency
+        assert a.has_canonical_format and a.dtype == np.int64
+        dense = g.adjacency_matrix()
+        assert dense.dtype == np.int64
+        assert np.array_equal(dense, adjacency_by_edges(g))
+
+
+def test_adjacency_is_built_once(monkeypatch):
+    """tree_fraction, bs_histogram and Spectrum.eigenvalues share one graph's CSR."""
+    builds = []
+    build = MultiGraph.adjacency.func
+
+    def counting(g):
+        builds.append(g)
+        return build(g)
+
+    spy = cached_property(counting)
+    spy.__set_name__(MultiGraph, "adjacency")
+    monkeypatch.setattr(MultiGraph, "adjacency", spy)
+    for read in (
+        lambda g: tree_fraction(g, 2),
+        lambda g: bs_histogram(g, 2),
+        lambda g: eigen_spectrum(g).eigenvalues,
+    ):
+        g = MultiGraph(bowtie().n, bowtie().edges)
+        read(g)
+        assert builds == [g]
+        builds.clear()
+    g = MultiGraph(bowtie().n, bowtie().edges)
+    tree_fraction(g, 2)
+    bs_histogram(g, 1)
+    eigen_spectrum(g).eigenvalues
+    assert builds == [g]
 
 
 def test_vertex_validation():
