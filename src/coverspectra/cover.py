@@ -90,11 +90,27 @@ class Quotient:
         fixed point of "all continuations are outward", maps each class into
         a pendant tree to the tree's height (1 into a leaf), the round it
         joins at. A core degree counts the interior half-edges at a vertex:
-        of classes neither outward nor reversed outward."""
+        of classes neither outward nor reversed outward.
+
+        A worklist: each class counts its continuation classes not yet
+        outward, and joins, in class order, the round after that count
+        reaches 0; a round's height is its number."""
         out: dict[int, int] = {}
-        succ = [{b for b, _ in row} for row in self.C]
-        while grown := [a for a, s in enumerate(succ) if a not in out and s <= out.keys()]:
-            out.update({a: 1 + max((out[b] for b in succ[a]), default=0) for a in grown})
+        pending = [len(row) for row in self.C]
+        preds: list[list[int]] = [[] for _ in self.C]
+        for a, row in enumerate(self.C):
+            for b, _ in row:
+                preds[b].append(a)
+        grown, height = [a for a, n in enumerate(pending) if not n], 1
+        while grown:
+            out.update(dict.fromkeys(grown, height))
+            ready = []
+            for b in grown:
+                for a in preds[b]:
+                    pending[a] -= 1
+                    if not pending[a]:
+                        ready.append(a)
+            grown, height = sorted(ready), height + 1
         flipped = {self.ends[a][::-1] for a in out}
         inner = [a not in out and ends not in flipped for a, ends in enumerate(self.ends)]
         return out, tuple(sum(m for a, m in row if inner[a]) for row in self.D)

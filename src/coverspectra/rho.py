@@ -33,7 +33,9 @@ least fixed point F* is a supersolution with rho(J(F*)) < 1 (it reaches 1
 only at the fold t = rho(T)), and J(F) <= J(F*) below it, so t <= rho(T).
 By convexity this is how a run below the fold ends: within a few steps
 Newton reaches an iterate where I - J stops being an M-matrix. No
-eigensolve is needed.
+eigensolve is needed. Each linear system is factored once, by LAPACK's LU
+(getrf) up to _DENSE_SOLVE_CAP classes and by a sparse LU (splu) above, and
+that factorization serves every solve with it.
 
 Estimate. The least fixed points F*(t), t > rho(T), form a branch that
 folds at t = rho(T), where I - J becomes singular. Newton's method on the
@@ -81,6 +83,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -127,25 +130,33 @@ class RhoResult:
         return self.hi - self.lo
 
 
+@cache
+def _lapack_lu():
+    """LAPACK's dense LU routines (getrf, getrs), imported on first use:
+    importing scipy.linalg costs about 0.24 s, which `import coverspectra`
+    does not pay."""
+    from scipy.linalg.lapack import dgetrf, dgetrs
+
+    return dgetrf, dgetrs
+
+
 def _solver(a):
-    """b -> a^-1 b, non-finite when a is exactly singular: np.linalg.solve
-    at every call for a dense array, one sparse LU factorization for a
-    sparse matrix."""
+    """b -> a^-1 b from one LU factorization of a, shared by every solve:
+    LAPACK's getrf for a dense array, splu for a sparse matrix. All-NaN in
+    the shape of b when a is exactly singular."""
     if isinstance(a, np.ndarray):
+        dgetrf, dgetrs = _lapack_lu()
+        lu, piv, info = dgetrf(a)
+        if info == 0:
+            return lambda b: dgetrs(lu, piv, b)[0]
+    else:
+        from scipy.sparse.linalg import splu
 
-        def solve(b):
-            try:
-                return np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:  # exactly singular
-                return np.full(b.shape, np.nan)
-
-        return solve
-    from scipy.sparse.linalg import splu
-
-    try:
-        return splu(a.tocsc()).solve
-    except RuntimeError:  # exactly singular
-        return lambda b: np.full(b.shape, np.nan)
+        try:
+            return splu(a.tocsc()).solve
+        except RuntimeError:  # exactly singular
+            pass
+    return lambda b: np.full(b.shape, np.nan)
 
 
 class _Operators:
@@ -226,7 +237,8 @@ def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
     of the refutations of the module docstring and False once Newton has
     converged, that is, once a step is down to rounding.
 
-    Dense solves are cheap, so the dense path factors I - J at every step.
+    A dense factorization costs about one solve, so the dense path factors
+    I - J at every step and solves the witness and the step with that one LU.
     The sparse path reuses a factorization while each step at least halves
     the residual, starting with solve when given. J only grows along the
     iterates and as t falls, so a step d with an older J0 <= J is still
@@ -243,21 +255,21 @@ def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
         r = phi - f
         w = phi * phi
         # t - C f is off by about eps t, which moves phi by about eps t w
-        if np.all(r <= _ROUNDING * t * w):
+        if (r <= _ROUNDING * t * w).all():
             return False, f, step, solve
         if solve is None or q.dense or r.max() > 0.5 * last:
             solve = q.factor(w)
             # (I - J) e = 1 with e < 0 somewhere gives the witness
             # x = max(-e, 0): J x >= x + 1 on its support
             x = np.maximum(-solve(np.ones(q.size)), 0.0)
-            if x.max() > 0.0 and np.all(w * (q.C @ x) >= x):
+            if x.max() > 0.0 and (w * (q.C @ x) >= x).all():
                 return True, f, step, solve
         last = r.max()
         # with J0 the factorized Jacobian, r + J0 max(d, r) >= max(d, r)
         # keeps F a subsolution; below a supersolution d = sum_k J0^k r >= r,
         # so taking max(d, r) only repairs rounding, which I - J0 amplifies
         d = np.maximum(np.maximum(solve(r), r), 0.0)
-        if not np.all(np.isfinite(d)) or np.all(d <= _ROUNDING * f):
+        if not np.isfinite(d).all() or (d <= _ROUNDING * f).all():
             return False, f, step, solve
         f = f + d
     return False, f, _NEWTON_STEPS, solve

@@ -463,6 +463,19 @@ def two_core_by_peel(g: MultiGraph) -> CoreDecomposition:
     return CoreDecomposition(g, frozenset(core_deg), ext, int_hes, tuple(ext_hes[::-1]), core_deg)
 
 
+def peel_by_rounds(q) -> tuple[dict[int, int], tuple[int, ...]]:
+    """cover.Quotient.peel by its fixed point, one round at a time: each
+    round rescans every class and adds, in class order, those whose
+    continuations are all outward, at 1 + their largest height."""
+    out: dict[int, int] = {}
+    succ = [{b for b, _ in row} for row in q.C]
+    while grown := [a for a, s in enumerate(succ) if a not in out and s <= out.keys()]:
+        out.update({a: 1 + max((out[b] for b in succ[a]), default=0) for a in grown})
+    flipped = {q.ends[a][::-1] for a in out}
+    inner = [a not in out and ends not in flipped for a, ends in enumerate(q.ends)]
+    return out, tuple(sum(m for a, m in row if inner[a]) for row in q.D)
+
+
 def gamma_assignment(core, epsilon: Fraction) -> dict[int, Fraction]:
     """Interior weights one half-edge at a time, off the graph's own peel:
     1 + j * epsilon for the integer position j of each interior half-edge on

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    connected_lift,
     ends,
     gnp_giant,
     probe_status,
@@ -25,6 +27,7 @@ from coverspectra.rho import (
     _DENSE_SOLVE_CAP,
     _Operators,
     _is_supersolution,
+    _newton,
     _solver,
     rho_ball_power,
     rho_lower_sequence,
@@ -462,6 +465,28 @@ def test_sparse_quotient_path():
     assert _is_supersolution(g, res.hi, np.array(res.fixed_point), quotient(g).cls) is not None
 
 
+def test_dense_and_sparse_paths_agree(corpus, cache, monkeypatch):
+    """With every quotient sent down the sparse path, Newton from zero gives
+    the dense path's verdict at the dense lo and hi, and rho_tree's bracket
+    overlaps the dense one."""
+    graphs = [g for g in corpus if g.m >= g.n][::25] + [connected_lift(bowtie(), 40)]
+    dense = []
+    for g in graphs:
+        res = cache.rho(g)
+        q = _Operators(quotient(g))
+        assert q.dense
+        verdicts = [_newton(q, t, np.zeros(q.size))[0] for t in (res.lo, res.hi)]
+        dense.append((res, verdicts))
+    monkeypatch.setattr(rho_module, "_DENSE_SOLVE_CAP", 0)
+    for g, (res, verdicts) in zip(graphs, dense):
+        q = _Operators(quotient(g))
+        assert not q.dense
+        assert [_newton(q, t, np.zeros(q.size))[0] for t in (res.lo, res.hi)] == verdicts
+        sparse = rho_tree(g)
+        assert max(sparse.lo, res.lo) <= min(sparse.hi, res.hi), (g.edges, sparse, res)
+    assert len(graphs) > 40
+
+
 # -- the one solve routine ------------------------------------------------------------------
 
 
@@ -477,12 +502,50 @@ def test_solver_matches_numpy_and_gives_nan_when_singular():
         assert np.allclose(_solver(backend(regular))(b), np.linalg.solve(regular, b))
         x = _solver(backend(singular))(b)
         assert x.shape == b.shape and np.all(np.isnan(x))
+    # one dense factorization answers every right-hand side, and keeps its
+    # own copy: writing to the matrix afterwards changes no solve
+    a = regular.copy()
+    solve = _solver(a)
+    a[:] = singular
+    for rhs in (b, np.ones(3), np.array([-2.0, 0.5, 7.0]), np.zeros(3)):
+        x = solve(rhs)
+        assert np.allclose(x, np.linalg.solve(regular, rhs), rtol=1e-14, atol=1e-15)
+        assert np.abs(regular @ x - rhs).max() <= 1e-14 * (1.0 + np.abs(rhs).max())
 
 
 def test_factor_of_a_singular_newton_matrix_gives_nan():
     # a cycle has one half-edge class with one continuation: I - C is 0
     x = _Operators(quotient(cycle(5))).factor(np.ones(1))(np.ones(1))
     assert x.shape == (1,) and np.all(np.isnan(x))
+    # theta(2, 2, 2) has two classes, C = [[0, 1], [2, 0]]: at w = (1, 1/2)
+    # the Newton matrix is [[1, -1], [-1, 1]]
+    q = _Operators(quotient(theta(2, 2, 2)))
+    assert q.C.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+    solve = q.factor(np.array([1.0, 0.5]))
+    for rhs in (np.ones(q.size), np.arange(q.size, dtype=float)):
+        x = solve(rhs)
+        assert x.shape == rhs.shape and np.all(np.isnan(x))
+
+
+# -- Newton's work on the corpus ------------------------------------------------------------
+
+
+def test_newton_work_on_the_corpus_is_pinned(corpus, cache):
+    """The Newton steps and probe statuses over the whole corpus. These
+    count the work rho_tree does; a change that moves them says so.
+
+    The counts were taken with numpy 2.4.6 and scipy 1.17.1, whose LAPACK
+    is scipy-openblas 0.3.30 (see the provenance in
+    BENCH_2026-10-20-rho-lapack.json). A step
+    count can hang on the last bit of an LU, so on another BLAS/LAPACK
+    build a failure here first means: recount, and record the new values
+    with that build."""
+    results = [cache.rho(g) for g in corpus]
+    statuses = Counter(status for res in results for *_, status in res.probes)
+    assert len(results) == 1177
+    assert sum(sum(res.iterations_per_probe) for res in results) == 47070
+    assert sum(len(res.probes) for res in results) == 2342
+    assert statuses == {"diverged": 1172, "certified": 1170}
 
 
 # -- the exact supersolution check ---------------------------------------------------------

@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from oracles import connected_lift, gnp_giant, two_core_by_peel
+from oracles import connected_lift, gnp_giant, peel_by_rounds, two_core_by_peel
+from coverspectra.cover import quotient
 from coverspectra.localstats import enumerate_cycles
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.twocore import two_core
@@ -167,6 +168,26 @@ def test_ext_half_edges_grow_outward_from_the_core(corpus):
             assert g.sources[h] in reached
             reached.add(g.targets[h])
         assert reached == set(range(g.n))
+
+
+def _triangle_with_path(length: int) -> MultiGraph:
+    path_edges = tuple((i, i + 1) for i in range(2, 2 + length))
+    return MultiGraph(3 + length, ((0, 1), (1, 2), (2, 0)) + path_edges)
+
+
+def test_peel_matches_the_rounds(corpus):
+    """The worklist peel gives the round-by-round fixed point: the same
+    outward heights in the same key order, and the same core degrees."""
+    graphs = list(corpus) + [connected_lift(base, 40) for base in (bowtie(), complete(4))]
+    quotients = [quotient(g) for g in graphs]
+    # a pendant path of length L peels in L rounds, one class per half-edge
+    quotients += [quotient(_triangle_with_path(length)) for length in (500, 1000)]
+    for q in quotients:
+        out, core_deg = q.peel
+        want_out, want_deg = peel_by_rounds(q)
+        assert list(out.items()) == list(want_out.items())
+        assert core_deg == want_deg
+    assert max(quotients[-1].peel[0].values()) == 1000
 
 
 def test_decomposition_is_hashable_and_compares_equal():
