@@ -70,8 +70,20 @@ point passes on every graph with a cycle among the connected multigraphs
 with n <= 5 and m <= 7, but not on all graphs: on an 11-vertex unicyclic
 graph in the tests it fails, and hi rests on the midpoint's fixed point.
 lo = s (1 - pad) needs one Newton run that diverges.
-Both runs start from the warm-up's last iterate (zeros on a tree), a
-subsolution below every supersolution at any t below the warm-up's last t.
+The midpoint's run starts from the warm-up's last iterate (zeros on a
+tree), a subsolution below every supersolution at any t below the
+warm-up's last t. The lo run starts beside the fold point instead, at
+x = fold - c v with v the fold's null vector, once x passes a check at t:
+t - C x > 0, phi(x) > x, and u = (I - J(x))^-1 1 > 0 with J u < u, each by
+more than rounding. Then I - J is a nonsingular M-matrix, and convexity
+gives every supersolution G at t (I - J)(G - x) >= phi(x) - x >= 0, so
+G >= x: x is a valid start. From there the run diverges in about 2 steps,
+where one from the warm-up's iterate takes about 16 to cross the fold's
+stretch of linear convergence again. c grows by doubling until x passes;
+when no x passes, or there is no fold point, the lo run starts from the
+warm-up's iterate too. On the sparse path the run from x reuses the
+check's factorization at x, and the one from the warm-up's iterate the
+warm-up's last factorization, at that iterate and a higher t.
 A side whose check fails doubles its pad, so the bracket is always a proof,
 only wider. hi stays at most the max degree, where F = 1 is a
 supersolution, and lo at least sqrt(max degree), rounded down, the top
@@ -104,6 +116,10 @@ _NEAR_FOLD = 0.5
 # the bordered solve settles within 18 steps on the corpus and on random
 # sparse multigraphs; one still moving after this many has lost its way
 _FOLD_STEPS = 30
+# the multiples s in the lo run's candidate starts (_start_below_fold): the
+# first passes on 1,141 of the corpus's 1,169 graphs with a cycle and on
+# gnp_giant(300, 0..2) and (1000, 3); 1024 was needed on 2 corpus graphs
+_START_STEPS = (8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 
 @dataclass(frozen=True)
@@ -240,39 +256,76 @@ def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
     A dense factorization costs about one solve, so the dense path factors
     I - J at every step and solves the witness and the step with that one LU.
     The sparse path reuses a factorization while each step at least halves
-    the residual, starting with solve when given. J only grows along the
-    iterates and as t falls, so a step d with an older J0 <= J is still
-    safe: (I - J0)^-1 <= (I - J)^-1 keeps F + d below every supersolution,
-    and r + J d >= r + J0 d = d keeps it a subsolution."""
+    the residual, starting with solve when given, which must factor I - J0
+    for a J0 <= J(f). J only grows along the iterates and as t falls, so a
+    step d with an older J0 <= J is still safe: (I - J0)^-1 <= (I - J)^-1
+    keeps F + d below every supersolution, and r + J d >= r + J0 d = d
+    keeps it a subsolution. The reductions call the ufuncs' reduce, which
+    skips the Python-level wrapper of .all(), .max() and .min(): 2% of
+    rho_tree's time on the corpus."""
     last = math.inf
     for step in range(1, _NEWTON_STEPS + 1):
         den = t - q.C @ f
-        if den.min() <= 0.0:
+        if np.minimum.reduce(den) <= 0.0:
             return True, f, step, solve
         phi = 1.0 / den
-        if (q.D @ phi).max() > t:
+        if np.maximum.reduce(q.D @ phi) > t:
             return True, f, step, solve
         r = phi - f
         w = phi * phi
         # t - C f is off by about eps t, which moves phi by about eps t w
-        if (r <= _ROUNDING * t * w).all():
+        if np.logical_and.reduce(r <= _ROUNDING * t * w):
             return False, f, step, solve
-        if solve is None or q.dense or r.max() > 0.5 * last:
+        if solve is None or q.dense or np.maximum.reduce(r) > 0.5 * last:
             solve = q.factor(w)
             # (I - J) e = 1 with e < 0 somewhere gives the witness
             # x = max(-e, 0): J x >= x + 1 on its support
             x = np.maximum(-solve(np.ones(q.size)), 0.0)
-            if x.max() > 0.0 and (w * (q.C @ x) >= x).all():
+            if np.maximum.reduce(x) > 0.0 and np.logical_and.reduce(w * (q.C @ x) >= x):
                 return True, f, step, solve
-        last = r.max()
+        last = np.maximum.reduce(r)
         # with J0 the factorized Jacobian, r + J0 max(d, r) >= max(d, r)
         # keeps F a subsolution; below a supersolution d = sum_k J0^k r >= r,
         # so taking max(d, r) only repairs rounding, which I - J0 amplifies
         d = np.maximum(np.maximum(solve(r), r), 0.0)
-        if not np.isfinite(d).all() or (d <= _ROUNDING * f).all():
+        if not np.logical_and.reduce(np.isfinite(d)) or np.logical_and.reduce(d <= _ROUNDING * f):
             return False, f, step, solve
         f = f + d
     return False, f, _NEWTON_STEPS, solve
+
+
+def _valid_start(q: _Operators, t: float, f: np.ndarray):
+    """A solver for I - J(f) if f is a valid start of monotone Newton at t
+    (the module docstring's check: t - C f > 0, phi(f) > f, and u = (I -
+    J)^-1 1 > 0 with J u < u), else None. Each inequality must hold by more
+    than the rounding of phi, about eps t phi relative, which _newton's
+    convergence test allows for too."""
+    den = t - q.C @ f
+    if not np.minimum.reduce(den) > 0.0:
+        return None
+    phi = 1.0 / den
+    w = phi * phi
+    room = _ROUNDING * t * phi
+    if not np.logical_and.reduce(phi - f > room * phi):
+        return None
+    solve = q.factor(w)
+    u = solve(np.ones(q.size))
+    # NaN fails, as on an exactly singular I - J
+    if np.logical_and.reduce(u > 0.0) and np.logical_and.reduce(w * (q.C @ u) < (1.0 - room) * u):
+        return solve
+    return None
+
+
+def _start_below_fold(q: _Operators, t: float, fold: np.ndarray, v: np.ndarray, pad: float):
+    """The first of fold - s pad max(fold) v / max(v), s in _START_STEPS,
+    that is a valid start at t (_valid_start), with its solver, or None."""
+    scale = pad * fold.max() / v.max()
+    for s in _START_STEPS:
+        x = fold - (s * scale) * v
+        solve = _valid_start(q, t, x)
+        if solve is not None:
+            return x, solve
+    return None
 
 
 def _perron(solve, v: np.ndarray) -> tuple[float, np.ndarray]:
@@ -291,10 +344,10 @@ def _perron(solve, v: np.ndarray) -> tuple[float, np.ndarray]:
 def _moore_spence(q: _Operators, f: np.ndarray, v: np.ndarray, t: float, lo: float):
     """Newton on the bordered fold system from the warm-up's least fixed
     point f at t > rho(T) >= lo, with v its Perron vector estimate. Returns
-    (estimate, fold point, steps); the estimate is None when the solve lost
-    its way: an iterate fails F > 0 or rises above the start, none settles
-    in _FOLD_STEPS steps, or one settles below lo. The first step may
-    overshoot below lo, as Newton from above a fold does."""
+    (estimate, fold point, its null vector v, steps); the estimate is None
+    when the solve lost its way: an iterate fails F > 0 or rises above the
+    start, none settles in _FOLD_STEPS steps, or one settles below lo. The
+    first step may overshoot below lo, as Newton from above a fold does."""
     top = t
     for step in range(1, _FOLD_STEPS + 1):
         df, dv, dt = q.fold_step(f, v, t)
@@ -302,17 +355,17 @@ def _moore_spence(q: _Operators, f: np.ndarray, v: np.ndarray, t: float, lo: flo
         if not (t <= top and f.min() > 0.0):  # NaN fails too
             break
         if abs(dt) <= _ROUNDING * t:
-            return (float(t) if t >= lo else None), f, step
-    return None, f, step
+            return (float(t) if t >= lo else None), f, v, step
+    return None, f, v, step
 
 
 def _fold(q: _Operators, lo: float, hi: float):
     """Estimate rho(T) of a graph with a cycle from lo <= rho(T) <= hi (the
     module docstring's warm-up and bordered solve). Returns the estimate,
-    its fold point (None when no bordered solve settled and the estimate is
-    the warm-up's last t), the warm-up's last Newton iterate and solver,
-    which start a Newton run validly at any t below the estimate, and the
-    Newton steps taken."""
+    its fold point and null vector (both None when no bordered solve settled
+    and the estimate is the warm-up's last t), the warm-up's last Newton
+    iterate and solver, which start a Newton run validly at any t below the
+    estimate, and the Newton steps taken."""
     f, v, solve, steps = np.zeros(q.size), np.ones(q.size), None, 0
     top = t = hi
     while True:
@@ -324,13 +377,13 @@ def _fold(q: _Operators, lo: float, hi: float):
             top, f, solve = t, iterate, factored
             mu, v = _perron(solve, v)
             if 1.0 - mu < _NEAR_FOLD:
-                est, fold, n = _moore_spence(q, f, v, top, lo)
+                est, fold, null, n = _moore_spence(q, f, v, top, lo)
                 steps += n
                 if est is not None:
-                    return est, fold, f, solve, steps
+                    return est, fold, null, f, solve, steps
         t = 0.5 * (lo + top)
         if not lo < t < top:  # rho(T) = top, or [lo, top] is down to rounding
-            return top, None, f, solve, steps
+            return top, None, None, f, solve, steps
 
 
 def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
@@ -358,9 +411,10 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
         lo = math.nextafter(lo, 0.0)
     if g.m == g.n - 1:  # a tree is its own cover, a ball of radius ecc(0)
         est = rho_ball_power(g, 0, max(g.distances_from(0)))
-        fold, start, solve, steps = None, np.zeros(q.size), None, 0
+        fold = null = None
+        start, solve, steps = np.zeros(q.size), None, 0
     else:
-        est, fold, start, solve, steps = _fold(q, lo, hi)
+        est, fold, null, start, solve, steps = _fold(q, lo, hi)
 
     checks: list[tuple[float, bool, str, int]] = []  # t, feasible, status, steps
     fixed = None
@@ -387,7 +441,8 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
 
     pad = first_pad
     while lo < (t := est * (1.0 - pad)) < hi:
-        diverged, _, n, _ = _newton(q, t, start, solve)
+        near = None if fold is None else _start_below_fold(q, t, fold, null, pad)
+        diverged, _, n, _ = _newton(q, t, *(near or (start, solve)))
         checks.append((t, False, "diverged" if diverged else "uncertified", n))
         if diverged:
             lo = t

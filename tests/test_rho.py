@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from coverspectra.rho import (
     _is_supersolution,
     _newton,
     _solver,
+    _valid_start,
     rho_ball_power,
     rho_lower_sequence,
     rho_tree,
@@ -530,22 +532,128 @@ def test_factor_of_a_singular_newton_matrix_gives_nan():
 # -- Newton's work on the corpus ------------------------------------------------------------
 
 
+def _diverged_steps(res) -> list[int]:
+    return [n for (*_, status), n in zip(res.probes, res.iterations_per_probe) if status == "diverged"]
+
+
 def test_newton_work_on_the_corpus_is_pinned(corpus, cache):
     """The Newton steps and probe statuses over the whole corpus. These
     count the work rho_tree does; a change that moves them says so.
 
-    The counts were taken with numpy 2.4.6 and scipy 1.17.1, whose LAPACK
-    is scipy-openblas 0.3.30 (see the provenance in
-    BENCH_2026-10-20-rho-lapack.json). A step
-    count can hang on the last bit of an LU, so on another BLAS/LAPACK
-    build a failure here first means: recount, and record the new values
-    with that build."""
+    The steps were 47,070, 18,480 of them in diverged probes, while the lo
+    run started from the warm-up's iterate; from a checked start beside the
+    fold point they are 31,042 and 2,452, and a lo run takes 2 steps in the
+    median instead of 16. The counts were taken with numpy 2.4.6 and scipy
+    1.17.1, whose LAPACK is scipy-openblas 0.3.30 (see the provenance in
+    BENCH_2026-10-20-lo-start.json). A step count can hang on the last bit
+    of an LU, so on another BLAS/LAPACK build a failure here first means:
+    recount, and record the new values with that build."""
     results = [cache.rho(g) for g in corpus]
     statuses = Counter(status for res in results for *_, status in res.probes)
+    diverged = [n for res in results for n in _diverged_steps(res)]
     assert len(results) == 1177
-    assert sum(sum(res.iterations_per_probe) for res in results) == 47070
+    assert sum(sum(res.iterations_per_probe) for res in results) == 31042
+    assert sum(diverged) == 2452
     assert sum(len(res.probes) for res in results) == 2342
     assert statuses == {"diverged": 1172, "certified": 1170}
+    assert sorted(diverged)[len(diverged) // 2] <= 3
+
+
+# -- the lo run's start beside the fold point -----------------------------------------------
+
+
+def test_start_check_on_one_class():
+    """K4's quotient is one class with C = [[2]]; at t = 3 the fixed points
+    of 1 / (3 - 2F) are 1/2 and 1. Below 1/2, 0.3 is a valid start. 1.2 is
+    a strict subsolution too, but on the upper branch, where phi' = 2 phi^2
+    > 1: I - J is no M-matrix there, and the least fixed point lies below."""
+    q = _Operators(quotient(complete(4)))
+    assert q.C.tolist() == [[2.0]]
+    assert _valid_start(q, 3.0, np.array([0.3])) is not None
+    assert _valid_start(q, 3.0, np.array([1.2])) is None
+    # a fixed point is no strict subsolution, and 0.9 lies above 1/2
+    for x in (0.5, 1.0, 0.9):
+        assert _valid_start(q, 3.0, np.array([x])) is None
+
+
+def test_start_check_rejects_the_certificate(corpus, cache):
+    """The certificate behind hi is a supersolution at hi, not a strict
+    subsolution."""
+    graphs = [g for g in corpus if g.m >= g.n][::25] + [connected_lift(bowtie(), 40)]
+    for g in graphs:
+        res = cache.rho(g)
+        q = _Operators(quotient(g))
+        assert _valid_start(q, res.hi, np.array(res.fixed_point)) is None, g.edges
+
+
+def test_accepted_starts_lie_below_the_least_fixed_point(corpus, cache):
+    """At t = hi, above rho(T), the least fixed point F* exists. The points
+    offered lie along the fold's null vector v on both sides of the fold
+    point, and on the ray through F*. Some lie below F*; others lie above it
+    somewhere, as supersolutions or beyond the upper fixed point, where they
+    are strict subsolutions but I - J is no M-matrix. Every point the check
+    accepts lies below F*, to rounding. Beside the zeros, which pass
+    everywhere, points near the fold pass too."""
+    bases = (bowtie(), complete(4), theta(1, 2, 3))
+    graphs = [g for g in corpus if g.m >= g.n][::25] + [connected_lift(b, 40) for b in bases]
+    accepted = rejected_above = 0
+    for g in graphs:
+        res = cache.rho(g)
+        q = _Operators(quotient(g))
+        diverged, fstar, _, _ = _newton(q, res.hi, np.zeros(q.size))
+        assert not diverged
+        _, fold, v, *_ = rho_module._fold(q, res.lo, float(g.max_degree))
+        assert fold is not None, g.edges
+        step = fold.max() / v.max() * v
+        points = [fold + sign * 10.0**e * step for sign in (-1.0, 1.0) for e in range(-12, 0)]
+        points += [c * fstar for c in (0.0, 0.5, 0.9, 0.999, 1.001, 1.1)]
+        for x in points:
+            if _valid_start(q, res.hi, x) is not None:
+                accepted += 1
+                assert np.all(x <= fstar * (1.0 + 1e-12)), (g.edges, x, fstar)
+            elif np.any(x > fstar):
+                rejected_above += 1
+    assert len(graphs) > 40
+    assert accepted > 2 * len(graphs) and rejected_above > 20 * len(graphs)
+
+
+def test_lo_run_without_a_checked_start_is_the_old_run(corpus, cache, monkeypatch):
+    """With the check refusing every start, the lo run starts from the
+    warm-up's iterate as it did before the check existed: every result is
+    the same but for its steps, and the steps are the ones counted then
+    (4,681 in all and 1,861 in diverged probes, with the BLAS/LAPACK build
+    of test_newton_work_on_the_corpus_is_pinned)."""
+    sample = corpus[::10]
+    checked = [cache.rho(g) for g in sample]
+    monkeypatch.setattr(rho_module, "_valid_start", lambda q, t, f: None)
+    fallback = [rho_tree(g) for g in sample]
+    for new, old in zip(checked, fallback):
+        assert replace(new, iterations_per_probe=()) == replace(old, iterations_per_probe=())
+    assert sum(sum(res.iterations_per_probe) for res in fallback) == 4681
+    assert sum(n for res in fallback for n in _diverged_steps(res)) == 1861
+
+
+def test_sparse_lo_run_reuses_only_its_starts_factorization(monkeypatch):
+    """On the sparse path a lo run from a checked start reuses the check's
+    own factorization, of I - J at that start, and no other."""
+    checked, runs = {}, []
+
+    def check(q, t, f):
+        solve = _valid_start(q, t, f)
+        checked[t, f.tobytes()] = solve
+        return solve
+
+    def newton(q, t, f, solve=None):
+        runs.append((t, f.tobytes(), solve))
+        return _newton(q, t, f, solve)
+
+    monkeypatch.setattr(rho_module, "_valid_start", check)
+    monkeypatch.setattr(rho_module, "_newton", newton)
+    res = rho_tree(gnp_giant(300, 5))
+    t, f, solve = runs[-1]
+    assert res.probes[-1] == (t, False, "diverged") and t == res.lo
+    assert solve is not None and checked[t, f] is solve
+    assert res.iterations_per_probe[-1] <= 3
 
 
 # -- the exact supersolution check ---------------------------------------------------------
