@@ -4,11 +4,12 @@
 canonical radius-r ball histograms (bs_histogram) with total-variation
 comparison (tv_distance).
 
-Ball sweep. tree_fraction, bs_histogram and mass_transport_check read all
-radius-r balls off one sparse sweep, not a BFS per vertex: row v of reach =
-(A + I)^r clipped to 0/1 is B_r(v), the clipped powers k = 0..r sum to
-r + 1 - dist(v, u) at u, and B_r(v) is a tree iff rowsum((reach A) o reach)
-is 2(|B_r(v)| - 1). The cover's (r + 1)-balls bound the row blocks' size.
+Ball sweep. tree_fraction, bs_histogram and mass_transport_check read the
+sizes of all radius-r balls, and which are trees, off one sparse sweep, not
+a BFS per vertex: row v of reach = (A + I)^r clipped to 0/1 is B_r(v), and
+B_r(v) is a tree iff rowsum((reach A) o reach) is 2(|B_r(v)| - 1). The
+cover's (r + 1)-balls bound the row blocks' size. Only a ball with a cycle
+is BFS'd, by ball_code, for its depth map.
 
 Cycle semantics on multigraphs: an l-cycle is a closed non-backtracking
 half-edge sequence through l distinct vertices and l distinct edges, taken up
@@ -118,8 +119,9 @@ def cycle_stats(g: MultiGraph, length: int) -> CycleStats:
     return CycleStats(length, tuple(cycles), tuple(counts))
 
 
-def _balls(g: MultiGraph, r: int):
-    """The ball sweep (module docstring) on g.adjacency: yields (vertices, reach, tree) by block."""
+def _balls(g: MultiGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ball sweep (module docstring) on g.adjacency: each vertex's ball
+    size, and whether its ball is a tree."""
     from scipy.sparse import identity
 
     n, q, adj = g.n, quotient(g), g.adjacency
@@ -130,25 +132,25 @@ def _balls(g: MultiGraph, r: int):
         sub = [min(n, 1 + sum(m * sub[b] for b, m in row)) for row in q.C]
     sizes = np.array([min(n, 1 + sum(m * sub[a] for a, m in row)) for row in q.D])
     ends = np.cumsum(np.concatenate(([0], sizes[list(q.colors)])))
+    size, tree = np.empty(n, np.int64), np.empty(n, bool)
     lo = 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _BLOCK_ENTRIES, "right")) - 1)
         reach = eye[lo:hi]
-        total = reach.astype(np.int32)
         for _ in range(r):
             reach = reach @ step
-            total = total + reach
         inside = np.asarray((reach @ adj).multiply(reach).sum(axis=1)).ravel()
-        total.sort_indices()
-        yield np.arange(lo, hi), total, inside == 2 * (np.diff(reach.indptr) - 1)
+        size[lo:hi] = np.diff(reach.indptr)
+        tree[lo:hi] = inside == 2 * (size[lo:hi] - 1)
         lo = hi
+    return size, tree
 
 
 def tree_fraction(g: MultiGraph, r: int) -> float:
     """Fraction of vertices whose induced radius-r ball is a tree, off the sweep's mask."""
     if r < 1:
         raise ValueError("radius must be at least 1")
-    return sum(int(tree.sum()) for _, _, tree in _balls(g, r)) / g.n
+    return int(_balls(g, r)[1].sum()) / g.n
 
 
 def find_bouquet(
@@ -203,27 +205,19 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     networks."""
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    require_connected(g)
+    require_connected(g, "mass_transport_check")
     n = g.n
     stats = cycle_stats(g, length)
-    on_cycle = [c > 0 for c in stats.counts]
-    balls = (set(b.tolist()) for _, x, _ in _balls(g, R) for b in np.split(x.indices, x.indptr[1:-1]))
-    sizes, nr_total = [], 0
-    for b in balls:  # one block of the sweep at a time
-        sizes.append(len(b))
-        nr_total += sum(not b.isdisjoint(c.vertex_set) for c in stats.cycles)
-    mass = Fraction(sum(size for size, on in zip(sizes, on_cycle) if on), n)
-    hypothesis = all(size >= R for size in sizes)
+    on_cycle = np.array(stats.counts) > 0
+    sizes, _ = _balls(g, R)
+    mass = Fraction(int(sizes[on_cycle].sum()), n)
+    hypothesis = bool((sizes >= R).all())
+    # N_R(v) summed over v is, summed over cycles, the vertices within R of each
+    nr_total = sum(sum(d <= R for d in g.distances_from(c.vertices)) for c in stats.cycles)
     nr_average = Fraction(nr_total, n)
-    nr_bound = Fraction(R, length) * Fraction(sum(on_cycle), n)
+    nr_bound = Fraction(R, length) * Fraction(int(on_cycle.sum()), n)
     nr_holds = (nr_average >= nr_bound) if hypothesis else None
     return MassTransportReport(R, length, mass, mass, hypothesis, nr_average, nr_bound, nr_holds)
-
-
-def _cyclic_code(g: MultiGraph, v: int, vs: list[int], depths: list[int]) -> str:
-    if len(vs) > CANON_CAP:
-        raise ValueError(f"ball at vertex {v} has {len(vs)} vertices, over the cap of {CANON_CAP}")
-    return "g" + canonical_code(induced_subgraph(g, vs), depths)
 
 
 def ball_code(g: MultiGraph, v: int, r: int) -> str:
@@ -236,24 +230,23 @@ def ball_code(g: MultiGraph, v: int, r: int) -> str:
     depth = ball(g, v, r)
     if sum(w in depth for u in depth for w in g.neighbours[u]) == 2 * (len(depth) - 1):
         return "t" + quotient(g).ball_code(v, r)
-    return _cyclic_code(g, v, sorted(depth), [depth[u] for u in sorted(depth)])
+    if len(depth) > CANON_CAP:
+        raise ValueError(f"ball at vertex {v} has {len(depth)} vertices, over the cap of {CANON_CAP}")
+    vs = sorted(depth)
+    return "g" + canonical_code(induced_subgraph(g, vs), [depth[u] for u in vs])
 
 
 def bs_histogram(g: MultiGraph, r: int) -> dict[str, int]:
-    """Counts of ball_code over all vertices, off one sweep: tree balls once per
-    refinement colour, a ball with a cycle from its row's vertices and depths."""
+    """Counts of ball_code over all vertices: off the sweep's tree mask, tree
+    balls once per refinement colour, and each ball with a cycle by ball_code."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     q = quotient(g)
-    colors = np.array(q.colors)
+    _, tree = _balls(g, r)
     hist: dict[str, int] = defaultdict(int)
-    trees = 0
-    for vs, reach, tree in _balls(g, r):
-        trees = trees + np.bincount(colors[vs[tree]], minlength=len(q.members))
-        for i in np.flatnonzero(~tree).tolist():
-            row = slice(reach.indptr[i], reach.indptr[i + 1])
-            depths = (r + 1 - reach.data[row]).tolist()
-            hist[_cyclic_code(g, vs[i], reach.indices[row].tolist(), depths)] += 1
+    for v in np.flatnonzero(~tree).tolist():
+        hist[ball_code(g, v, r)] += 1
+    trees = np.bincount(np.array(q.colors)[tree], minlength=len(q.members))
     for c in np.flatnonzero(trees).tolist():
         hist["t" + q.ball_code(q.members[c][0], r)] += int(trees[c])
     return dict(hist)

@@ -70,20 +70,18 @@ point passes on every graph with a cycle among the connected multigraphs
 with n <= 5 and m <= 7, but not on all graphs: on an 11-vertex unicyclic
 graph in the tests it fails, and hi rests on the midpoint's fixed point.
 lo = s (1 - pad) needs one Newton run that diverges.
-The midpoint's run starts from the warm-up's last iterate (zeros on a
-tree), a subsolution below every supersolution at any t below the
-warm-up's last t. The lo run starts beside the fold point instead, at
-x = fold - c v with v the fold's null vector, once x passes a check at t:
-t - C x > 0, phi(x) > x, and u = (I - J(x))^-1 1 > 0 with J u < u, each by
-more than rounding. Then I - J is a nonsingular M-matrix, and convexity
-gives every supersolution G at t (I - J)(G - x) >= phi(x) - x >= 0, so
-G >= x: x is a valid start. From there the run diverges in about 2 steps,
-where one from the warm-up's iterate takes about 16 to cross the fold's
-stretch of linear convergence again. c grows by doubling until x passes;
-when no x passes, or there is no fold point, the lo run starts from the
-warm-up's iterate too. On the sparse path the run from x reuses the
-check's factorization at x, and the one from the warm-up's iterate the
-warm-up's last factorization, at that iterate and a higher t.
+The midpoint's run starts from zeros, a subsolution below every
+supersolution, so it is monotone Newton from below. The lo run starts
+beside the fold point instead, at x = fold - c v with v the fold's null
+vector, once x passes a check at t: t - C x > 0, phi(x) > x, and
+u = (I - J(x))^-1 1 > 0 with J u < u, each by more than rounding. Then
+I - J is a nonsingular M-matrix, and convexity gives every supersolution
+G at t (I - J)(G - x) >= phi(x) - x >= 0, so G >= x: x is a valid start.
+From there the run diverges in about 2 steps, where one from below takes
+about 17 to cross the fold's stretch of linear convergence. c grows by
+doubling until x passes; when no x passes, or there is no fold point, the
+lo run starts from zeros too. On the sparse path the run from x reuses the
+check's factorization at x.
 A side whose check fails doubles its pad, so the bracket is always a proof,
 only wider. hi stays at most the max degree, where F = 1 is a
 supersolution, and lo at least sqrt(max degree), rounded down, the top
@@ -363,9 +361,7 @@ def _fold(q: _Operators, lo: float, hi: float):
     """Estimate rho(T) of a graph with a cycle from lo <= rho(T) <= hi (the
     module docstring's warm-up and bordered solve). Returns the estimate,
     its fold point and null vector (both None when no bordered solve settled
-    and the estimate is the warm-up's last t), the warm-up's last Newton
-    iterate and solver, which start a Newton run validly at any t below the
-    estimate, and the Newton steps taken."""
+    and the estimate is the warm-up's last t), and the Newton steps taken."""
     f, v, solve, steps = np.zeros(q.size), np.ones(q.size), None, 0
     top = t = hi
     while True:
@@ -380,10 +376,10 @@ def _fold(q: _Operators, lo: float, hi: float):
                 est, fold, null, n = _moore_spence(q, f, v, top, lo)
                 steps += n
                 if est is not None:
-                    return est, fold, null, f, solve, steps
+                    return est, fold, null, steps
         t = 0.5 * (lo + top)
         if not lo < t < top:  # rho(T) = top, or [lo, top] is down to rounding
-            return top, None, None, f, solve, steps
+            return top, None, None, steps
 
 
 def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
@@ -411,10 +407,10 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
         lo = math.nextafter(lo, 0.0)
     if g.m == g.n - 1:  # a tree is its own cover, a ball of radius ecc(0)
         est = rho_ball_power(g, 0, max(g.distances_from(0)))
-        fold = null = None
-        start, solve, steps = np.zeros(q.size), None, 0
+        fold, null, steps = None, None, 0
     else:
-        est, fold, null, start, solve, steps = _fold(q, lo, hi)
+        est, fold, null, steps = _fold(q, lo, hi)
+    zeros = np.zeros(q.size)
 
     checks: list[tuple[float, bool, str, int]] = []  # t, feasible, status, steps
     fixed = None
@@ -424,10 +420,7 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
         cand, n = fold, 0
         slack = None if fold is None else _is_supersolution(g, t, fold, q.cls)
         if slack is None:
-            # the least fixed point at the midpoint; the start lies above it
-            # when the warm-up's last t is below the midpoint (it ran down to
-            # rounding), which is harmless: hi rests on the exact check alone
-            _, cand, n, _ = _newton(q, est * (1.0 + 0.5 * pad), start, solve)
+            _, cand, n, _ = _newton(q, est * (1.0 + 0.5 * pad), zeros)
             slack = _is_supersolution(g, t, cand, q.cls)
         checks.append((t, slack is not None, "uncertified" if slack is None else "certified", n))
         if slack is not None:
@@ -442,7 +435,7 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     pad = first_pad
     while lo < (t := est * (1.0 - pad)) < hi:
         near = None if fold is None else _start_below_fold(q, t, fold, null, pad)
-        diverged, _, n, _ = _newton(q, t, *(near or (start, solve)))
+        diverged, _, n, _ = _newton(q, t, *(near or (zeros,)))
         checks.append((t, False, "diverged" if diverged else "uncertified", n))
         if diverged:
             lo = t

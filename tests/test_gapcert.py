@@ -17,6 +17,7 @@ from oracles import (
     per_half_edge,
     two_core_by_peel,
 )
+from coverspectra import spectra
 from coverspectra.cover import quotient
 from coverspectra.gapcert import (
     _GRID,
@@ -374,6 +375,44 @@ def test_lifts_keep_the_base_certificate(name, cache):
             want.delta,
         )
         assert abs(cert.margin - want.margin) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "base", [bowtie(), complete(4), theta(1, 2, 3)], ids=["bowtie", "k4", "theta123"]
+)
+def test_perron_repair_above_the_dense_cap(base, cache, monkeypatch):
+    """With the dense cap lowered below a 40-lift's size, its Perron vector
+    comes from eigsh, and after _scaled_perron's repair y is the dense
+    route's per colour: the certificate is the base's."""
+    want = certify_gap(base)
+    lift = connected_lift(base, 40)
+    q = quotient(lift)
+    dense = _scaled_perron(q, cache.spectrum(lift))
+    monkeypatch.setattr(spectra, "DENSE_EIGEN_CAP", 10)
+    spec = eigen_spectrum(lift)
+    assert not spec.full
+    y = _scaled_perron(q, spec)
+    assert np.max(np.abs(y - dense) / dense) <= 1e-12
+    cert = certify_gap(lift, rho_result=cache.rho(lift), spectrum=spec)
+    assert (cert.gamma, cert.delta) == (want.gamma, want.delta)
+    assert (cert.gamma_weights, cert.delta_weights) == (want.gamma_weights, want.delta_weights)
+    assert abs(cert.margin - want.margin) <= 1e-12
+
+
+def test_perron_repair_mends_a_vector_off_its_colours(cache, monkeypatch):
+    """The inverse iteration step above the dense cap makes y the dense
+    route's from a vector constant on colours only to 1e-6. On the
+    theta(1, 2, 3) 40-lift the shifted colour matrix is not exactly singular,
+    so the step runs (on the bowtie's and K4's it is, and y is kept)."""
+    lift = connected_lift(theta(1, 2, 3), 40)
+    q = quotient(lift)
+    dense = _scaled_perron(q, cache.spectrum(lift))
+    monkeypatch.setattr(spectra, "DENSE_EIGEN_CAP", 10)
+    spec = eigen_spectrum(lift)
+    noisy = dataclasses.replace(spec, perron=spec.perron * (1.0 + 1e-6 * np.sin(np.arange(lift.n))))
+    assert np.max(np.abs(noisy.perron - spec.perron) / spec.perron) > 1e-7
+    y = _scaled_perron(q, noisy)
+    assert np.max(np.abs(y - dense) / dense) <= 1e-12
 
 
 def test_certificate_rejects_thin_graphs():

@@ -194,6 +194,12 @@ def test_statistics_validate_arguments():
         tv_distance({}, {"t()": 1})
 
 
+def test_mass_transport_names_itself_on_a_disconnected_graph():
+    two_triangles = MultiGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)))
+    with pytest.raises(ValueError, match="^mass_transport_check requires a connected graph$"):
+        mass_transport_check(two_triangles, 1, 3)
+
+
 # -- bouquets ----------------------------------------------------------------------
 
 
@@ -416,6 +422,8 @@ def test_canonizer_matches_full_search(corpus):
 
 
 def test_sweep_runs_no_bfs(monkeypatch):
+    """The sweep itself runs no BFS: tree_fraction none, and bs_histogram one
+    per ball with a cycle, inside ball_code."""
     g = random_lift(bowtie(), 150, 0)[0]
     calls = []
     bfs = multigraph._bfs
@@ -425,9 +433,12 @@ def test_sweep_runs_no_bfs(monkeypatch):
         return bfs(*args)
 
     monkeypatch.setattr(multigraph, "_bfs", counted)
-    hist = bs_histogram(g, 2)
-    assert tree_fraction(g, 2) < 1.0 and any(code.startswith("g") for code in hist)
+    trees = round(tree_fraction(g, 2) * g.n)
     assert calls == []
+    hist = bs_histogram(g, 2)
+    assert 0 < trees < g.n and any(code.startswith("g") for code in hist)
+    assert len(calls) == g.n - trees
+    calls.clear()
     ball_code(g, 0, 2)
     assert len(calls) == 1
 
