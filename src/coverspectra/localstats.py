@@ -4,12 +4,12 @@
 canonical radius-r ball histograms (bs_histogram) with total-variation
 comparison (tv_distance).
 
-Ball sweep. tree_fraction, bs_histogram and mass_transport_check read the
-sizes of all radius-r balls, and which are trees, off one sparse sweep, not
-a BFS per vertex: row v of reach = (A + I)^r clipped to 0/1 is B_r(v), and
-B_r(v) is a tree iff rowsum((reach A) o reach) is 2(|B_r(v)| - 1). The
-cover's (r + 1)-balls bound the row blocks' size. Only a ball with a cycle
-is BFS'd, by ball_code, for its depth map.
+Ball sweep. tree_fraction and bs_histogram read which radius-r balls are
+trees off one sparse sweep, not a BFS per vertex: row v of reach = (A + I)^r
+clipped to 0/1 is B_r(v), and B_r(v) is a tree iff rowsum((reach A) o reach)
+is 2(|B_r(v)| - 1). The cover's (r + 1)-balls bound the row blocks' size.
+Only a ball with a cycle is BFS'd, by ball_code, for its depth map, and
+mass_transport_check BFSes only around l-cycles, stopped at depth R.
 
 Cycle semantics on multigraphs: an l-cycle is a closed non-backtracking
 half-edge sequence through l distinct vertices and l distinct edges, taken up
@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cover import quotient
-from .multigraph import MultiGraph, ball, canonical_code, induced_subgraph, require_connected
+from .multigraph import MultiGraph, _bfs, ball, canonical_code, induced_subgraph, require_connected
 
 CANON_CAP = 64
 _BLOCK_ENTRIES = 1 << 18  # the most entries of reach A in one block of _balls
@@ -119,9 +119,9 @@ def cycle_stats(g: MultiGraph, length: int) -> CycleStats:
     return CycleStats(length, tuple(cycles), tuple(counts))
 
 
-def _balls(g: MultiGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ball sweep (module docstring) on g.adjacency: each vertex's ball
-    size, and whether its ball is a tree."""
+def _balls(g: MultiGraph, r: int) -> np.ndarray:
+    """The ball sweep (module docstring) on g.adjacency: whether each
+    vertex's ball is a tree."""
     from scipy.sparse import identity
 
     n, q, adj = g.n, quotient(g), g.adjacency
@@ -132,7 +132,7 @@ def _balls(g: MultiGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
         sub = [min(n, 1 + sum(m * sub[b] for b, m in row)) for row in q.C]
     sizes = np.array([min(n, 1 + sum(m * sub[a] for a, m in row)) for row in q.D])
     ends = np.cumsum(np.concatenate(([0], sizes[list(q.colors)])))
-    size, tree = np.empty(n, np.int64), np.empty(n, bool)
+    tree = np.empty(n, bool)
     lo = 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] + _BLOCK_ENTRIES, "right")) - 1)
@@ -140,17 +140,16 @@ def _balls(g: MultiGraph, r: int) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(r):
             reach = reach @ step
         inside = np.asarray((reach @ adj).multiply(reach).sum(axis=1)).ravel()
-        size[lo:hi] = np.diff(reach.indptr)
-        tree[lo:hi] = inside == 2 * (size[lo:hi] - 1)
+        tree[lo:hi] = inside == 2 * (np.diff(reach.indptr) - 1)
         lo = hi
-    return size, tree
+    return tree
 
 
 def tree_fraction(g: MultiGraph, r: int) -> float:
     """Fraction of vertices whose induced radius-r ball is a tree, off the sweep's mask."""
     if r < 1:
         raise ValueError("radius must be at least 1")
-    return int(_balls(g, r)[1].sum()) / g.n
+    return int(_balls(g, r).sum()) / g.n
 
 
 def find_bouquet(
@@ -196,26 +195,25 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     l-cycle}, plus the averaged N_R lower bound when every radius-R ball
     holds at least R vertices. N_R(v) counts l-cycles with some vertex within
     distance R of v; the bound check is skipped (nr_holds = None) whenever
-    the ball-size hypothesis fails.
+    the ball-size hypothesis fails. Each ball read is a BFS stopped at depth
+    R, from one vertex on an l-cycle (the mass) or one cycle (N_R's sum).
 
     Mass sent (the sum of F(o, v) over pairs) and mass received (the sum of
     F(v, o)) count the same pairs, so on a finite graph the balance is an
-    identity: it is counted once and reported as both lhs and rhs. The
-    mass-transport principle has content only on infinite unimodular
-    networks."""
+    identity, counted once and reported as both lhs and rhs. The
+    mass-transport principle has content only on infinite unimodular networks."""
     if R < 0:
         raise ValueError("radius must be nonnegative")
     require_connected(g, "mass_transport_check")
     n = g.n
     stats = cycle_stats(g, length)
-    on_cycle = np.array(stats.counts) > 0
-    sizes, _ = _balls(g, R)
-    mass = Fraction(int(sizes[on_cycle].sum()), n)
-    hypothesis = bool((sizes >= R).all())
+    on_cycle = [v for v, k in enumerate(stats.counts) if k]
+    mass = Fraction(sum(len(_bfs(g, (v,), R)) for v in on_cycle), n)
+    hypothesis = n >= R  # connected: each radius-R ball holds min(n, R + 1) vertices or more
     # N_R(v) summed over v is, summed over cycles, the vertices within R of each
-    nr_total = sum(sum(d <= R for d in g.distances_from(c.vertices)) for c in stats.cycles)
+    nr_total = sum(len(_bfs(g, c.vertices, R)) for c in stats.cycles)
     nr_average = Fraction(nr_total, n)
-    nr_bound = Fraction(R, length) * Fraction(int(on_cycle.sum()), n)
+    nr_bound = Fraction(R, length) * Fraction(len(on_cycle), n)
     nr_holds = (nr_average >= nr_bound) if hypothesis else None
     return MassTransportReport(R, length, mass, mass, hypothesis, nr_average, nr_bound, nr_holds)
 
@@ -242,7 +240,7 @@ def bs_histogram(g: MultiGraph, r: int) -> dict[str, int]:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     q = quotient(g)
-    _, tree = _balls(g, r)
+    tree = _balls(g, r)
     hist: dict[str, int] = defaultdict(int)
     for v in np.flatnonzero(~tree).tolist():
         hist[ball_code(g, v, r)] += 1

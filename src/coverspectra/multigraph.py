@@ -10,6 +10,7 @@ degree of its vertex and 2 to the diagonal of the adjacency matrix.
 from __future__ import annotations
 
 import enum
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -123,7 +124,7 @@ class MultiGraph:
     def distances_from(self, starts) -> list[int]:
         """BFS distance from a vertex or an iterable of source vertices.
         Unreachable vertices get -1."""
-        if isinstance(starts, int):
+        if isinstance(starts, numbers.Integral):
             starts = (starts,)
         dist = _bfs(self, starts)
         return [dist.get(u, -1) for u in range(self.n)]

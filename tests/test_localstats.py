@@ -39,6 +39,7 @@ from oracles import (
     ahu_code,
     bs_histogram_by_balls,
     canonical_code_by_search,
+    connected_lift,
     gnp_giant,
     mass_transport_by_distances,
     tree_ball,
@@ -290,11 +291,56 @@ def test_nr_bound_on_corpus(corpus):
             assert rep.nr_holds
 
 
+def _torus(a, b):
+    """The a x b torus grid; for a, b >= 5 every vertex lies on four 4-cycles."""
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            v = i * b + j
+            edges += [(v, (i + 1) % a * b + j), (v, i * b + (j + 1) % b)]
+    return MultiGraph.from_edges(a * b, edges)
+
+
 def test_mass_transport_matches_distance_table(corpus):
-    graphs = list(corpus[::29]) + [random_regular(200, 3, 9)[0], random_lift(bowtie(), 40, 1)[0]]
+    """Against the full distance table, on graphs where the cycles' balls
+    overlap (the torus) and where n = R and n = R + 1 at R = 3 (C3 and P4)."""
+    graphs = list(corpus[::29]) + [
+        random_regular(200, 3, 9)[0],
+        random_lift(bowtie(), 40, 1)[0],
+        _torus(6, 6),
+        gnp_giant(60, 0),
+        connected_lift(complete(4), 10),
+        cycle(3),
+        path(4),
+    ]
     for g in graphs:
         for r, length in ((0, 3), (1, 3), (2, 4), (3, 2)):
             assert mass_transport_check(g, r, length) == mass_transport_by_distances(g, r, length)
+
+
+def test_mass_transport_runs_no_sweep(monkeypatch):
+    """mass_transport_check never reaches the ball sweep: it BFSes once from
+    each vertex on an l-cycle and once from each cycle, each stopped at R."""
+    g, R = random_lift(bowtie(), 40, 1)[0], 2
+    stats = cycle_stats(g, 3)
+    assert g.is_connected  # cached, so the connectivity check runs no BFS below
+    radii = []
+    bfs = multigraph._bfs
+
+    def counted(g, starts, radius=None):
+        radii.append(radius)
+        return bfs(g, starts, radius)
+
+    def no_sweep(*args):
+        raise AssertionError("mass_transport_check ran the ball sweep")
+
+    monkeypatch.setattr(multigraph, "_bfs", counted)
+    monkeypatch.setattr(localstats, "_bfs", counted)
+    monkeypatch.setattr(localstats, "_balls", no_sweep)
+    mass_transport_check(g, R, 3)
+    on_cycle = sum(1 for k in stats.counts if k)
+    assert 0 < on_cycle < g.n
+    assert radii == [R] * (on_cycle + len(stats.cycles))
 
 
 # -- ball histograms ---------------------------------------------------------------

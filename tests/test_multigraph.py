@@ -16,7 +16,7 @@ from coverspectra.multigraph import (
     load_graph,
 )
 from coverspectra.generators import bowtie, complete, cycle, path, random_regular, theta
-from coverspectra.localstats import bs_histogram, tree_fraction
+from coverspectra.localstats import bs_histogram, find_bouquet, tree_fraction
 from coverspectra.spectra import eigen_spectrum
 
 
@@ -267,6 +267,16 @@ def test_connected_components():
     assert sorted(map(sorted, comps)) == [[0, 1], [2, 3, 4]]
     assert not g.is_connected
     assert cycle(4).is_connected
+
+
+def test_a_numpy_integer_is_one_start():
+    path_of_triangles = MultiGraph(
+        7, ((0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5), (5, 6), (6, 4))
+    )
+    for g, v in ((bowtie(), 0), (path_of_triangles, 3)):
+        assert g.distances_from(np.int64(v)) == g.distances_from(v)
+        assert find_bouquet(g, np.int64(v), 4, 3) == find_bouquet(g, v, 4, 3)
+    assert find_bouquet(path_of_triangles, np.int64(3), 4, 3) is not None
 
 
 def test_distances_from_rejects_vertices_out_of_range():
