@@ -187,6 +187,39 @@ def spectrum_by_eigh(g: MultiGraph) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], perron
 
 
+def ldl_from_dsytrf(ldu: np.ndarray, ipiv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, D) with L D L^T the matrix that LAPACK dsytrf factored, from its
+    lower-triangle output: L = P(1) L(1) P(2) L(2) ..., where P(k) swaps the
+    block's last column with the one ipiv names and L(k) puts the stored
+    multipliers below the block. Every column to the right of the
+    block is still a unit vector when L(k) is applied, so L holds the stored
+    floats exactly, rows permuted, like scipy.linalg.ldl's lu."""
+    n = len(ipiv)
+    lmat, dmat = np.eye(n), np.zeros((n, n))
+    k = 0
+    while k < n:
+        step = 1 if ipiv[k] > 0 else 2
+        p = abs(int(ipiv[k])) - 1
+        last = k + step - 1
+        lmat[:, [last, p]] = lmat[:, [p, last]]
+        lmat[:, k : k + step] += lmat[:, k + step :] @ ldu[k + step :, k : k + step]
+        block = np.tril(ldu[k : k + step, k : k + step])
+        dmat[k : k + step, k : k + step] = block + np.tril(block, -1).T
+        k += step
+    return lmat, dmat
+
+
+def ldl_backward_error(g: MultiGraph, s: float, lmat: np.ndarray, dmat: np.ndarray) -> float:
+    """||L D L^T - (A - sI)||_2, with the product and the difference in long
+    double so that their own rounding (about n * 1e-19 relative) stays far
+    below the float64 factorization's error being measured."""
+    wide = np.longdouble
+    shifted = adjacency_by_edges(g).astype(wide) - wide(s) * np.eye(g.n, dtype=wide)
+    lw = lmat.astype(wide)
+    err = (lw @ dmat.astype(wide)) @ lw.T - shifted
+    return float(np.linalg.norm(err.astype(np.float64), 2))
+
+
 def tree_ball_walk_count(g: MultiGraph, v: int, k: int) -> int:
     """Closed walks of length k (even) at the root of the materialized radius
     k/2 cover-tree ball: the same quantity as backtracking_walk_profile's

@@ -3,8 +3,10 @@ import inspect
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -464,10 +466,15 @@ def test_unknown_subcommand_exits_nonzero(capsys):
 
 
 def test_module_entry_point(write_graph):
+    # the child does not read pyproject.toml's pythonpath, so put src on its path
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "coverspectra", "spectra", write_graph(cycle(3))],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["lambda1"] == pytest.approx(2.0, abs=1e-10)

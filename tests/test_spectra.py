@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack, ldl
 
 from coverspectra import spectra
 from coverspectra.cover import quotient
@@ -24,7 +25,7 @@ from coverspectra.generators import (
 )
 from coverspectra.rho import rho_tree
 
-from oracles import matrix_walk_count, spectrum_by_eigh
+from oracles import ldl_backward_error, ldl_from_dsytrf, matrix_walk_count, spectrum_by_eigh
 
 
 # -- eigen_spectrum --------------------------------------------------------------
@@ -195,11 +196,12 @@ def test_dense_path_matches_eigh_on_lifts(base):
         _assert_matches_eigh(_connected_lift(base, n, seed))
 
 
-@pytest.mark.parametrize("n", [4, 26, 100, 300])
+@pytest.mark.parametrize("n", [4, 26, 100, 300, 1000])
 def test_dense_path_matches_eigh_on_random_regular(n):
-    g, info = random_regular(n, 3, seed=n)
-    assert info["simple"] and info["connected"]
-    _assert_matches_eigh(g)
+    for seed in (n, n + 1):
+        g, info = random_regular(n, 3, seed=seed)
+        assert info["simple"] and info["connected"]
+        _assert_matches_eigh(g)
 
 
 def test_dense_path_matches_eigh_on_discrete_colouring():
@@ -214,8 +216,11 @@ def test_dense_path_matches_eigh_on_discrete_colouring():
 
 
 def test_wr_cycles_at_two():
+    # lambda1 = 2 = rho lies inside the count's window, so eigvalsh counts
     for n in (3, 4, 10, 31):
-        assert wr_fraction(eigen_spectrum(cycle(n)), 2.0) == 1.0
+        s = eigen_spectrum(cycle(n))
+        assert wr_fraction(s, 2.0) == 1.0
+        assert "eigenvalues" in s.__dict__
 
 
 def test_wr_bowtie_below_one():
@@ -241,9 +246,23 @@ def test_wr_where_a_guarded_inertia_count_goes_wrong():
     # eigenvalues -2.414, -1, 0, 0.414, 3: at rho = 1, t = rho + eta, a
     # no-pivot symmetric LU of A + tI counts -1 below -t at both t(1 - 1e-12)
     # and t(1 + 1e-12), so a guard that only asks the two counts to agree
-    # would accept a fraction of 0.4; three of the five lie in [-1, 1]
+    # would accept a fraction of 0.4; three of the five lie in [-1, 1]. The
+    # window at -t holds -1, so the guarded count leaves it to eigvalsh
     g = MultiGraph(5, ((0, 1), (0, 1), (0, 2), (0, 3), (1, 2), (1, 4)))
-    assert wr_fraction(eigen_spectrum(g), 1.0) == 0.6
+    s = eigen_spectrum(g)
+    assert wr_fraction(s, 1.0) == 0.6
+    assert "eigenvalues" in s.__dict__
+
+
+def test_wr_eigenvalue_just_outside_the_interval():
+    # lambda1 = 2 of an odd cycle and the triple -1 of K4 lie within delta
+    # outside +-t, where a count at t + delta (or -t - delta) alone would
+    # take them in; the window clause sends both to eigvalsh
+    for n in (3, 5, 31):
+        s = eigen_spectrum(cycle(n))
+        assert wr_fraction(s, 2.0 - 1e-7) == (n - 1) / n
+        assert "eigenvalues" in s.__dict__
+    assert wr_fraction(eigen_spectrum(complete(4)), 1.0 - 1e-7) == 0.0
 
 
 def test_wr_rejects_nan_eta():
@@ -255,11 +274,133 @@ def test_wr_rejects_nan_eta():
     assert wr_fraction(eigen_spectrum(cycle(4)), float("inf")) == 1.0
 
 
+def test_wr_below_zero_or_at_infinity_factors_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an inertia count ran")
+
+    monkeypatch.setattr(spectra, "_inertia", refuse)
+    s = eigen_spectrum(complete(4))
+    for rho, eta in ((-1.0, 1e-9), (-2e-9, 1e-9), (float("-inf"), 0.0)):
+        assert wr_fraction(s, rho, eta) == 0.0
+    assert wr_fraction(s, float("inf")) == 1.0
+    assert "eigenvalues" not in s.__dict__
+
+
+def test_wr_refuses_a_window_lost_to_rounding():
+    # at t = 1e12 the shifts t +- delta round to t, so the window clause
+    # holds vacuously; beta, which carries |s|, sends the count to eigvalsh
+    s = eigen_spectrum(complete(4))
+    assert wr_fraction(s, 1e12) == 1.0
+    assert "eigenvalues" in s.__dict__
+
+
 def test_wr_needs_full_spectrum(monkeypatch):
     monkeypatch.setattr(spectra, "DENSE_EIGEN_CAP", 10)
     top = eigen_spectrum(cycle(30))
     with pytest.raises(ValueError, match="full spectrum"):
         wr_fraction(top, 2.0)
+
+
+# -- the guarded inertia count -------------------------------------------------
+
+
+def _assert_beta_bounds_the_backward_error(monkeypatch, cases) -> int:
+    """Run wr_fraction on each (graph, rho), spying on its factorizations. At
+    every shift the library's beta is at least the measured
+    ||L D L^T - (A - sI)||_2 of its own factors, and its count is the number
+    of negative eigenvalues of D; returns the number of 2 x 2 blocks seen."""
+    calls, factors = [], []
+    real_inertia, real_dsytrf = spectra._inertia, lapack.dsytrf
+
+    def inertia(g, shifts):
+        out = real_inertia(g, shifts)
+        calls.extend((g, s, cb) for s, cb in zip(shifts, out))
+        return out
+
+    def dsytrf(a, **kwargs):
+        ldu, ipiv, info = real_dsytrf(a, **kwargs)
+        factors.append((ldu.copy(), ipiv.copy(), info))
+        return ldu, ipiv, info
+
+    monkeypatch.setattr(spectra, "_inertia", inertia)
+    monkeypatch.setattr(lapack, "dsytrf", dsytrf)
+    for g, rho in cases:
+        wr_fraction(eigen_spectrum(g), rho)
+    assert len(calls) == len(factors) == 4 * len(cases)
+    blocks = 0
+    for (g, s, (count, beta)), (ldu, ipiv, info) in zip(calls, factors):
+        if info > 0:
+            assert beta == float("inf")
+            continue
+        lmat, dmat = ldl_from_dsytrf(ldu, ipiv)
+        assert ldl_backward_error(g, s, lmat, dmat) <= beta
+        assert count == np.count_nonzero(np.linalg.eigvalsh(dmat) < 0)
+        blocks += np.count_nonzero(ipiv < 0) // 2
+    return blocks
+
+
+def test_ldl_oracle_rebuilds_scipys_factors():
+    # dsytrf stores the same product form blocked (n > 64) or not
+    for g, s in ((cycle(6), 0.3), (bowtie(), 0.5), (_connected_lift(complete(4), 40, 3), 0.1)):
+        shifted = np.eye(g.n) * -s + g.adjacency_matrix()
+        lwork = int(lapack.dsytrf_lwork(g.n, lower=1)[0])
+        ldu, ipiv, info = lapack.dsytrf(shifted, lower=1, lwork=lwork)
+        lu, d, _ = ldl(shifted, lower=True)
+        lmat, dmat = ldl_from_dsytrf(ldu, ipiv)
+        assert info == 0 and np.any(ipiv < 0)
+        assert np.array_equal(lmat, lu) and np.array_equal(dmat, d)
+
+
+def test_inertia_bound_on_corpus(monkeypatch, corpus, cache):
+    cases = [(g, cache.rho(g).value) for g in corpus]
+    assert _assert_beta_bounds_the_backward_error(monkeypatch, cases) > 0
+
+
+def test_inertia_bound_on_random_regular(monkeypatch):
+    g, _ = random_regular(300, 3, seed=300)
+    _assert_beta_bounds_the_backward_error(monkeypatch, [(g, rho_tree(g).value)])
+
+
+@pytest.mark.parametrize(
+    "base", [bowtie(), complete(4), theta(1, 2, 3)], ids=["bowtie", "K4", "theta123"]
+)
+def test_inertia_bound_on_lifts(monkeypatch, base):
+    cases = [(_connected_lift(base, 40, 3), rho_tree(base).value)]
+    _assert_beta_bounds_the_backward_error(monkeypatch, cases)
+
+
+def test_zero_pivot_refuses_the_count():
+    # A of C4 has rank 2, so at s = 0 dsytrf meets an exactly zero pivot
+    (_, zero_beta), (count, beta) = spectra._inertia(cycle(4), (0.0, 1.0))
+    assert zero_beta == float("inf")
+    assert count == 3 and beta < 1e-12
+    # at t = delta the shifts t - delta and -t + delta are 0: eigvalsh counts
+    s = eigen_spectrum(cycle(4))
+    assert wr_fraction(s, 2 * spectra._INERTIA_WINDOW, eta=0.0) == 0.5
+    assert "eigenvalues" in s.__dict__
+
+
+@pytest.mark.parametrize("n", [100, 500, 1000])
+def test_count_path_leaves_eigenvalues_unread_on_random_regular(n):
+    g, _ = random_regular(n, 3, seed=n)
+    rho = rho_tree(g).value
+    s = eigen_spectrum(g)
+    wr = wr_fraction(s, rho)
+    assert "eigenvalues" not in s.__dict__
+    assert wr == np.count_nonzero(np.abs(s.eigenvalues) <= rho + 1e-9) / n
+
+
+@pytest.mark.parametrize(
+    "base, k",
+    [(bowtie(), 40), (bowtie(), 150), (complete(4), 50), (theta(1, 2, 3), 40)],
+    ids=["bowtie40", "bowtie150", "K4-50", "theta123-40"],
+)
+def test_count_path_leaves_eigenvalues_unread_on_lifts(base, k):
+    rho = rho_tree(base).value
+    s = eigen_spectrum(_connected_lift(base, k, 1))
+    wr = wr_fraction(s, rho)
+    assert "eigenvalues" not in s.__dict__
+    assert wr == np.count_nonzero(np.abs(s.eigenvalues) <= rho + 1e-9) / s.n
 
 
 # -- closed walk counts ------------------------------------------------------------
