@@ -31,6 +31,7 @@ CW_lo - g_hi rounded down, as lambda1 >= CW_lo (Collatz-Wielandt).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -244,6 +245,8 @@ def unicyclic_defect(g: MultiGraph, copies: int, spectrum: Spectrum | None = Non
     """
     if cyclomatic_class(g) is not CyclomaticClass.UNICYCLIC:
         raise ValueError("unicyclic_defect requires a unicyclic graph")
+    if not isinstance(copies, numbers.Integral):
+        raise ValueError(f"copies must be an integer, got {copies!r}")
     if copies < 1:
         raise ValueError("copies must be at least 1")
     spec = spectrum if spectrum is not None else eigen_spectrum(g)

@@ -23,6 +23,7 @@ order up to rotation and reflection.
 
 from __future__ import annotations
 
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,8 @@ def enumerate_cycles(g: MultiGraph, length: int) -> list[Cycle]:
     above s in between, so each cycle appears exactly at its minimum vertex;
     runs of the same cycle in both directions collapse in the edge-set dedup.
     """
+    if not isinstance(length, numbers.Integral):
+        raise ValueError(f"cycle length must be an integer, got {length!r}")
     if length < 1:
         raise ValueError("cycle length must be at least 1")
     found: dict[frozenset[int], Cycle] = {}
@@ -202,6 +205,8 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     F(v, o)) count the same pairs, so on a finite graph the balance is an
     identity, counted once and reported as both lhs and rhs. The
     mass-transport principle has content only on infinite unimodular networks."""
+    if not isinstance(R, numbers.Integral):
+        raise ValueError(f"radius must be an integer, got {R!r}")
     if R < 0:
         raise ValueError("radius must be nonnegative")
     require_connected(g, "mass_transport_check")

@@ -118,9 +118,6 @@ class MultiGraph:
         ends = (self.sources, self.targets)
         return csr_matrix((np.ones(self.num_half_edges, np.int64), ends), (self.n, self.n))
 
-    def adjacency_matrix(self) -> np.ndarray:  # the dense view of adjacency
-        return self.adjacency.toarray()
-
     def distances_from(self, starts) -> list[int]:
         """BFS distance from a vertex or an iterable of source vertices.
         Unreachable vertices get -1."""
@@ -189,6 +186,8 @@ def cyclomatic_class(g: MultiGraph) -> CyclomaticClass:
 def ball(g: MultiGraph, v: int, r: int) -> dict[int, int]:
     """B_r(v) as its depth map: each vertex within distance r of v, mapped to
     that distance, in BFS order. r = 0 gives {v: 0}."""
+    if not isinstance(r, numbers.Integral):
+        raise ValueError(f"radius must be an integer, got {r!r}")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     return _bfs(g, (v,), r)

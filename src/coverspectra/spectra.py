@@ -5,8 +5,9 @@ matrix of the cover's quotient (cover.quotient): its colours form an
 equitable partition (Godsil & Royle, Algebraic Graph Theory, section 9.3).
 That matrix is the same on every lift of a graph, and so is lambda1. The
 other eigenvalues come from one dense eigenvalues-only solve when first
-read. Above the cap lambda1 and its vector come from an iterative solve on
-the graph's CSR adjacency (MultiGraph.adjacency). The weakly-Ramanujan
+read, up to the cap only. Above the cap lambda1 and its vector come from
+an iterative solve on the graph's CSR adjacency (MultiGraph.adjacency),
+from which every n x n matrix here is filled too. The weakly-Ramanujan
 fraction counts eigenvalues by the inertia of four shifted LDL^T
 factorizations, behind a backward-error guard, and falls back to the
 eigenvalues where the guard refuses; it too is bounded by the dense cap.
@@ -34,8 +35,8 @@ class Spectrum:
     """lambda1 and the unit Perron vector of a graph, and its eigenvalues in
     nonincreasing order, solved for on first read and then kept.
 
-    full is False when the graph is larger than the dense cap; then the
-    eigenvalues are lambda1 alone.
+    full is False when the graph is larger than the dense cap; then reading
+    the eigenvalues raises ValueError.
     """
 
     lambda1: float
@@ -53,8 +54,8 @@ class Spectrum:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         if not self.full:
-            return np.array([self.lambda1])
-        return np.linalg.eigvalsh(self.graph.adjacency_matrix().astype(np.float64))[::-1]
+            raise ValueError(f"n = {self.n} is over the dense cap of {DENSE_EIGEN_CAP}")
+        return np.linalg.eigvalsh(self.graph.adjacency.astype(np.float64).toarray())[::-1]
 
 
 def eigen_spectrum(g: MultiGraph) -> Spectrum:
@@ -152,8 +153,9 @@ def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:
 def _inertia(g: MultiGraph, shifts) -> list[tuple[int, float]]:
     """For each shift s, (c, beta): c is the number of negative eigenvalues
     of the computed Bunch-Kaufman factors L D L^T = P (A - sI) P^T + E
-    (LAPACK dsytrf on the lower triangle), and beta >= ||E||_2; beta is inf
-    when a pivot is exactly zero.
+    (LAPACK dsytrf on the lower triangle, filled from the entries of
+    g.adjacency with row >= column), and beta >= ||E||_2; beta is inf when
+    a pivot is exactly zero.
 
     c counts the negative 1 x 1 pivots plus one per 2 x 2 block: the
     Bunch-Kaufman rule takes a 2 x 2 pivot [[a, b], [b, c]] only when
@@ -180,10 +182,9 @@ def _inertia(g: MultiGraph, shifts) -> list[tuple[int, float]]:
     from scipy.linalg.lapack import dsytrf
 
     n = g.n
-    sources = np.array(g.sources, dtype=np.intp)
-    targets = np.array(g.targets, dtype=np.intp)
-    lower = sources >= targets  # each edge once, a loop's two half-edges on the diagonal
-    cells, counts = np.unique(sources[lower] + n * targets[lower], return_counts=True)
+    adj = g.adjacency.tocoo()
+    lower = adj.row >= adj.col
+    cells, counts = adj.row[lower] + n * adj.col[lower], adj.data[lower]
     buf = np.empty(n * n)
     a = buf.reshape((n, n), order="F")
     gamma = 4 * (n + 2) * np.finfo(float).eps / 2

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import coverspectra
 
@@ -19,3 +25,19 @@ def test_all_is_every_public_binding():
 def test_every_exported_name_resolves():
     for name in coverspectra.__all__:
         assert getattr(coverspectra, name) is not None
+
+
+@pytest.mark.parametrize("module", ["coverspectra", "coverspectra.cli"])
+def test_import_loads_no_scipy(module):
+    """scipy is imported inside the functions that use it, so importing the
+    package or its CLI does not pay for scipy's own import."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -1,10 +1,12 @@
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coverspectra import localstats, multigraph
 from coverspectra.cover import orbit_distribution
+from coverspectra.gapcert import unicyclic_defect
 from coverspectra.localstats import (
     CANON_CAP,
     ball_code,
@@ -193,6 +195,26 @@ def test_statistics_validate_arguments():
         bs_histogram(g, -1)
     with pytest.raises(ValueError, match="histograms must be nonempty"):
         tv_distance({}, {"t()": 1})
+
+
+@pytest.mark.parametrize(
+    "call, bad, good",
+    [
+        (lambda x: ball(cycle(12), 0, x), 1.5, 2),
+        (lambda x: ball_code(path(5), 0, x), 1.5, 1),
+        (lambda x: enumerate_cycles(cycle(5), x), 4.5, 5),
+        (lambda x: mass_transport_check(cycle(5), x, 5), 1.5, 1),
+        (lambda x: unicyclic_defect(cycle(5), x), 2.5, 3),
+    ],
+    ids=["ball", "ball_code", "enumerate_cycles", "mass_transport_check", "unicyclic_defect"],
+)
+def test_integer_arguments_reject_fractions(call, bad, good):
+    """A radius, length or copy count that is not an integer is refused,
+    not misread; NumPy integers are accepted."""
+    for x in (bad, float(good), Fraction(good)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(x)
+    assert call(np.int64(good)) == call(good)
 
 
 def test_mass_transport_names_itself_on_a_disconnected_graph():

@@ -17,7 +17,8 @@ from coverspectra.multigraph import (
 )
 from coverspectra.generators import bowtie, complete, cycle, path, random_regular, theta
 from coverspectra.localstats import bs_histogram, find_bouquet, tree_fraction
-from coverspectra.spectra import eigen_spectrum
+from coverspectra.rho import rho_tree
+from coverspectra.spectra import eigen_spectrum, wr_fraction
 
 
 # -- parsing -------------------------------------------------------------------
@@ -32,12 +33,12 @@ def test_parse_triangle():
 def test_parse_loop_degree_two():
     g = load_graph("1 1\n0 0\n")
     assert g.degrees[0] == 2
-    assert g.adjacency_matrix()[0, 0] == 2
+    assert g.adjacency.toarray()[0, 0] == 2
 
 
 def test_parse_parallel_edges():
     g = load_graph("2 2\n0 1\n0 1\n")
-    a = g.adjacency_matrix()
+    a = g.adjacency.toarray()
     assert a[0, 1] == 2 and a[1, 0] == 2
     assert g.degrees == (2, 2)
 
@@ -93,7 +94,7 @@ def test_degree_sum_is_twice_edges(corpus):
 
 def test_adjacency_row_sums_are_degrees(corpus):
     for g in corpus[:300]:
-        a = g.adjacency_matrix()
+        a = g.adjacency.toarray()
         assert tuple(a.sum(axis=1)) == g.degrees
         assert (a == a.T).all()
 
@@ -105,13 +106,15 @@ def test_adjacency_is_the_edge_count_matrix(corpus):
     for g in list(corpus) + lifts + [gnp_giant(300, 0)]:
         a = g.adjacency
         assert a.has_canonical_format and a.dtype == np.int64
-        dense = g.adjacency_matrix()
+        dense = g.adjacency.toarray()
         assert dense.dtype == np.int64
         assert np.array_equal(dense, adjacency_by_edges(g))
 
 
 def test_adjacency_is_built_once(monkeypatch):
-    """tree_fraction, bs_histogram and Spectrum.eigenvalues share one graph's CSR."""
+    """tree_fraction, bs_histogram, Spectrum.eigenvalues and wr_fraction
+    share one graph's CSR."""
+    rho = rho_tree(bowtie()).value
     builds = []
     build = MultiGraph.adjacency.func
 
@@ -126,6 +129,7 @@ def test_adjacency_is_built_once(monkeypatch):
         lambda g: tree_fraction(g, 2),
         lambda g: bs_histogram(g, 2),
         lambda g: eigen_spectrum(g).eigenvalues,
+        lambda g: wr_fraction(eigen_spectrum(g), rho),
     ):
         g = MultiGraph(bowtie().n, bowtie().edges)
         read(g)
@@ -135,6 +139,7 @@ def test_adjacency_is_built_once(monkeypatch):
     tree_fraction(g, 2)
     bs_histogram(g, 1)
     eigen_spectrum(g).eigenvalues
+    wr_fraction(eigen_spectrum(g), rho)
     assert builds == [g]
 
 

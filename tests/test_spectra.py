@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import lapack, ldl
+from scipy.sparse import csr_matrix
 
 from coverspectra import spectra
 from coverspectra.cover import quotient
@@ -25,7 +27,13 @@ from coverspectra.generators import (
 )
 from coverspectra.rho import rho_tree
 
-from oracles import ldl_backward_error, ldl_from_dsytrf, matrix_walk_count, spectrum_by_eigh
+from oracles import (
+    adjacency_by_edges,
+    ldl_backward_error,
+    ldl_from_dsytrf,
+    matrix_walk_count,
+    spectrum_by_eigh,
+)
 
 
 # -- eigen_spectrum --------------------------------------------------------------
@@ -60,7 +68,7 @@ def test_spectrum_shape_and_perron(corpus, cache):
         assert max(abs(l) for l in s.eigenvalues) <= g.max_degree + 1e-9
         assert s.perron.min() > 0
         assert np.linalg.norm(s.perron) == pytest.approx(1.0, abs=1e-12)
-        a = g.adjacency_matrix()
+        a = g.adjacency.toarray()
         resid = np.linalg.norm(a @ s.perron - s.lambda1 * s.perron)
         assert resid <= 1e-10 * g.max_degree
 
@@ -108,11 +116,12 @@ def test_iterative_path_agrees_with_dense(monkeypatch):
 
 
 def test_iterative_path_forms_no_dense_matrix(monkeypatch):
-    def refuse(self):
+    def refuse(*args, **kwargs):
         raise AssertionError("an n x n adjacency was formed")
 
     monkeypatch.setattr(spectra, "DENSE_EIGEN_CAP", 10)
-    monkeypatch.setattr(MultiGraph, "adjacency_matrix", refuse)
+    monkeypatch.setattr(csr_matrix, "toarray", refuse)
+    monkeypatch.setattr(spectra, "_inertia", refuse)
     top = eigen_spectrum(cycle(30))
     assert not top.full
     assert top.lambda1 == pytest.approx(2.0, abs=1e-9)
@@ -135,7 +144,8 @@ def test_nothing_n_by_n_unless_eigenvalues_are_read(monkeypatch, corpus):
 
     lift = _connected_lift(bowtie(), 150, 1)
     unicyclic = next(g for g in corpus if cyclomatic_class(g) is CyclomaticClass.UNICYCLIC)
-    monkeypatch.setattr(MultiGraph, "adjacency_matrix", refuse)
+    monkeypatch.setattr(csr_matrix, "toarray", refuse)
+    monkeypatch.setattr(spectra, "_inertia", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     s = eigen_spectrum(lift)
     assert s.lambda1 == eigen_spectrum(bowtie()).lambda1
@@ -210,6 +220,28 @@ def test_dense_path_matches_eigh_on_discrete_colouring():
     g = MultiGraph.from_edges(31, [(i, i + 1) for i in range(29)] + [(2, 30)])
     assert len(set(quotient(g).colors)) == g.n
     _assert_matches_eigh(g)
+
+
+def test_eigenvalues_are_eigvalsh_of_the_edge_count_matrix(corpus, cache):
+    """eigvalsh gets the same float64 entries as from the per-edge oracle,
+    so the eigenvalues are equal bit for bit."""
+    lifts = [_connected_lift(base, 40, 3) for base in (bowtie(), complete(4), theta(1, 2, 3))]
+    for g in list(corpus) + lifts + [random_regular(1000, 3, seed=0)[0]]:
+        want = np.linalg.eigvalsh(adjacency_by_edges(g).astype(np.float64))[::-1]
+        assert np.array_equal(cache.spectrum(g).eigenvalues, want)
+
+
+def test_eigenvalues_form_one_float_n_by_n_array():
+    g, _ = random_regular(1000, 3, seed=0)
+    s = eigen_spectrum(g)
+    g.adjacency  # the CSR and its imports, outside the trace
+    tracemalloc.start()
+    try:
+        s.eigenvalues
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * g.n**2
 
 
 # -- wr_fraction -----------------------------------------------------------------
@@ -299,6 +331,8 @@ def test_wr_needs_full_spectrum(monkeypatch):
     top = eigen_spectrum(cycle(30))
     with pytest.raises(ValueError, match="full spectrum"):
         wr_fraction(top, 2.0)
+    with pytest.raises(ValueError, match="over the dense cap of 10"):
+        top.eigenvalues
 
 
 # -- the guarded inertia count -------------------------------------------------
@@ -342,7 +376,7 @@ def _assert_beta_bounds_the_backward_error(monkeypatch, cases) -> int:
 def test_ldl_oracle_rebuilds_scipys_factors():
     # dsytrf stores the same product form blocked (n > 64) or not
     for g, s in ((cycle(6), 0.3), (bowtie(), 0.5), (_connected_lift(complete(4), 40, 3), 0.1)):
-        shifted = np.eye(g.n) * -s + g.adjacency_matrix()
+        shifted = np.eye(g.n) * -s + g.adjacency.toarray()
         lwork = int(lapack.dsytrf_lwork(g.n, lower=1)[0])
         ldu, ipiv, info = lapack.dsytrf(shifted, lower=1, lwork=lwork)
         lu, d, _ = ldl(shifted, lower=True)
