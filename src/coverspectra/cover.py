@@ -36,7 +36,7 @@ from operator import mul
 
 import numpy as np
 
-from .multigraph import MultiGraph, refine, require_connected
+from .multigraph import MultiGraph, refine, require_connected, require_integer
 
 
 class Quotient:
@@ -179,6 +179,7 @@ def backtracking_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
     require_connected(g, "backtracking_walk_profile")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
+    require_integer(k_max, "walk length")
     if k_max < 0:
         raise ValueError("walk length must be nonnegative")
     q = quotient(g)

@@ -31,14 +31,13 @@ CW_lo - g_hi rounded down, as lambda1 >= CW_lo (Collatz-Wielandt).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .cover import Quotient, quotient
-from .multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
+from .multigraph import CyclomaticClass, MultiGraph, cyclomatic_class, require_integer
 from .rho import RhoResult, _solver, rho_tree
 from .spectra import Spectrum, eigen_spectrum
 from .twocore import two_core
@@ -245,8 +244,7 @@ def unicyclic_defect(g: MultiGraph, copies: int, spectrum: Spectrum | None = Non
     """
     if cyclomatic_class(g) is not CyclomaticClass.UNICYCLIC:
         raise ValueError("unicyclic_defect requires a unicyclic graph")
-    if not isinstance(copies, numbers.Integral):
-        raise ValueError(f"copies must be an integer, got {copies!r}")
+    require_integer(copies, "copies")
     if copies < 1:
         raise ValueError("copies must be at least 1")
     spec = spectrum if spectrum is not None else eigen_spectrum(g)

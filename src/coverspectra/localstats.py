@@ -7,9 +7,13 @@ comparison (tv_distance).
 Ball sweep. tree_fraction and bs_histogram read which radius-r balls are
 trees off one sparse sweep, not a BFS per vertex: row v of reach = (A + I)^r
 clipped to 0/1 is B_r(v), and B_r(v) is a tree iff rowsum((reach A) o reach)
-is 2(|B_r(v)| - 1). The cover's (r + 1)-balls bound the row blocks' size.
-Only a ball with a cycle is BFS'd, by ball_code, for its depth map, and
-mass_transport_check BFSes only around l-cycles, stopped at depth R.
+is 2(|B_r(v)| - 1). The cover's (r + 1)-balls bound the row blocks' size,
+and the last few sweeps are cached, so the two statistics share one per
+(graph, r). bs_histogram reads the balls with a cycle in batches off the
+CSR, with no BFS of its own: their depths and induced edges, refined
+together into one key per ball, and it codes each distinct key once.
+ball_code BFSes its one ball, and mass_transport_check BFSes only around
+l-cycles, stopped at depth R.
 
 Cycle semantics on multigraphs: an l-cycle is a closed non-backtracking
 half-edge sequence through l distinct vertices and l distinct edges, taken up
@@ -23,18 +27,28 @@ order up to rotation and reflection.
 
 from __future__ import annotations
 
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .cover import quotient
-from .multigraph import MultiGraph, _bfs, ball, canonical_code, induced_subgraph, require_connected
+from .multigraph import (
+    MultiGraph,
+    _bfs,
+    ball,
+    canonical_code,
+    induced_subgraph,
+    require_connected,
+    require_integer,
+)
 
 CANON_CAP = 64
-_BLOCK_ENTRIES = 1 << 18  # the most entries of reach A in one block of _balls
+# the most entries of reach A in one block of _balls, and of the CSR rows
+# read for one batch of balls with a cycle in bs_histogram
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -60,8 +74,7 @@ def enumerate_cycles(g: MultiGraph, length: int) -> list[Cycle]:
     above s in between, so each cycle appears exactly at its minimum vertex;
     runs of the same cycle in both directions collapse in the edge-set dedup.
     """
-    if not isinstance(length, numbers.Integral):
-        raise ValueError(f"cycle length must be an integer, got {length!r}")
+    require_integer(length, "cycle length")
     if length < 1:
         raise ValueError("cycle length must be at least 1")
     found: dict[frozenset[int], Cycle] = {}
@@ -122,9 +135,11 @@ def cycle_stats(g: MultiGraph, length: int) -> CycleStats:
     return CycleStats(length, tuple(cycles), tuple(counts))
 
 
+@lru_cache(maxsize=8)
 def _balls(g: MultiGraph, r: int) -> np.ndarray:
     """The ball sweep (module docstring) on g.adjacency: whether each
-    vertex's ball is a tree."""
+    vertex's ball is a tree, read-only and cached like cover.quotient, so
+    tree_fraction and bs_histogram share one sweep per (graph, r)."""
     from scipy.sparse import identity
 
     n, q, adj = g.n, quotient(g), g.adjacency
@@ -145,11 +160,13 @@ def _balls(g: MultiGraph, r: int) -> np.ndarray:
         inside = np.asarray((reach @ adj).multiply(reach).sum(axis=1)).ravel()
         tree[lo:hi] = inside == 2 * (np.diff(reach.indptr) - 1)
         lo = hi
+    tree.flags.writeable = False
     return tree
 
 
 def tree_fraction(g: MultiGraph, r: int) -> float:
     """Fraction of vertices whose induced radius-r ball is a tree, off the sweep's mask."""
+    require_integer(r, "radius")
     if r < 1:
         raise ValueError("radius must be at least 1")
     return int(_balls(g, r).sum()) / g.n
@@ -205,8 +222,7 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     F(v, o)) count the same pairs, so on a finite graph the balance is an
     identity, counted once and reported as both lhs and rhs. The
     mass-transport principle has content only on infinite unimodular networks."""
-    if not isinstance(R, numbers.Integral):
-        raise ValueError(f"radius must be an integer, got {R!r}")
+    require_integer(R, "radius")
     if R < 0:
         raise ValueError("radius must be nonnegative")
     require_connected(g, "mass_transport_check")
@@ -239,16 +255,164 @@ def ball_code(g: MultiGraph, v: int, r: int) -> str:
     return "g" + canonical_code(induced_subgraph(g, vs), [depth[u] for u in vs])
 
 
+# Helpers of bs_histogram's batch. Every sort in it is stable: the BFS and
+# the cell order need that, and one sort kernel keeps the process's resident
+# code small.
+
+
+def _rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in a CSR's indices and data of the given rows' entries, row
+    after row, and each row's entry count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts), counts
+
+
+def _firsts(keys: np.ndarray) -> np.ndarray:
+    """Whether each of a sorted array's keys differs from the one before."""
+    first = np.ones(len(keys), bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _dense_rank(keys: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys, in increasing order."""
+    order = np.argsort(keys, kind="stable")
+    ranks = np.empty(len(keys), np.int64)
+    ranks[order] = np.cumsum(_firsts(keys[order])) - 1
+    return ranks
+
+
+def _rank_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row's rank among the distinct rows of a nonnegative integer
+    matrix, in lexicographic order: the rows packed into one integer, or
+    each half ranked first when that could overflow."""
+    base, width = int(rows.max()) + 1, rows.shape[1]
+    if base**width < 1 << 62:
+        return _dense_rank(rows @ base ** np.arange(width - 1, -1, -1))
+    left, right = _rank_rows(rows[:, : width // 2]), _rank_rows(rows[:, width // 2 :])
+    return _dense_rank(left * len(rows) + right)
+
+
+def _refine_union(colors: np.ndarray, src: np.ndarray, dst: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Colour refinement of a disjoint union of balls, on its member ->
+    member entries (src sorted): a member's next colour is the rank of its
+    colour followed by its sorted (colour, multiplicity) entries, until a
+    round splits no class. Colours are ranks, so the order of one ball's
+    colours does not depend on which other balls share the union."""
+    slot = np.arange(len(src)) - np.searchsorted(src, src) + 1
+    shape = (len(colors), int(slot.max()) + 1)
+    scale, mult = int(mult.max()) + 1, mult + 1
+    classes = -1
+    while True:
+        sigs = np.zeros(shape, np.int64)  # 0 pads a short row
+        sigs[src, slot] = colors[dst] * scale + mult
+        sigs[:, 1:].sort(axis=1, kind="stable")
+        sigs[:, 0] = colors
+        colors = _rank_rows(sigs)
+        if colors.max() == classes:
+            return colors
+        classes = colors.max()
+
+
+def _cyclic_balls(g: MultiGraph, centres: np.ndarray, r: int):
+    """(key, vertices, depths) of B_r(c) for each centre c, in order: one
+    BFS of all the balls at once over g.adjacency's CSR, and the key of
+    bs_histogram for each. Raises the cap error of ball_code for the first
+    centre whose ball has more than CANON_CAP vertices."""
+    adj = g.adjacency
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    n, k = g.n, len(centres)
+    # a member is a pair (ball b, vertex v), held as b * n + v; members are
+    # kept sorted, with their depths
+    members = frontier = np.arange(k) * n + centres
+    depth = np.zeros(k, np.int64)
+    for d in range(1, r + 1):
+        v = frontier % n
+        at, counts = _rows(indptr, v)
+        reached = np.repeat(frontier - v, counts) + indices[at]
+        keys = np.concatenate((members, reached))
+        order = np.argsort(keys, kind="stable")  # a member before its repeats
+        keys = keys[order]
+        first = _firsts(keys)
+        new = first & (order >= len(members))
+        depth = np.concatenate((depth, np.full(len(reached), d)))[order][first]
+        members, frontier = keys[first], keys[new]
+        size = np.bincount(members // n, minlength=k)
+        frontier = frontier[size[frontier // n] <= CANON_CAP]  # an over-cap ball stops growing
+    owner = members // n
+    vertex = members - owner * n
+    size = np.bincount(owner, minlength=k)
+    over = np.flatnonzero(size > CANON_CAP)
+    if len(over):
+        v = int(centres[over[0]])
+        raise ValueError(f"ball at vertex {v} has {len(ball(g, v, r))} vertices, over the cap of {CANON_CAP}")
+    # the induced half-edges, with multiplicity, as member -> member entries
+    at, counts = _rows(indptr, vertex)
+    src = np.repeat(np.arange(len(members)), counts)
+    target = np.repeat(members - vertex, counts) + indices[at]
+    dst = np.minimum(np.searchsorted(members, target), len(members) - 1)
+    inside = members[dst] == target
+    src, dst, mult = src[inside], dst[inside], data[at][inside]
+    # refine from the depths; individualize the lowest vertex of each ball's
+    # first non-singleton cell, as canonical_code's first branch does, and
+    # refine again; then order each ball by (colour, vertex)
+    colors = _refine_union(depth, src, dst, mult)
+    cells = owner * len(members) + colors
+    order = np.argsort(cells, kind="stable")
+    runs = np.flatnonzero(~_firsts(cells[order])) - 1  # i where i and i + 1 share a cell
+    first = order[runs[_firsts(owner[order[runs]])]]
+    if len(first):
+        colors = 2 * colors
+        colors[first] -= 1
+        colors = _refine_union(colors, src, dst, mult)
+        order = np.argsort(owner * len(members) + colors, kind="stable")
+    # each ball's labelled form: its depths, and its sorted edge triples
+    # (a, b, multiplicity) over places a <= b in that order
+    place = np.empty(len(members), np.int64)
+    place[order] = np.arange(len(members))
+    keep = place[src] <= place[dst]
+    src, dst, mult = src[keep], dst[keep], mult[keep]
+    edges = np.argsort(place[src] * len(members) + place[dst], kind="stable")
+    src, dst, mult = src[edges], dst[edges], mult[edges]
+    starts = np.concatenate(([0], np.cumsum(size)))
+    ends = np.searchsorted(owner[src], np.arange(k + 1))
+    local = place - starts[owner]
+    triples = np.empty((len(edges), 3), np.int64)
+    triples[:, 0], triples[:, 1], triples[:, 2] = local[src], local[dst], mult
+    labelled, triples = depth[order].tobytes(), triples.tobytes()
+    cell, row = depth.itemsize, 3 * depth.itemsize
+    vertex, depth = vertex.tolist(), depth.tolist()
+    for i in range(k):
+        lo, hi = starts[i], starts[i + 1]
+        key = (labelled[lo * cell : hi * cell], triples[ends[i] * row : ends[i + 1] * row])
+        yield key, vertex[lo:hi], depth[lo:hi]
+
+
 def bs_histogram(g: MultiGraph, r: int) -> dict[str, int]:
-    """Counts of ball_code over all vertices: off the sweep's tree mask, tree
-    balls once per refinement colour, and each ball with a cycle by ball_code."""
+    """Counts of ball_code over all vertices. Off the sweep's tree mask, tree
+    balls are coded once per refinement colour. Balls with a cycle go in
+    batches through _cyclic_balls, whose key is a ball's exact labelled form
+    (depths and (a, b, multiplicity) edges in an order from refining the
+    batch): equal keys are equal depth-coloured multigraphs, so
+    canonical_code runs once per key."""
+    require_integer(r, "radius")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     q = quotient(g)
     tree = _balls(g, r)
     hist: dict[str, int] = defaultdict(int)
-    for v in np.flatnonzero(~tree).tolist():
-        hist[ball_code(g, v, r)] += 1
+    codes: dict[tuple[bytes, bytes], str] = {}
+    cyclic = np.flatnonzero(~tree)
+    width = max(1, int(np.diff(g.adjacency.indptr).max()))  # CSR entries in a row
+    batch = max(1, _BLOCK_ENTRIES // (CANON_CAP * width))
+    for lo in range(0, len(cyclic), batch):
+        for key, vs, depths in _cyclic_balls(g, cyclic[lo : lo + batch], r):
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = "g" + canonical_code(induced_subgraph(g, vs), depths)
+            hist[code] += 1
     trees = np.bincount(np.array(q.colors)[tree], minlength=len(q.members))
     for c in np.flatnonzero(trees).tolist():
         hist["t" + q.ball_code(q.members[c][0], r)] += int(trees[c])

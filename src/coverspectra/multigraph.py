@@ -169,6 +169,13 @@ def require_connected(g: MultiGraph, what: str = "this operation") -> None:
         raise ValueError(f"{what} requires a connected graph")
 
 
+def require_integer(value, what: str) -> None:
+    """Refuse a count that is not an integer (NumPy integers pass), so that
+    1.5 is not misread and 2.0 does not share a cache entry with 2."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def cyclomatic_class(g: MultiGraph) -> CyclomaticClass:
     """Classify a connected multigraph by its cycle rank m - n + 1."""
     require_connected(g, "cyclomatic_class")
@@ -186,8 +193,7 @@ def cyclomatic_class(g: MultiGraph) -> CyclomaticClass:
 def ball(g: MultiGraph, v: int, r: int) -> dict[int, int]:
     """B_r(v) as its depth map: each vertex within distance r of v, mapped to
     that distance, in BFS order. r = 0 gives {v: 0}."""
-    if not isinstance(r, numbers.Integral):
-        raise ValueError(f"radius must be an integer, got {r!r}")
+    require_integer(r, "radius")
     if r < 0:
         raise ValueError("radius must be nonnegative")
     return _bfs(g, (v,), r)

@@ -98,7 +98,7 @@ from functools import cache
 import numpy as np
 
 from .cover import Quotient, backtracking_walk_profile, count_matrix, quotient
-from .multigraph import MultiGraph, require_connected
+from .multigraph import MultiGraph, require_connected, require_integer
 
 DEFAULT_TOL = 1e-9
 
@@ -492,6 +492,7 @@ def rho_ball_power(g: MultiGraph, v: int, radius: int) -> float:
     require_connected(g, "rho_ball_power")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
+    require_integer(radius, "radius")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     if radius == 0 or g.m == 0:  # a single node

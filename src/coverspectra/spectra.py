@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .cover import quotient
-from .multigraph import MultiGraph, require_connected
+from .multigraph import MultiGraph, require_connected, require_integer
 
 DENSE_EIGEN_CAP = 4096
 PERRON_RESIDUAL_FACTOR = 1e-10
@@ -224,6 +224,7 @@ def closed_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
     require_connected(g, "closed_walk_profile")
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
+    require_integer(k_max, "walk length")
     if k_max < 0:
         raise ValueError("walk length must be nonnegative")
     targets = g.targets

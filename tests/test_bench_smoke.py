@@ -25,7 +25,8 @@ def test_bench_smoke():
 
 def test_bench_clears_the_quotient_cache():
     """Bench passes start with the library's caches empty; a cache the bench
-    cannot clear would let a pass reuse the quotients of equal graphs."""
+    cannot clear would let a pass reuse the quotients or the ball sweeps of
+    equal graphs."""
     code = (
         "import sys\n"
         "sys.path.insert(0, 'bench')\n"
@@ -33,13 +34,16 @@ def test_bench_clears_the_quotient_cache():
         "import_library()\n"
         "from coverspectra.cover import quotient\n"
         "from coverspectra.generators import bowtie, complete\n"
+        "from coverspectra.localstats import _balls, tree_fraction\n"
         "quotient(bowtie()), quotient(complete(4))\n"
+        "tree_fraction(bowtie(), 1), tree_fraction(bowtie(), 2)\n"
         "assert quotient.cache_info().currsize == 2\n"
+        "assert _balls.cache_info().currsize == 2\n"
         "clear_library_caches()\n"
-        "print(quotient.cache_info().currsize)\n"
+        "print(quotient.cache_info().currsize, _balls.cache_info().currsize)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.split() == ["0"]
+    assert proc.stdout.split() == ["0", "0"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coverspectra import localstats, multigraph
-from coverspectra.cover import orbit_distribution
+from coverspectra.cover import backtracking_walk_profile, orbit_distribution
 from coverspectra.gapcert import unicyclic_defect
 from coverspectra.localstats import (
     CANON_CAP,
@@ -36,6 +36,8 @@ from coverspectra.generators import (
     star,
     theta,
 )
+from coverspectra.rho import rho_ball_power
+from coverspectra.spectra import closed_walk_profile
 
 from oracles import (
     ahu_code,
@@ -205,8 +207,24 @@ def test_statistics_validate_arguments():
         (lambda x: enumerate_cycles(cycle(5), x), 4.5, 5),
         (lambda x: mass_transport_check(cycle(5), x, 5), 1.5, 1),
         (lambda x: unicyclic_defect(cycle(5), x), 2.5, 3),
+        (lambda x: tree_fraction(cycle(12), x), 1.5, 2),
+        (lambda x: bs_histogram(cycle(12), x), 1.5, 2),
+        (lambda x: closed_walk_profile(cycle(5), 0, x), 4.5, 4),
+        (lambda x: backtracking_walk_profile(cycle(5), 0, x), 4.5, 4),
+        (lambda x: rho_ball_power(cycle(5), 0, x), 2.5, 2),
     ],
-    ids=["ball", "ball_code", "enumerate_cycles", "mass_transport_check", "unicyclic_defect"],
+    ids=[
+        "ball",
+        "ball_code",
+        "enumerate_cycles",
+        "mass_transport_check",
+        "unicyclic_defect",
+        "tree_fraction",
+        "bs_histogram",
+        "closed_walk_profile",
+        "backtracking_walk_profile",
+        "rho_ball_power",
+    ],
 )
 def test_integer_arguments_reject_fractions(call, bad, good):
     """A radius, length or copy count that is not an integer is refused,
@@ -215,6 +233,17 @@ def test_integer_arguments_reject_fractions(call, bad, good):
         with pytest.raises(ValueError, match="must be an integer"):
             call(x)
     assert call(np.int64(good)) == call(good)
+
+
+def test_cached_sweep_refuses_a_float_radius():
+    """2.0 hashes like 2, so the radius is checked before the sweep's cache
+    is read: a float radius is refused even after the integer one is cached."""
+    g = cycle(12)
+    tree_fraction(g, 2), bs_histogram(g, 2)
+    with pytest.raises(ValueError, match="must be an integer"):
+        tree_fraction(g, 2.0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        bs_histogram(g, 2.0)
 
 
 def test_mass_transport_names_itself_on_a_disconnected_graph():
@@ -464,8 +493,21 @@ def test_sweep_matches_loop_on_corpus(corpus):
             _assert_sweep_matches_loop(g, r)
 
 
+def _multiplicity_graphs():
+    """Balls that differ only in an edge's or a loop's multiplicity, side by
+    side in one graph, and a connected lift of a base with a loop and a
+    double edge."""
+    triangles = MultiGraph(6, ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (3, 4)))
+    looped = MultiGraph(6, ((0, 1), (1, 2), (2, 0), (0, 0), (3, 4), (4, 5), (5, 3), (3, 3), (3, 3)))
+    base = MultiGraph(3, ((0, 0), (0, 1), (0, 1), (1, 2), (2, 0)))
+    return [triangles, looped, connected_lift(base, 30)]
+
+
 def test_sweep_matches_loop_on_larger_graphs():
-    for g in _tree_ball_graphs():
+    """The memo of bs_histogram gives each ball with a cycle the code that
+    the per-ball oracle gives it; keys carry multiplicities."""
+    lifts = [connected_lift(base, 40) for base in (bowtie(), complete(4), theta(1, 2, 3))]
+    for g in _tree_ball_graphs() + lifts + _multiplicity_graphs():
         for r in (1, 2, 3):
             _assert_sweep_matches_loop(g, r)
     for seed in range(6):
@@ -473,12 +515,22 @@ def test_sweep_matches_loop_on_larger_graphs():
     _assert_sweep_matches_loop(path(200), 40)
 
 
-def test_sweep_keeps_the_cap_error():
-    with pytest.raises(ValueError, match="cap") as want:
-        bs_histogram_by_balls(complete(70), 1)
-    with pytest.raises(ValueError, match="cap") as got:
-        bs_histogram(complete(70), 1)
-    assert str(got.value) == str(want.value)
+def test_sweep_keeps_the_cap_error(monkeypatch):
+    """The first ball over the cap, in vertex order, is named, also when a
+    later ball goes over it at a smaller depth, and in batches of one ball."""
+    # a triangle at 0, tied by 0 - 3 - 10 to a K70 on 10..79: at r = 2 the
+    # ball at 3 is the first over the cap, and only at depth 2
+    k70 = [(10 + a, 10 + b) for a in range(70) for b in range(a)]
+    tail = MultiGraph.from_edges(80, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 10)] + k70)
+    for g, r in ((complete(70), 1), (tail, 2)):
+        with pytest.raises(ValueError, match="cap") as want:
+            bs_histogram_by_balls(g, r)
+        for entries in (localstats._BLOCK_ENTRIES, 1):
+            monkeypatch.setattr(localstats, "_BLOCK_ENTRIES", entries)
+            with pytest.raises(ValueError, match="cap") as got:
+                bs_histogram(g, r)
+            assert str(got.value) == str(want.value)
+    assert "vertex 3 has" in str(want.value)
 
 
 def test_canonizer_matches_full_search(corpus):
@@ -490,8 +542,9 @@ def test_canonizer_matches_full_search(corpus):
 
 
 def test_sweep_runs_no_bfs(monkeypatch):
-    """The sweep itself runs no BFS: tree_fraction none, and bs_histogram one
-    per ball with a cycle, inside ball_code."""
+    """Neither tree_fraction nor bs_histogram runs a BFS, even on balls with
+    a cycle, which bs_histogram reads in one batch off the CSR; ball_code,
+    the single-ball API, runs one."""
     g = random_lift(bowtie(), 150, 0)[0]
     calls = []
     bfs = multigraph._bfs
@@ -501,14 +554,40 @@ def test_sweep_runs_no_bfs(monkeypatch):
         return bfs(*args)
 
     monkeypatch.setattr(multigraph, "_bfs", counted)
-    trees = round(tree_fraction(g, 2) * g.n)
-    assert calls == []
+    localstats._balls.cache_clear()
     hist = bs_histogram(g, 2)
+    trees = round(tree_fraction(g, 2) * g.n)
     assert 0 < trees < g.n and any(code.startswith("g") for code in hist)
-    assert len(calls) == g.n - trees
-    calls.clear()
+    localstats._balls.cache_clear()
+    assert tree_fraction(g, 2) == trees / g.n
+    assert calls == []
     ball_code(g, 0, 2)
     assert len(calls) == 1
+
+
+def test_histogram_codes_each_key_once(monkeypatch):
+    """canonical_code runs once per distinct key, not once per ball with a
+    cycle: most such balls repeat a key. A ball's key does not depend on the
+    batch it is read in, so batches of one ball give the same calls."""
+    calls = []
+    code = localstats.canonical_code
+
+    def counted(*args):
+        calls.append(args)
+        return code(*args)
+
+    monkeypatch.setattr(localstats, "canonical_code", counted)
+    for g in (random_lift(complete(4), 50, 1)[0], random_regular(1000, 3, 5)[0]):
+        calls.clear()
+        hist = bs_histogram(g, 2)
+        cyclic = sum(count for key, count in hist.items() if key.startswith("g"))
+        assert sum(key.startswith("g") for key in hist) <= len(calls) < cyclic
+        batched = calls[:]
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(localstats, "_BLOCK_ENTRIES", 1)
+            assert bs_histogram(g, 2) == hist
+        assert calls == batched
 
 
 def test_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
@@ -522,6 +601,7 @@ def test_sweep_memory_is_bounded_by_its_blocks(monkeypatch):
     tree_fraction(g, r)  # imports and the quotient, outside the trace
 
     def traced() -> tuple[float, int]:
+        localstats._balls.cache_clear()  # each call sweeps, not reads the cache
         tracemalloc.start()
         try:
             return tree_fraction(g, r), tracemalloc.get_traced_memory()[1]
