@@ -78,6 +78,21 @@ class Quotient:
         self._branch = [[1] for _ in range(self.size)]
         self._codes: dict[tuple, str] = {}
 
+    @cached_property
+    def perron(self) -> tuple[float, np.ndarray]:
+        """lambda1 and B's Perron vector x, of positive sum and read-only. With
+        s the colour sizes, S = sqrt(B o B^T) = diag(s)^(1/2) B diag(s)^(-1/2)
+        is symmetric; its top eigenvector u (one dense eigh) gives x = u /
+        sqrt(s), whose lift x[colour of v] is a unit Perron vector of A."""
+        from scipy.linalg import eigh
+
+        k, b = len(self.members), self.colour_matrix(dense=True)
+        # square roots of integers: finite, so skip scipy's scan
+        top, u = eigh(np.sqrt(b * b.T), subset_by_index=(k - 1, k - 1), check_finite=False)
+        x = u[:, 0] / np.sqrt([len(vs) for vs in self.members]) * np.sign(u[:, 0].sum())
+        x.flags.writeable = False
+        return float(top[0]), x
+
     def colour_matrix(self, dense: bool):
         """The k x k colour matrix B, by count_matrix: B[c, c'] counts the
         colour-c' neighbours of a colour-c vertex, a loop twice."""

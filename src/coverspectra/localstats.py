@@ -178,6 +178,7 @@ def find_bouquet(
     """A pair of vertex-disjoint l-cycles both within distance k - l of v,
     or None. With both distances r1, r2 at most k - l, the budget condition
     k >= l + max(r1, r2) holds automatically."""
+    require_integer(k, "k")
     if k < length:
         raise ValueError("need k >= cycle length")
     dist = g.distances_from(v)

@@ -37,9 +37,12 @@ eigensolve is needed. Each linear system is factored once, by LAPACK's LU
 (getrf) up to _DENSE_SOLVE_CAP classes and by a sparse LU (splu) above, and
 that factorization serves every solve with it.
 
-Estimate. The least fixed points F*(t), t > rho(T), form a branch that
-folds at t = rho(T), where I - J becomes singular. Newton's method on the
-bordered system
+Estimate. A graph with m <= n has an amenable cover, so rho(T) = lambda1,
+and the fold point is the Perron ratio F_y (_perron_ratio): the estimate
+is lambda1, with no Newton step. Other graphs, and unicyclic ones above
+_DENSE_SOLVE_CAP classes, solve for the fold. The least fixed points
+F*(t), t > rho(T), form a branch that folds at t = rho(T), where I - J
+becomes singular. Newton's method on the bordered system
 
     F (t - C F) = 1,   (diag(t - C F) - diag(F) C) v = 0,   sum(v) = 1
 
@@ -55,20 +58,17 @@ _NEAR_FOLD (near the fold 1 - mu shrinks like sqrt(t - rho(T))). A
 bordered solve that loses its way (an iterate leaves F > 0, or it does not
 settle) sends the warm-up on to try again closer to the fold; should the
 warm-up's interval run down to rounding first, the estimate is its last t.
-A tree is its own cover and has no fold (J is nilpotent); its estimate is
-lambda1, the top eigenvalue of its ball at radius the eccentricity
-(rho_ball_power).
 
 Certify. With the estimate s and pad = tol / (4 s), at least one ulp of
 1, hi = s (1 + pad) needs a candidate F that, lifted to every half-edge,
 passes the supersolution check at hi exactly on the full graph, so hi rests
 neither on the quotient code nor on rounding. The candidate is the fold
-point, a supersolution at any t > rho(T), or, when there is none (a tree,
-or no bordered solve settled) or it fails, the least fixed point at the
-midpoint s (1 + pad / 2) from one Newton run. At the default tol the fold
-point passes on every graph with a cycle among the connected multigraphs
-with n <= 5 and m <= 7, but not on all graphs: on an 11-vertex unicyclic
-graph in the tests it fails, and hi rests on the midpoint's fixed point.
+point, a supersolution at any t > rho(T), or, when there is none or it
+fails, the least fixed point at the midpoint s (1 + pad / 2) from one
+Newton run. At the default tol the fold point passes on every corpus graph
+(n <= 5, m <= 7), but not on all graphs: where the Perron vector falls
+steeply along a pendant path, its rounding leaves F_y off, and hi rests on
+the midpoint's fixed point (a 24-vertex unicyclic graph in the tests).
 lo = s (1 - pad) needs one Newton run that diverges.
 The midpoint's run starts from zeros, a subsolution below every
 supersolution, so it is monotone Newton from below. The lo run starts
@@ -79,9 +79,9 @@ I - J is a nonsingular M-matrix, and convexity gives every supersolution
 G at t (I - J)(G - x) >= phi(x) - x >= 0, so G >= x: x is a valid start.
 From there the run diverges in about 2 steps, where one from below takes
 about 17 to cross the fold's stretch of linear convergence. c grows by
-doubling until x passes; when no x passes, or there is no fold point, the
-lo run starts from zeros too. On the sparse path the run from x reuses the
-check's factorization at x.
+doubling until x passes; when no x passes, or there is no null vector, the
+lo run starts from zeros too. The run from x starts with the check's
+factorization at x.
 A side whose check fails doubles its pad, so the bracket is always a proof,
 only wider. hi stays at most the max degree, where F = 1 is a
 supersolution, and lo at least sqrt(max degree), rounded down, the top
@@ -245,22 +245,23 @@ def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray, cls: np.ndarray) -
     return max(slack, 0.0)
 
 
-def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
+def _newton(q: _Operators, t: float, f: np.ndarray, solve=None, checked: bool = False):
     """Monotone Newton at t from a subsolution f below every supersolution.
     Returns (diverged, last iterate, steps, solver): diverged is True on one
     of the refutations of the module docstring and False once Newton has
     converged, that is, once a step is down to rounding.
 
     A dense factorization costs about one solve, so the dense path factors
-    I - J at every step and solves the witness and the step with that one LU.
-    The sparse path reuses a factorization while each step at least halves
-    the residual, starting with solve when given, which must factor I - J0
-    for a J0 <= J(f). J only grows along the iterates and as t falls, so a
-    step d with an older J0 <= J is still safe: (I - J0)^-1 <= (I - J)^-1
-    keeps F + d below every supersolution, and r + J d >= r + J0 d = d
-    keeps it a subsolution. The reductions call the ufuncs' reduce, which
-    skips the Python-level wrapper of .all(), .max() and .min(): 2% of
-    rho_tree's time on the corpus."""
+    I - J at every step and solves the witness and the step with that one LU,
+    but for a checked first step: solve is then _valid_start's LU at f, whose
+    u > 0 rules out a witness. The sparse path reuses a factorization while
+    each step at least halves the residual, starting with solve when given,
+    which must factor I - J0 for a J0 <= J(f). J only grows along the
+    iterates and as t falls, so a step d with an older J0 <= J is still
+    safe: (I - J0)^-1 <= (I - J)^-1 keeps F + d below every supersolution,
+    and r + J d >= r + J0 d = d keeps it a subsolution. The reductions call
+    the ufuncs' reduce, which skips the Python-level wrapper of .all(),
+    .max() and .min(): 2% of rho_tree's time on the corpus."""
     last = math.inf
     for step in range(1, _NEWTON_STEPS + 1):
         den = t - q.C @ f
@@ -274,7 +275,7 @@ def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
         # t - C f is off by about eps t, which moves phi by about eps t w
         if np.logical_and.reduce(r <= _ROUNDING * t * w):
             return False, f, step, solve
-        if solve is None or q.dense or np.maximum.reduce(r) > 0.5 * last:
+        if solve is None or (q.dense and not (checked and step == 1)) or np.maximum.reduce(r) > 0.5 * last:
             solve = q.factor(w)
             # (I - J) e = 1 with e < 0 somewhere gives the witness
             # x = max(-e, 0): J x >= x + 1 on its support
@@ -382,12 +383,39 @@ def _fold(q: _Operators, lo: float, hi: float):
             return top, None, None, steps
 
 
+def _perron_ratio(q: Quotient, dense: bool):
+    """lambda1, the Perron ratio F_y[a] = x[w] / x[u] of each class a from
+    colour u to w, B x = lambda1 x (Quotient.perron, or above the dense cap,
+    reached here by trees only, eigsh on its sparse S), and the null vector
+    v of I - J(F_y): F_y = phi(F_y) at lambda1 with vertex sums lambda1, so
+    on an amenable cover it is the fold point. v[a] = ends(a) / x[u]^2 with
+    ends(a) the cover's ends beyond a class-a half-edge: 0 into a pendant
+    tree (Quotient.peel), 2 out of one, 1 along the cycle; None on a tree
+    (J is nilpotent). Both are None where x is not positive."""
+    if dense:
+        lam, x = q.perron
+    else:
+        from scipy.sparse.linalg import eigsh
+
+        b, root = q.colour_matrix(dense=False), np.sqrt([len(vs) for vs in q.members])
+        top, u = eigsh(b.multiply(b.T).sqrt(), k=1, which="LA", v0=root)
+        lam, x = float(top[0]), u[:, 0] / root * np.sign(u[:, 0].sum())
+    if not x.min() > 0.0:
+        return lam, None, None
+    src, dst = np.array(q.ends).T
+    outward = q.peel[0]
+    inward = {q.ends[a][::-1] for a in outward}
+    ends = np.array([0 if a in outward else 2 if e in inward else 1 for a, e in enumerate(q.ends)])
+    null = ends * (x.min() / x[src]) ** 2  # scaled so that it cannot overflow
+    return lam, x[dst] / x[src], (null if ends.any() else None)
+
+
 def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     """Bracket the cover tree's spectral radius to width at most tol / 2,
     wider only where a check failed.
 
-    The module docstring has the steps: an estimate at the fold (lambda1 on
-    a tree), then hi and lo a quarter of tol either side of it, doubling
+    The module docstring has the steps: an estimate at the fold (lambda1
+    when m <= n), then hi and lo a quarter of tol either side of it, doubling
     that distance on a side whose check fails. hi moves only on a candidate
     that passes the exact check, lo only on a Newton run that diverges. tol
     can go down to a few units in the last place of rho(T).
@@ -405,9 +433,8 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     lo = math.sqrt(hi)
     if Fraction(lo) ** 2 > hi:
         lo = math.nextafter(lo, 0.0)
-    if g.m == g.n - 1:  # a tree is its own cover, a ball of radius ecc(0)
-        est = rho_ball_power(g, 0, max(g.distances_from(0)))
-        fold, null, steps = None, None, 0
+    if g.m < g.n or (g.m == g.n and q.dense):  # a tree has no fold to warm up to
+        (est, fold, null), steps = _perron_ratio(quotient(g), q.dense), 0
     else:
         est, fold, null, steps = _fold(q, lo, hi)
     zeros = np.zeros(q.size)
@@ -434,8 +461,8 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
 
     pad = first_pad
     while lo < (t := est * (1.0 - pad)) < hi:
-        near = None if fold is None else _start_below_fold(q, t, fold, null, pad)
-        diverged, _, n, _ = _newton(q, t, *(near or (zeros,)))
+        near = None if null is None else _start_below_fold(q, t, fold, null, pad)
+        diverged, _, n, _ = _newton(q, t, *(near or (zeros,)), checked=near is not None)
         checks.append((t, False, "diverged" if diverged else "uncertified", n))
         if diverged:
             lo = t
@@ -465,6 +492,7 @@ def rho_lower_sequence(g: MultiGraph, v: int, depth: int) -> list[float]:
     sequence converges to rho(T) from below.
     """
     require_connected(g, "rho_lower_sequence")
+    require_integer(depth, "depth")
     if depth < 1:
         raise ValueError("depth must be at least 1")
     profile = backtracking_walk_profile(g, v, 2 * depth)

@@ -3,6 +3,7 @@
 Up to a size cap lambda1 and the Perron vector come from the k x k colour
 matrix of the cover's quotient (cover.quotient): its colours form an
 equitable partition (Godsil & Royle, Algebraic Graph Theory, section 9.3).
+The quotient keeps the matrix's Perron pair, which rho_tree reads too.
 That matrix is the same on every lift of a graph, and so is lambda1. The
 other eigenvalues come from one dense eigenvalues-only solve when first
 read, up to the cap only. Above the cap lambda1 and its vector come from
@@ -92,23 +93,10 @@ def eigen_spectrum(g: MultiGraph) -> Spectrum:
 
 
 def _quotient_perron(g: MultiGraph) -> tuple[float, np.ndarray]:
-    """lambda1 and A's Perron vector from the dense colour matrix B and the
-    colour sizes of cover.quotient(g).
-
-    With s_c the size of colour c, s_c B[c, c'] = s_c' B[c', c], so
-    S = sqrt(B o B^T) = diag(s)^(1/2) B diag(s)^(-1/2) is symmetric and
-    similar to B; its top eigenvector u lifts to y_v = u[c(v)] /
-    sqrt(s[c(v)]), which has unit norm.
-    """
-    from scipy.linalg import eigh
-
+    """lambda1 and A's Perron vector, lifted from cover.Quotient.perron."""
     q = quotient(g)
-    colors = np.array(q.colors)
-    k, b = len(q.members), q.colour_matrix(dense=True)
-    # square roots of integers: finite, so skip scipy's scan
-    top, u = eigh(np.sqrt(b * b.T), subset_by_index=(k - 1, k - 1), check_finite=False)
-    root = np.sqrt([len(vs) for vs in q.members])
-    return float(top[0]), u[colors, 0] / root[colors]
+    lam, x = q.perron
+    return lam, x[np.array(q.colors)]
 
 
 def wr_fraction(spectrum: Spectrum, rho: float, eta: float = 1e-9) -> float:

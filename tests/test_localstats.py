@@ -36,7 +36,7 @@ from coverspectra.generators import (
     star,
     theta,
 )
-from coverspectra.rho import rho_ball_power
+from coverspectra.rho import rho_ball_power, rho_lower_sequence
 from coverspectra.spectra import closed_walk_profile
 
 from oracles import (
@@ -200,18 +200,20 @@ def test_statistics_validate_arguments():
 
 
 @pytest.mark.parametrize(
-    "call, bad, good",
+    "call, bad, good, what",
     [
-        (lambda x: ball(cycle(12), 0, x), 1.5, 2),
-        (lambda x: ball_code(path(5), 0, x), 1.5, 1),
-        (lambda x: enumerate_cycles(cycle(5), x), 4.5, 5),
-        (lambda x: mass_transport_check(cycle(5), x, 5), 1.5, 1),
-        (lambda x: unicyclic_defect(cycle(5), x), 2.5, 3),
-        (lambda x: tree_fraction(cycle(12), x), 1.5, 2),
-        (lambda x: bs_histogram(cycle(12), x), 1.5, 2),
-        (lambda x: closed_walk_profile(cycle(5), 0, x), 4.5, 4),
-        (lambda x: backtracking_walk_profile(cycle(5), 0, x), 4.5, 4),
-        (lambda x: rho_ball_power(cycle(5), 0, x), 2.5, 2),
+        (lambda x: ball(cycle(12), 0, x), 1.5, 2, "radius"),
+        (lambda x: ball_code(path(5), 0, x), 1.5, 1, "radius"),
+        (lambda x: enumerate_cycles(cycle(5), x), 4.5, 5, "cycle length"),
+        (lambda x: mass_transport_check(cycle(5), x, 5), 1.5, 1, "radius"),
+        (lambda x: unicyclic_defect(cycle(5), x), 2.5, 3, "copies"),
+        (lambda x: tree_fraction(cycle(12), x), 1.5, 2, "radius"),
+        (lambda x: bs_histogram(cycle(12), x), 1.5, 2, "radius"),
+        (lambda x: closed_walk_profile(cycle(5), 0, x), 4.5, 4, "walk length"),
+        (lambda x: backtracking_walk_profile(cycle(5), 0, x), 4.5, 4, "walk length"),
+        (lambda x: rho_ball_power(cycle(5), 0, x), 2.5, 2, "radius"),
+        (lambda x: rho_lower_sequence(cycle(5), 0, x), 1.5, 2, "depth"),
+        (lambda x: find_bouquet(bowtie(), 0, x, 3), 3.5, 3, "k"),
     ],
     ids=[
         "ball",
@@ -224,13 +226,17 @@ def test_statistics_validate_arguments():
         "closed_walk_profile",
         "backtracking_walk_profile",
         "rho_ball_power",
+        "rho_lower_sequence",
+        "find_bouquet",
     ],
 )
-def test_integer_arguments_reject_fractions(call, bad, good):
-    """A radius, length or copy count that is not an integer is refused,
-    not misread; NumPy integers are accepted."""
+def test_integer_arguments_reject_fractions(call, bad, good, what):
+    """A radius, length, depth or copy count that is not an integer is
+    refused under its own name, not misread or refused as the value derived
+    from it (rho_lower_sequence's depth once failed as the walk length 2 *
+    depth); NumPy integers are accepted."""
     for x in (bad, float(good), Fraction(good)):
-        with pytest.raises(ValueError, match="must be an integer"):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer"):
             call(x)
     assert call(np.int64(good)) == call(good)
 

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -361,6 +362,111 @@ def test_bracket_contains_lambda1_on_trees_and_unicyclic(corpus, cache):
     assert bad == []
 
 
+# -- the Perron ratio: the fold point of a cover with at most two ends ------------------
+
+
+def _perron_ratio_by_hand(g: MultiGraph) -> tuple[float, np.ndarray]:
+    """lambda1 and F_y[a] = x[target colour] / x[source colour] per class a,
+    with x the colour matrix's Perron vector."""
+    q = quotient(g)
+    lam, x = q.perron
+    src, dst = np.array(q.ends).T
+    return lam, x[dst] / x[src]
+
+
+def _lollipop(m: int, handle: int) -> MultiGraph:
+    """cycle(m) with a path of `handle` edges at vertex 0."""
+    edges = [*cycle(m).edges, *((0 if i == m else i - 1, i) for i in range(m, m + handle))]
+    return MultiGraph.from_edges(m + handle, edges)
+
+
+def _random_tree(n: int, seed: int, extra_edge: bool) -> MultiGraph:
+    """Uniform attachment: vertex i joins a uniform vertex below it; with
+    extra_edge one more edge between two distinct uniform vertices."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    return MultiGraph.from_edges(n, edges + [tuple(rng.sample(range(n), 2))] * extra_edge)
+
+
+def test_perron_ratio_certifies_lambda1_on_the_corpus(corpus):
+    """F_y is a fixed point of phi at t = lambda1 whose vertex sums are
+    lambda1, so it is a supersolution at every t > lambda1 on any graph.
+    Lifted to every half-edge it passes the exact check at lambda1 (1 + pad),
+    rho_tree's first hi candidate, on every corpus graph with an edge,
+    multicyclic ones included: a proof of rho(T) <= lambda1 (1 + pad) on
+    each."""
+    graphs = [g for g in corpus if g.m > 0]
+    for g in graphs:
+        lam, f = _perron_ratio_by_hand(g)
+        pad = max(rho_module.DEFAULT_TOL / (4.0 * lam), math.ulp(1.0))
+        assert _is_supersolution(g, lam * (1.0 + pad), f, quotient(g).cls) is not None, g.edges
+    assert len(graphs) == 1176
+
+
+AMENABLE_BEYOND_CORPUS = {
+    "cycle1000": lambda: cycle(1000),
+    "lollipop3_20": lambda: _lollipop(3, 20),
+    "lollipop12_6": lambda: _lollipop(12, 6),
+    "tree30": lambda: _random_tree(30, 1, False),
+    "tree80": lambda: _random_tree(80, 2, False),
+    "unicyclic30": lambda: _random_tree(30, 3, True),
+    "unicyclic80": lambda: _random_tree(80, 4, True),
+}
+
+
+def test_trees_and_unicyclic_graphs_start_at_the_perron_ratio(corpus):
+    """Cycle rank at most 1 makes the cover amenable, so rho(T) = lambda1 and
+    the Perron ratio is the fold point: the estimate is lambda1, the bracket
+    contains lambda1 from a dense eigvalsh, and the certificate behind hi
+    is F_y itself (on a 2-regular graph the max degree 2 is hi, and F = 1 =
+    F_y its certificate)."""
+    graphs = [g for g in corpus if 0 < g.m <= g.n]
+    graphs += [make() for make in AMENABLE_BEYOND_CORPUS.values()]
+    for g in graphs:
+        res = rho_tree(g)
+        lam = float(np.linalg.eigvalsh(g.adjacency.toarray().astype(float))[-1])
+        assert res.lo <= lam <= res.hi, (g.edges, res.lo, lam, res.hi)
+        assert res.fixed_point == tuple(_perron_ratio_by_hand(g)[1].tolist()), g.edges
+    assert len(graphs) == 43 + len(AMENABLE_BEYOND_CORPUS)
+
+
+def test_trees_above_the_dense_cap_take_a_sparse_perron_pair():
+    """Above _DENSE_SOLVE_CAP classes a tree's Perron pair comes from eigsh
+    on the sparse S, not from Quotient.perron's dense eigh, which costs
+    O(k^3) time and O(k^2) memory on k colours; the bracket still contains
+    lambda1 from a dense eigvalsh, and each side passes at its first try."""
+    for g in (_random_tree(400, 5, False), path(300)):
+        q = quotient(g)
+        assert q.size > rho_module._DENSE_SOLVE_CAP
+        res = rho_tree(g)
+        assert quotient(g) is q and "perron" not in vars(q)
+        lam = float(np.linalg.eigvalsh(g.adjacency.toarray().astype(float))[-1])
+        assert res.lo <= lam <= res.hi, (res.lo, lam, res.hi)
+        assert [status for *_, status in res.probes] == ["certified", "diverged"]
+
+
+def test_perron_ratio_null_vector(corpus):
+    """On a unicyclic graph the null vector of I - J(F_y) is ends(a) /
+    x[source]^2 up to scale: 0 on the classes into a pendant tree, positive
+    on the rest, and J v = v to rounding. A tree has none (J is nilpotent)."""
+    unicyclic = 0
+    for g in corpus:
+        if not 0 < g.m <= g.n:
+            continue
+        q = quotient(g)
+        lam, fold, null = rho_module._perron_ratio(q, True)
+        assert (lam, fold.tolist()) == (q.perron[0], _perron_ratio_by_hand(g)[1].tolist())
+        if g.m < g.n:
+            assert null is None
+            continue
+        unicyclic += 1
+        outward = sorted(q.peel[0])
+        assert np.all(null[outward] == 0.0) and np.all(np.delete(null, outward) > 0.0)
+        jv = fold * fold * (_Operators(q).C @ null)
+        assert np.abs(jv - null).max() <= 1e-13 * null.max(), g.edges
+    assert unicyclic > 20
+
+
 # -- the fold solve against the bisection oracle ------------------------------------
 
 
@@ -369,6 +475,15 @@ def _bowtie_with_pendant_star(leaves: int) -> MultiGraph:
     g = bowtie()
     edges = [*g.edges, (1, g.n), *((g.n, g.n + 1 + i) for i in range(leaves))]
     return MultiGraph.from_edges(g.n + 1 + leaves, edges)
+
+
+def _broom(leaves: int, handle: int, triangle: bool) -> MultiGraph:
+    """A hub with `leaves` leaves and a path of `handle` edges, and an edge
+    joining the first two leaves if `triangle`."""
+    n = 1 + leaves + handle
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    edges += [(0 if i == leaves + 1 else i - 1, i) for i in range(leaves + 1, n)]
+    return MultiGraph.from_edges(n, edges + [(1, 2)] * triangle)
 
 
 def _simple_connected_regular(n: int, d: int) -> MultiGraph:
@@ -399,11 +514,15 @@ BEYOND_CORPUS = {
     "path50": lambda: path(50),
     "path200": lambda: path(200),
     "star7": lambda: star(7),
-    # at the default tol its fold point fails the exact check at s + tol/4,
-    # so hi rests on the least fixed point at the midpoint s + tol/8
+    # the bordered solve's fold point failed the exact check at s + tol/4,
+    # so hi rested on the least fixed point at the midpoint s + tol/8; the
+    # Perron ratio passes
     "unicyclic_fold_fails": lambda: MultiGraph.from_edges(
         11, ((0, 1), (1, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7), (2, 8), (3, 9), (3, 10), (6, 4))
     ),
+    # the Perron ratio fails the exact check at s + tol/4 (see
+    # test_midpoint_fixed_point_certifies_when_the_fold_point_fails)
+    "broom_ratio_fails": lambda: _broom(8, 15, True),
 }
 
 
@@ -428,10 +547,13 @@ def test_bracket_overlaps_bisection_beyond_corpus(name):
 
 
 def test_midpoint_fixed_point_certifies_when_the_fold_point_fails(monkeypatch):
-    """On this unicyclic graph the fold point fails the exact check at the
-    first hi candidate, and the midpoint's least fixed point passes it at
-    the same t, so hi moves there on the first probe."""
-    g = BEYOND_CORPUS["unicyclic_fold_fails"]()
+    """On this unicyclic graph the fold point is the Perron ratio. The
+    Perron vector falls along the 15-edge handle to about 1e-7 of its top,
+    where eigh's absolute error leaves the ratio about 1e-9 off, more than
+    the pad of 1e-10: it fails the exact check at the first hi candidate,
+    and the midpoint's least fixed point passes it at the same t, so hi
+    moves there on the first probe."""
+    g = BEYOND_CORPUS["broom_ratio_fails"]()
     exact = rho_module._is_supersolution
     checks = []
 
@@ -542,8 +664,10 @@ def test_newton_work_on_the_corpus_is_pinned(corpus, cache):
 
     The steps were 47,070, 18,480 of them in diverged probes, while the lo
     run started from the warm-up's iterate; from a checked start beside the
-    fold point they are 31,042 and 2,452, and a lo run takes 2 steps in the
-    median instead of 16. The counts were taken with numpy 2.4.6 and scipy
+    fold point they were 31,042 and 2,452, and a lo run takes 2 steps in the
+    median instead of 16. Since trees and unicyclic graphs start at the
+    Perron ratio, without warm-up or bordered solve, they are 30,064 and
+    2,322. The counts were taken with numpy 2.4.6 and scipy
     1.17.1, whose LAPACK is scipy-openblas 0.3.30 (see the provenance in
     BENCH_2026-10-20-lo-start.json). A step count can hang on the last bit
     of an LU, so on another BLAS/LAPACK build a failure here first means:
@@ -552,8 +676,8 @@ def test_newton_work_on_the_corpus_is_pinned(corpus, cache):
     statuses = Counter(status for res in results for *_, status in res.probes)
     diverged = [n for res in results for n in _diverged_steps(res)]
     assert len(results) == 1177
-    assert sum(sum(res.iterations_per_probe) for res in results) == 31042
-    assert sum(diverged) == 2452
+    assert sum(sum(res.iterations_per_probe) for res in results) == 30064
+    assert sum(diverged) == 2322
     assert sum(len(res.probes) for res in results) == 2342
     assert statuses == {"diverged": 1172, "certified": 1170}
     assert sorted(diverged)[len(diverged) // 2] <= 3
@@ -620,7 +744,7 @@ def test_accepted_starts_lie_below_the_least_fixed_point(corpus, cache):
 def test_lo_run_without_a_checked_start_starts_from_zeros(corpus, cache, monkeypatch):
     """With the check refusing every start, the lo run starts from zeros,
     as on a tree: every result is the same but for its steps, and the steps
-    are pinned (4,898 in all and 2,078 in diverged probes, with the BLAS/LAPACK
+    are pinned (4,750 in all and 2,026 in diverged probes, with the BLAS/LAPACK
     build of test_newton_work_on_the_corpus_is_pinned)."""
     sample = corpus[::10]
     checked = [cache.rho(g) for g in sample]
@@ -628,8 +752,39 @@ def test_lo_run_without_a_checked_start_starts_from_zeros(corpus, cache, monkeyp
     fallback = [rho_tree(g) for g in sample]
     for new, old in zip(checked, fallback):
         assert replace(new, iterations_per_probe=()) == replace(old, iterations_per_probe=())
-    assert sum(sum(res.iterations_per_probe) for res in fallback) == 4898
-    assert sum(n for res in fallback for n in _diverged_steps(res)) == 2078
+    assert sum(sum(res.iterations_per_probe) for res in fallback) == 4750
+    assert sum(n for res in fallback for n in _diverged_steps(res)) == 2026
+
+
+def test_dense_lo_run_solves_its_first_step_with_the_checks_lu(monkeypatch):
+    """The check at a start x factors I - J(x), the matrix of Newton's first
+    step there: a dense run given that solver as checked uses it at step 1
+    and factors once less than a run without it, with the same verdict,
+    iterate and steps. Given it unchecked, as the warm-up gives its older
+    solvers, the dense run ignores it."""
+    g = MultiGraph(3, ((0, 1), (0, 1), (0, 2)))  # its lo run takes 2 steps
+    res, q = rho_tree(g), _Operators(quotient(g))
+    lam, fold, null = rho_module._perron_ratio(quotient(g), True)
+    assert q.dense and null is not None
+    x, solve = rho_module._start_below_fold(q, res.lo, fold, null, 1.0 - res.lo / lam)
+    factored, used = [], []
+    factor = _Operators.factor
+    monkeypatch.setattr(_Operators, "factor", lambda self, w: factored.append(1) or factor(self, w))
+
+    def counted(b):
+        used.append(1)
+        return solve(b)
+
+    given = _newton(q, res.lo, x, counted, checked=True)
+    n_given = len(factored)
+    fresh = _newton(q, res.lo, x)
+    assert used and given[0] and given[2] == fresh[2] >= 2
+    assert fresh[0] and np.array_equal(given[1], fresh[1])
+    assert len(factored) - n_given == n_given + 1
+    used.clear()
+    unchecked = _newton(q, res.lo, x, counted)
+    assert not used and len(factored) - n_given == 2 * (n_given + 1)
+    assert unchecked[:3:2] == fresh[:3:2] and np.array_equal(unchecked[1], fresh[1])
 
 
 def test_sparse_lo_run_reuses_only_its_starts_factorization(monkeypatch):
@@ -642,16 +797,16 @@ def test_sparse_lo_run_reuses_only_its_starts_factorization(monkeypatch):
         checked[t, f.tobytes()] = solve
         return solve
 
-    def newton(q, t, f, solve=None):
-        runs.append((t, f.tobytes(), solve))
-        return _newton(q, t, f, solve)
+    def newton(q, t, f, solve=None, checked=False):
+        runs.append((t, f.tobytes(), solve, checked))
+        return _newton(q, t, f, solve, checked)
 
     monkeypatch.setattr(rho_module, "_valid_start", check)
     monkeypatch.setattr(rho_module, "_newton", newton)
     res = rho_tree(gnp_giant(300, 5))
-    t, f, solve = runs[-1]
+    t, f, solve, was_checked = runs[-1]
     assert res.probes[-1] == (t, False, "diverged") and t == res.lo
-    assert solve is not None and checked[t, f] is solve
+    assert solve is not None and checked[t, f] is solve and was_checked
     assert res.iterations_per_probe[-1] <= 3
 
 
