@@ -38,6 +38,10 @@ import numpy as np
 
 from .multigraph import MultiGraph, refine, require_connected, require_integer
 
+# up to this many classes the quotient's matrices are dense arrays, above it
+# sparse ones: the Perron solve here and rho's Newton and fold solves
+_DENSE_SOLVE_CAP = 256
+
 
 class Quotient:
     """The quotient of g (module docstring). colors and rounds are refine's,
@@ -80,16 +84,26 @@ class Quotient:
 
     @cached_property
     def perron(self) -> tuple[float, np.ndarray]:
-        """lambda1 and B's Perron vector x, of positive sum and read-only. With
-        s the colour sizes, S = sqrt(B o B^T) = diag(s)^(1/2) B diag(s)^(-1/2)
-        is symmetric; its top eigenvector u (one dense eigh) gives x = u /
-        sqrt(s), whose lift x[colour of v] is a unit Perron vector of A."""
-        from scipy.linalg import eigh
+        """lambda1 and B's Perron vector x, of positive sum and read-only: the
+        library's one Perron solve. With s the colour sizes, S = sqrt(B o B^T)
+        = diag(s)^(1/2) B diag(s)^(-1/2) is symmetric; its top eigenvector u
+        gives x = u / sqrt(s), whose lift x[colour of v] is a unit Perron
+        vector of A. u comes from a dense eigh up to _DENSE_SOLVE_CAP classes
+        and from eigsh on the sparse S above, where there are at least 17
+        colours (k^2 >= classes)."""
+        root = np.sqrt([len(vs) for vs in self.members])
+        if self.size <= _DENSE_SOLVE_CAP:
+            from scipy.linalg import eigh
 
-        k, b = len(self.members), self.colour_matrix(dense=True)
-        # square roots of integers: finite, so skip scipy's scan
-        top, u = eigh(np.sqrt(b * b.T), subset_by_index=(k - 1, k - 1), check_finite=False)
-        x = u[:, 0] / np.sqrt([len(vs) for vs in self.members]) * np.sign(u[:, 0].sum())
+            k, b = len(root), self.colour_matrix(dense=True)
+            # square roots of integers: finite, so skip scipy's scan
+            top, u = eigh(np.sqrt(b * b.T), subset_by_index=(k - 1, k - 1), check_finite=False)
+        else:
+            from scipy.sparse.linalg import eigsh
+
+            b = self.colour_matrix(dense=False)
+            top, u = eigsh(b.multiply(b.T).sqrt(), k=1, which="LA", v0=root)
+        x = u[:, 0] / root * np.sign(u[:, 0].sum())
         x.flags.writeable = False
         return float(top[0]), x
 

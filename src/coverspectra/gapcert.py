@@ -38,7 +38,7 @@ import numpy as np
 
 from .cover import Quotient, quotient
 from .multigraph import CyclomaticClass, MultiGraph, cyclomatic_class, require_integer
-from .rho import RhoResult, _solver, rho_tree
+from .rho import RhoResult, rho_tree
 from .spectra import Spectrum, eigen_spectrum
 from .twocore import two_core
 
@@ -107,18 +107,9 @@ def _weights(q: Quotient) -> tuple[dict[int, Fraction], dict[int, Fraction], Fra
 
 
 def _scaled_perron(q: Quotient, spec: Spectrum) -> np.ndarray:
-    """y per colour: the Perron vector at its first member, times sqrt(n).
-    Above the dense cap eigsh's vector is constant on colours to its residual
-    only; one inverse iteration step on the colour matrix mends that."""
-    sizes = np.array([len(vs) for vs in q.members])
+    """y per colour: the Perron vector at its first member, times sqrt(n)."""
     y = np.asarray(spec.perron, dtype=float)[[vs[0] for vs in q.members]]
-    if not spec.full:
-        from scipy.sparse import identity
-
-        z = np.abs(_solver(q.colour_matrix(dense=False) - spec.lambda1 * identity(len(sizes)))(y))
-        if np.all(z > 0):  # no NaN from an exactly singular matrix; any positive y will do
-            y = z / math.sqrt(np.dot(sizes, z * z))
-    return y * math.sqrt(sizes.sum())
+    return y * math.sqrt(spec.n)
 
 
 def _padded(rows, pad: int) -> tuple[np.ndarray, np.ndarray]:

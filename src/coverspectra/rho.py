@@ -37,12 +37,11 @@ eigensolve is needed. Each linear system is factored once, by LAPACK's LU
 (getrf) up to _DENSE_SOLVE_CAP classes and by a sparse LU (splu) above, and
 that factorization serves every solve with it.
 
-Estimate. A graph with m <= n has an amenable cover, so rho(T) = lambda1,
-and the fold point is the Perron ratio F_y (_perron_ratio): the estimate
-is lambda1, with no Newton step. Other graphs, and unicyclic ones above
-_DENSE_SOLVE_CAP classes, solve for the fold. The least fixed points
-F*(t), t > rho(T), form a branch that folds at t = rho(T), where I - J
-becomes singular. Newton's method on the bordered system
+Estimate. For m <= n the cover is amenable, so rho(T) = lambda1 and the
+fold point is the Perron ratio F_y (_perron_ratio): the estimate is
+lambda1, with no Newton step. Other graphs solve for the fold. The least
+fixed points F*(t), t > rho(T), form a branch that folds at t = rho(T),
+where I - J becomes singular. Newton's method on the bordered system
 
     F (t - C F) = 1,   (diag(t - C F) - diag(F) C) v = 0,   sum(v) = 1
 
@@ -80,8 +79,8 @@ G at t (I - J)(G - x) >= phi(x) - x >= 0, so G >= x: x is a valid start.
 From there the run diverges in about 2 steps, where one from below takes
 about 17 to cross the fold's stretch of linear convergence. c grows by
 doubling until x passes; when no x passes, or there is no null vector, the
-lo run starts from zeros too. The run from x starts with the check's
-factorization at x.
+lo run starts from zeros too. On the sparse path the run from x starts
+with the check's factorization at x.
 A side whose check fails doubles its pad, so the bracket is always a proof,
 only wider. hi stays at most the max degree, where F = 1 is a
 supersolution, and lo at least sqrt(max degree), rounded down, the top
@@ -97,12 +96,11 @@ from functools import cache
 
 import numpy as np
 
-from .cover import Quotient, backtracking_walk_profile, count_matrix, quotient
+from .cover import _DENSE_SOLVE_CAP, Quotient, backtracking_walk_profile, count_matrix, quotient
 from .multigraph import MultiGraph, require_connected, require_integer
 
 DEFAULT_TOL = 1e-9
 
-_DENSE_SOLVE_CAP = 256
 # monotone Newton gains about a bit per step even at the fold, so a run
 # that has not stopped by then is stuck in rounding
 _NEWTON_STEPS = 200
@@ -245,16 +243,15 @@ def _is_supersolution(g: MultiGraph, t: float, f: np.ndarray, cls: np.ndarray) -
     return max(slack, 0.0)
 
 
-def _newton(q: _Operators, t: float, f: np.ndarray, solve=None, checked: bool = False):
+def _newton(q: _Operators, t: float, f: np.ndarray, solve=None):
     """Monotone Newton at t from a subsolution f below every supersolution.
     Returns (diverged, last iterate, steps, solver): diverged is True on one
     of the refutations of the module docstring and False once Newton has
     converged, that is, once a step is down to rounding.
 
     A dense factorization costs about one solve, so the dense path factors
-    I - J at every step and solves the witness and the step with that one LU,
-    but for a checked first step: solve is then _valid_start's LU at f, whose
-    u > 0 rules out a witness. The sparse path reuses a factorization while
+    I - J at every step, ignoring solve, and solves the witness and the step
+    with that one LU. The sparse path reuses a factorization while
     each step at least halves the residual, starting with solve when given,
     which must factor I - J0 for a J0 <= J(f). J only grows along the
     iterates and as t falls, so a step d with an older J0 <= J is still
@@ -275,7 +272,7 @@ def _newton(q: _Operators, t: float, f: np.ndarray, solve=None, checked: bool = 
         # t - C f is off by about eps t, which moves phi by about eps t w
         if np.logical_and.reduce(r <= _ROUNDING * t * w):
             return False, f, step, solve
-        if solve is None or (q.dense and not (checked and step == 1)) or np.maximum.reduce(r) > 0.5 * last:
+        if solve is None or q.dense or np.maximum.reduce(r) > 0.5 * last:
             solve = q.factor(w)
             # (I - J) e = 1 with e < 0 somewhere gives the witness
             # x = max(-e, 0): J x >= x + 1 on its support
@@ -383,23 +380,15 @@ def _fold(q: _Operators, lo: float, hi: float):
             return top, None, None, steps
 
 
-def _perron_ratio(q: Quotient, dense: bool):
+def _perron_ratio(q: Quotient):
     """lambda1, the Perron ratio F_y[a] = x[w] / x[u] of each class a from
-    colour u to w, B x = lambda1 x (Quotient.perron, or above the dense cap,
-    reached here by trees only, eigsh on its sparse S), and the null vector
-    v of I - J(F_y): F_y = phi(F_y) at lambda1 with vertex sums lambda1, so
-    on an amenable cover it is the fold point. v[a] = ends(a) / x[u]^2 with
-    ends(a) the cover's ends beyond a class-a half-edge: 0 into a pendant
-    tree (Quotient.peel), 2 out of one, 1 along the cycle; None on a tree
-    (J is nilpotent). Both are None where x is not positive."""
-    if dense:
-        lam, x = q.perron
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        b, root = q.colour_matrix(dense=False), np.sqrt([len(vs) for vs in q.members])
-        top, u = eigsh(b.multiply(b.T).sqrt(), k=1, which="LA", v0=root)
-        lam, x = float(top[0]), u[:, 0] / root * np.sign(u[:, 0].sum())
+    colour u to w, with B x = lambda1 x (Quotient.perron), and the null
+    vector v of I - J(F_y): F_y = phi(F_y) at lambda1 with vertex sums
+    lambda1, so on an amenable cover it is the fold point. v[a] = ends(a) /
+    x[u]^2 with ends(a) the cover's ends beyond a class-a half-edge: 0 into
+    a pendant tree (Quotient.peel), 2 out of one, 1 along the cycle; None on
+    a tree (J is nilpotent). Both are None where x is not positive."""
+    lam, x = q.perron
     if not x.min() > 0.0:
         return lam, None, None
     src, dst = np.array(q.ends).T
@@ -433,8 +422,8 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     lo = math.sqrt(hi)
     if Fraction(lo) ** 2 > hi:
         lo = math.nextafter(lo, 0.0)
-    if g.m < g.n or (g.m == g.n and q.dense):  # a tree has no fold to warm up to
-        (est, fold, null), steps = _perron_ratio(quotient(g), q.dense), 0
+    if g.m <= g.n:  # an amenable cover: no fold to warm up to
+        (est, fold, null), steps = _perron_ratio(quotient(g)), 0
     else:
         est, fold, null, steps = _fold(q, lo, hi)
     zeros = np.zeros(q.size)
@@ -462,7 +451,7 @@ def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
     pad = first_pad
     while lo < (t := est * (1.0 - pad)) < hi:
         near = None if null is None else _start_below_fold(q, t, fold, null, pad)
-        diverged, _, n, _ = _newton(q, t, *(near or (zeros,)), checked=near is not None)
+        diverged, _, n, _ = _newton(q, t, *(near or (zeros,)))
         checks.append((t, False, "diverged" if diverged else "uncertified", n))
         if diverged:
             lo = t

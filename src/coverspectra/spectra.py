@@ -1,14 +1,13 @@
 """Adjacency spectra and exact closed-walk counts.
 
-Up to a size cap lambda1 and the Perron vector come from the k x k colour
+At every size lambda1 and the Perron vector come from the k x k colour
 matrix of the cover's quotient (cover.quotient): its colours form an
 equitable partition (Godsil & Royle, Algebraic Graph Theory, section 9.3).
-The quotient keeps the matrix's Perron pair, which rho_tree reads too.
-That matrix is the same on every lift of a graph, and so is lambda1. The
-other eigenvalues come from one dense eigenvalues-only solve when first
-read, up to the cap only. Above the cap lambda1 and its vector come from
-an iterative solve on the graph's CSR adjacency (MultiGraph.adjacency),
-from which every n x n matrix here is filled too. The weakly-Ramanujan
+The quotient keeps the matrix's Perron pair (Quotient.perron), which
+rho_tree reads too. That matrix is the same on every lift of a graph, and
+so is lambda1. The other eigenvalues come from one dense eigenvalues-only
+solve when first read, up to a size cap only, on an n x n matrix filled
+from the graph's CSR adjacency (MultiGraph.adjacency). The weakly-Ramanujan
 fraction counts eigenvalues by the inertia of four shifted LDL^T
 factorizations, behind a backward-error guard, and falls back to the
 eigenvalues where the guard refuses; it too is bounded by the dense cap.
@@ -60,31 +59,19 @@ class Spectrum:
 
 
 def eigen_spectrum(g: MultiGraph) -> Spectrum:
-    """lambda1 and the Perron vector of a connected multigraph's adjacency.
-
-    Up to DENSE_EIGEN_CAP vertices both come from the quotient's colour
-    matrix (_quotient_perron); above it, from eigsh on g.adjacency.
-    No n x n array is formed unless Spectrum.eigenvalues is read. The Perron
-    vector is normalized to unit 2-norm, strictly positive, with residual
-    ||A y - lambda1 y|| at most 1e-10 * max degree.
+    """lambda1 and the Perron vector of a connected multigraph's adjacency,
+    both lifted from the quotient's colour matrix (_quotient_perron) at
+    every n. No n x n array is formed unless Spectrum.eigenvalues is read.
+    The Perron vector is normalized to unit 2-norm, strictly positive, with
+    residual ||A y - lambda1 y|| at most 1e-10 * max degree.
     """
     require_connected(g, "eigen_spectrum")
-    sources = np.array(g.sources, dtype=np.intp)
-    targets = np.array(g.targets, dtype=np.intp)
-    if g.n <= DENSE_EIGEN_CAP:
-        lam, perron = _quotient_perron(g)
-    else:
-        from scipy.sparse.linalg import eigsh
-
-        v0 = np.ones(g.n) / np.sqrt(g.n)
-        top, vec = eigsh(g.adjacency.astype(float), k=1, which="LA", v0=v0)
-        lam, perron = float(top[0]), vec[:, 0].copy()
-
-    if perron.sum() < 0:
-        perron = -perron
+    lam, perron = _quotient_perron(g)
     perron /= np.linalg.norm(perron)
     if g.m > 0 and perron.min() <= 0:
         raise ArithmeticError("Perron vector not strictly positive; eigensolve failed")
+    sources = np.array(g.sources, dtype=np.intp)
+    targets = np.array(g.targets, dtype=np.intp)
     ay = np.bincount(sources, weights=perron[targets], minlength=g.n)
     residual = float(np.linalg.norm(ay - lam * perron))
     if g.m > 0 and residual > PERRON_RESIDUAL_FACTOR * g.max_degree:

@@ -6,6 +6,7 @@ import pytest
 
 from coverspectra import spectra
 from coverspectra.cover import (
+    _DENSE_SOLVE_CAP,
     Quotient,
     backtracking_walk_profile,
     orbit_distribution,
@@ -191,7 +192,8 @@ def test_rebuilt_equal_graph_hits_the_quotient_cache():
 
 def test_only_eigen_spectrum_builds_the_colour_matrix(monkeypatch):
     """B has k^2 cells, k close to n on an irregular graph; the quotient's
-    other readers must not pay for it, and eigen_spectrum asks for it dense."""
+    other readers must not pay for it, and eigen_spectrum asks for it sparse
+    above _DENSE_SOLVE_CAP classes (872 here)."""
     asked = []
     build = Quotient.colour_matrix
 
@@ -208,7 +210,7 @@ def test_only_eigen_spectrum_builds_the_colour_matrix(monkeypatch):
     bs_histogram(g, 2)
     assert asked == []
     eigen_spectrum(g)
-    assert asked == [True]
+    assert asked == [False]
 
 
 def test_dense_and_sparse_colour_matrices_agree(small_corpus):
@@ -222,19 +224,37 @@ def test_dense_and_sparse_colour_matrices_agree(small_corpus):
 
 
 def test_small_eigen_spectrum_builds_no_sparse_matrix(monkeypatch, small_corpus):
-    """At or below DENSE_EIGEN_CAP the quotient's colour matrix is built dense:
-    no scipy.sparse matrix (every one the library makes is an spmatrix)."""
+    """Up to _DENSE_SOLVE_CAP classes the quotient's colour matrix is built
+    dense: no scipy.sparse matrix (every one the library makes is an
+    spmatrix)."""
     from scipy.sparse import spmatrix
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("a scipy.sparse matrix was built")
 
-    graphs = list(small_corpus[::5]) + [connected_lift(bowtie(), 800), gnp_giant(300, 5)]
+    graphs = list(small_corpus[::5]) + [connected_lift(bowtie(), 800)]
     quotient.cache_clear()
     monkeypatch.setattr(spmatrix, "__init__", refuse, raising=False)
     for g in graphs:
-        assert g.n <= spectra.DENSE_EIGEN_CAP
+        assert quotient(g).size <= _DENSE_SOLVE_CAP
         eigen_spectrum(g)
+
+
+def test_large_eigen_spectrum_takes_a_sparse_perron_pair(monkeypatch):
+    """Above _DENSE_SOLVE_CAP classes the Perron pair comes from eigsh on the
+    sparse colour matrix, with no dense eigh, whatever n is; it agrees with a
+    dense eigvalsh of A."""
+    import scipy.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense eigh ran")
+
+    g = gnp_giant(300, 5)
+    want = np.linalg.eigvalsh(g.adjacency.toarray().astype(float))[-1]
+    quotient.cache_clear()
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    assert g.n <= spectra.DENSE_EIGEN_CAP and quotient(g).size > _DENSE_SOLVE_CAP
+    assert eigen_spectrum(g).lambda1 == pytest.approx(want, rel=1e-13)
 
 
 def test_ball_codes_are_the_materialized_cover_balls(small_corpus):

@@ -381,9 +381,9 @@ def test_lifts_keep_the_base_certificate(name, cache):
     "base", [bowtie(), complete(4), theta(1, 2, 3)], ids=["bowtie", "k4", "theta123"]
 )
 def test_perron_repair_above_the_dense_cap(base, cache, monkeypatch):
-    """With the dense cap lowered below a 40-lift's size, its Perron vector
-    comes from eigsh, and after _scaled_perron's repair y is the dense
-    route's per colour: the certificate is the base's."""
+    """With the dense cap lowered below a 40-lift's size, y is still the
+    dense route's per colour, since both lift the colour matrix's Perron
+    vector: the certificate is the base's."""
     want = certify_gap(base)
     lift = connected_lift(base, 40)
     q = quotient(lift)
@@ -399,20 +399,20 @@ def test_perron_repair_above_the_dense_cap(base, cache, monkeypatch):
     assert abs(cert.margin - want.margin) <= 1e-12
 
 
-def test_perron_repair_mends_a_vector_off_its_colours(cache, monkeypatch):
-    """The inverse iteration step above the dense cap makes y the dense
-    route's from a vector constant on colours only to 1e-6. On the
-    theta(1, 2, 3) 40-lift the shifted colour matrix is not exactly singular,
-    so the step runs (on the bowtie's and K4's it is, and y is kept)."""
-    lift = connected_lift(theta(1, 2, 3), 40)
-    q = quotient(lift)
-    dense = _scaled_perron(q, cache.spectrum(lift))
+@pytest.mark.parametrize(
+    "base", [bowtie(), complete(4), theta(1, 2, 3)], ids=["bowtie", "k4", "theta123"]
+)
+def test_lift_above_the_dense_cap_keeps_its_bases_perron_pair(base, monkeypatch):
+    """Above the dense cap a 40-lift's Perron vector is still lifted from the
+    colour matrix, so it is exactly constant on colours, and lambda1 is the
+    base's bit for bit."""
+    want = eigen_spectrum(base).lambda1
+    lift = connected_lift(base, 40)
     monkeypatch.setattr(spectra, "DENSE_EIGEN_CAP", 10)
     spec = eigen_spectrum(lift)
-    noisy = dataclasses.replace(spec, perron=spec.perron * (1.0 + 1e-6 * np.sin(np.arange(lift.n))))
-    assert np.max(np.abs(noisy.perron - spec.perron) / spec.perron) > 1e-7
-    y = _scaled_perron(q, noisy)
-    assert np.max(np.abs(y - dense) / dense) <= 1e-12
+    assert not spec.full and spec.lambda1 == want
+    for members in quotient(lift).members:
+        assert np.all(spec.perron[list(members)] == spec.perron[members[0]])
 
 
 def test_certificate_rejects_thin_graphs():

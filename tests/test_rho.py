@@ -23,10 +23,9 @@ from oracles import (
 )
 
 from coverspectra import rho as rho_module
-from coverspectra.cover import quotient
+from coverspectra.cover import _DENSE_SOLVE_CAP, quotient
 from coverspectra.multigraph import CyclomaticClass, MultiGraph, cyclomatic_class
 from coverspectra.rho import (
-    _DENSE_SOLVE_CAP,
     _Operators,
     _is_supersolution,
     _newton,
@@ -430,19 +429,42 @@ def test_trees_and_unicyclic_graphs_start_at_the_perron_ratio(corpus):
     assert len(graphs) == 43 + len(AMENABLE_BEYOND_CORPUS)
 
 
-def test_trees_above_the_dense_cap_take_a_sparse_perron_pair():
-    """Above _DENSE_SOLVE_CAP classes a tree's Perron pair comes from eigsh
-    on the sparse S, not from Quotient.perron's dense eigh, which costs
-    O(k^3) time and O(k^2) memory on k colours; the bracket still contains
-    lambda1 from a dense eigvalsh, and each side passes at its first try."""
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_trees_above_the_dense_cap_take_a_sparse_perron_pair(monkeypatch):
+    """Above _DENSE_SOLVE_CAP classes a tree's Perron pair comes from
+    Quotient.perron's eigsh on the sparse S, not from a dense eigh, which
+    costs O(k^3) time and O(k^2) memory on k colours, and rho_tree and
+    eigen_spectrum share it: the estimate, which the first hi probe pads, is
+    lambda1 exactly. The bracket contains lambda1 from a dense eigvalsh,
+    and each side passes at its first try."""
+    import scipy.linalg
+
+    monkeypatch.setattr(scipy.linalg, "eigh", _refuse)
     for g in (_random_tree(400, 5, False), path(300)):
-        q = quotient(g)
-        assert q.size > rho_module._DENSE_SOLVE_CAP
-        res = rho_tree(g)
-        assert quotient(g) is q and "perron" not in vars(q)
+        assert quotient(g).size > _DENSE_SOLVE_CAP
+        res, est = rho_tree(g), eigen_spectrum(g).lambda1
+        assert res.probes[0][0] == est * (1.0 + max(res.tol / (4.0 * est), math.ulp(1.0)))
         lam = float(np.linalg.eigvalsh(g.adjacency.toarray().astype(float))[-1])
         assert res.lo <= lam <= res.hi, (res.lo, lam, res.hi)
         assert [status for *_, status in res.probes] == ["certified", "diverged"]
+
+
+def test_unicyclic_graphs_above_the_dense_cap_start_at_the_perron_ratio(monkeypatch):
+    """A unicyclic graph above _DENSE_SOLVE_CAP classes starts at the Perron
+    ratio as a small one does, with no warm-up: each side passes at its
+    first try, so the width is tol / 2 up to the rounding of its two ends,
+    and the bracket contains lambda1 from a dense eigvalsh."""
+    g = _random_tree(800, 12, True)
+    assert g.m == g.n and quotient(g).size > _DENSE_SOLVE_CAP
+    monkeypatch.setattr(rho_module, "_fold", _refuse)
+    res = rho_tree(g)
+    lam = float(np.linalg.eigvalsh(g.adjacency.toarray().astype(float))[-1])
+    assert res.lo <= lam <= res.hi, (res.lo, lam, res.hi)
+    assert [status for *_, status in res.probes] == ["certified", "diverged"]
+    assert res.width <= res.tol / 2 + 2 * math.ulp(res.hi)
 
 
 def test_perron_ratio_null_vector(corpus):
@@ -454,7 +476,7 @@ def test_perron_ratio_null_vector(corpus):
         if not 0 < g.m <= g.n:
             continue
         q = quotient(g)
-        lam, fold, null = rho_module._perron_ratio(q, True)
+        lam, fold, null = rho_module._perron_ratio(q)
         assert (lam, fold.tolist()) == (q.perron[0], _perron_ratio_by_hand(g)[1].tolist())
         if g.m < g.n:
             assert null is None
@@ -756,15 +778,13 @@ def test_lo_run_without_a_checked_start_starts_from_zeros(corpus, cache, monkeyp
     assert sum(n for res in fallback for n in _diverged_steps(res)) == 2026
 
 
-def test_dense_lo_run_solves_its_first_step_with_the_checks_lu(monkeypatch):
-    """The check at a start x factors I - J(x), the matrix of Newton's first
-    step there: a dense run given that solver as checked uses it at step 1
-    and factors once less than a run without it, with the same verdict,
-    iterate and steps. Given it unchecked, as the warm-up gives its older
-    solvers, the dense run ignores it."""
+def test_dense_newton_run_ignores_a_given_solver(monkeypatch):
+    """A dense run factors I - J at every step, so a solver it is given, here
+    the check's LU at the lo run's start x, goes unused: the run factors as
+    often as one without it, with the same verdict, iterate and steps."""
     g = MultiGraph(3, ((0, 1), (0, 1), (0, 2)))  # its lo run takes 2 steps
     res, q = rho_tree(g), _Operators(quotient(g))
-    lam, fold, null = rho_module._perron_ratio(quotient(g), True)
+    lam, fold, null = rho_module._perron_ratio(quotient(g))
     assert q.dense and null is not None
     x, solve = rho_module._start_below_fold(q, res.lo, fold, null, 1.0 - res.lo / lam)
     factored, used = [], []
@@ -775,16 +795,11 @@ def test_dense_lo_run_solves_its_first_step_with_the_checks_lu(monkeypatch):
         used.append(1)
         return solve(b)
 
-    given = _newton(q, res.lo, x, counted, checked=True)
-    n_given = len(factored)
     fresh = _newton(q, res.lo, x)
-    assert used and given[0] and given[2] == fresh[2] >= 2
-    assert fresh[0] and np.array_equal(given[1], fresh[1])
-    assert len(factored) - n_given == n_given + 1
-    used.clear()
-    unchecked = _newton(q, res.lo, x, counted)
-    assert not used and len(factored) - n_given == 2 * (n_given + 1)
-    assert unchecked[:3:2] == fresh[:3:2] and np.array_equal(unchecked[1], fresh[1])
+    n_fresh = len(factored)
+    given = _newton(q, res.lo, x, counted)
+    assert not used and len(factored) == 2 * n_fresh and fresh[2] >= 2
+    assert given[0] and given[:3:2] == fresh[:3:2] and np.array_equal(given[1], fresh[1])
 
 
 def test_sparse_lo_run_reuses_only_its_starts_factorization(monkeypatch):
@@ -797,16 +812,16 @@ def test_sparse_lo_run_reuses_only_its_starts_factorization(monkeypatch):
         checked[t, f.tobytes()] = solve
         return solve
 
-    def newton(q, t, f, solve=None, checked=False):
-        runs.append((t, f.tobytes(), solve, checked))
-        return _newton(q, t, f, solve, checked)
+    def newton(q, t, f, solve=None):
+        runs.append((t, f.tobytes(), solve))
+        return _newton(q, t, f, solve)
 
     monkeypatch.setattr(rho_module, "_valid_start", check)
     monkeypatch.setattr(rho_module, "_newton", newton)
     res = rho_tree(gnp_giant(300, 5))
-    t, f, solve, was_checked = runs[-1]
+    t, f, solve = runs[-1]
     assert res.probes[-1] == (t, False, "diverged") and t == res.lo
-    assert solve is not None and checked[t, f] is solve and was_checked
+    assert solve is not None and checked[t, f] is solve
     assert res.iterations_per_probe[-1] <= 3
 
 
