@@ -23,7 +23,6 @@ from .gapcert import (
 from .generators import (
     biregular,
     bowtie,
-    canonical_key,
     complete,
     cycle,
     make,
@@ -95,7 +94,6 @@ __all__ = [
     "biregular",
     "bowtie",
     "bs_histogram",
-    "canonical_key",
     "certify_gap",
     "closed_walk_profile",
     "complete",

@@ -36,7 +36,7 @@ from operator import mul
 
 import numpy as np
 
-from .multigraph import MultiGraph, refine, require_connected, require_integer
+from .multigraph import MultiGraph, refine, require_connected, require_integer, require_vertex
 
 # up to this many classes the quotient's matrices are dense arrays, above it
 # sparse ones: the Perron solve here and rho's Newton and fold solves
@@ -206,11 +206,8 @@ def quotient(g: MultiGraph) -> Quotient:
 def backtracking_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
     """[N_k(g, v) for k in 0..k_max]; odd entries are zero."""
     require_connected(g, "backtracking_walk_profile")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    require_integer(k_max, "walk length")
-    if k_max < 0:
-        raise ValueError("walk length must be nonnegative")
+    require_vertex(g, v)
+    require_integer(k_max, "walk length", 0)
     q = quotient(g)
     return q.walk_profile(q.colors[v], k_max)
 

@@ -235,9 +235,7 @@ def unicyclic_defect(g: MultiGraph, copies: int, spectrum: Spectrum | None = Non
     """
     if cyclomatic_class(g) is not CyclomaticClass.UNICYCLIC:
         raise ValueError("unicyclic_defect requires a unicyclic graph")
-    require_integer(copies, "copies")
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
+    require_integer(copies, "copies", 1)
     spec = spectrum if spectrum is not None else eigen_spectrum(g)
     y = spec.perron
     core = two_core(g)  # the unique cycle

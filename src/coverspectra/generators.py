@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .multigraph import MultiGraph, canonical_code
+from .multigraph import MultiGraph
 
 RANDOM_REGULAR_RETRIES = 200
 
@@ -166,28 +166,31 @@ def random_lift(
     return MultiGraph(base.n * n, tuple(edges)), tuple(perms)
 
 
-def canonical_key(g: MultiGraph) -> tuple[int, int, str]:
-    """Isomorphism-invariant key (n, m, canonical code from the uniform
-    colouring); equal keys iff the graphs are isomorphic. No size limit: the
-    individualization-refinement search is cheap unless g is highly
-    symmetric (see multigraph.canonical_code)."""
-    return g.n, g.m, canonical_code(g, [0] * g.n)
-
-
-def _classes(candidates) -> list[MultiGraph]:
-    """One graph per isomorphism class among the candidates, sorted by edge
-    list. Each is relabelled to its lexicographically smallest sorted edge
-    list, pairs (u, v) with u <= v, over all n! labellings."""
-    reps: dict[tuple, MultiGraph] = {}
-    for g in candidates:
-        key = canonical_key(g)
-        if key not in reps:
-            smallest = min(
-                tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges))
-                for p in itertools.permutations(range(g.n))
-            )
-            reps[key] = MultiGraph(g.n, smallest)
-    return sorted(reps.values(), key=lambda g: g.edges)
+def _smallest_edges(n: int, edges) -> tuple[tuple[int, int], ...]:
+    """The smallest sorted edge list, pairs (u, v) with u <= v, over all
+    labellings of a multigraph: the maximal-matrix form of orderly generation
+    (Read, Ann. Discrete Math. 2, 1978). Pairs run row by row, so the smaller
+    list has the larger count at the first pair where two differ. Label i
+    goes to a vertex with the largest counts to labels 0..i-1 in turn, which
+    fixes row i: its loops, then its counts to the others in the order of
+    their counts to labels 0..i. Only prefixes with the largest row i go on."""
+    count = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        count[u][v] += 1
+        count[v][u] += 1  # a loop counts twice, as in A
+    level = [((), {u: [] for u in range(n)})]  # labels so far, others' counts to them
+    for _ in range(n):
+        rows = []
+        for prefix, keys in level:
+            top = max(keys.values())
+            for v in [u for u, key in keys.items() if key == top]:
+                rest = {u: key + [count[v][u]] for u, key in keys.items() if u != v}
+                row = [count[v][v]] + [key[-1] for key in sorted(rest.values(), reverse=True)]
+                rows.append((row, prefix + (v,), rest))
+        best = max(row for row, _, _ in rows)
+        level = [(prefix, rest) for row, prefix, rest in rows if row == best]
+    label = {v: i for i, v in enumerate(level[0][0])}
+    return tuple(sorted((min(label[u], label[v]), max(label[u], label[v])) for u, v in edges))
 
 
 def small_connected_multigraphs(
@@ -201,22 +204,21 @@ def small_connected_multigraphs(
     on n vertices is a tree on n - 1 vertices plus a leaf. Any other
     connected multigraph has a loop or a cycle edge whose removal leaves it
     connected: it is a class with one edge fewer on the same n, plus an edge
-    in some vertex-pair slot. Candidates merge by canonical_key. Each class
-    keeps its smallest labelling, the first that a scan of edge multisets in
-    lexicographic order would meet, and classes come in order of n, then m,
-    then that edge list.
+    in some vertex-pair slot. Candidates merge by their smallest labelling
+    (_smallest_edges), the first that a lexicographic scan of edge multisets
+    meets; classes keep it and come in order of n, then m, then that list.
     """
     out: list[MultiGraph] = []
-    trees = [MultiGraph(1, ())]
+    trees = [()]
     for n in range(1, min(max_vertices, max_edges + 1) + 1):
         if n > 1:
-            trees = _classes(
-                MultiGraph(n, g.edges + ((v, n - 1),)) for g in trees for v in range(n - 1)
+            trees = sorted(
+                {_smallest_edges(n, t + ((v, n - 1),)) for t in trees for v in range(n - 1)}
             )
         slots = [(i, j) for i in range(n) for j in range(i, n)]
         layer = trees
-        out.extend(layer)
+        out.extend(MultiGraph(n, e) for e in layer)
         for _ in range(n, max_edges + 1):
-            layer = _classes(MultiGraph(n, g.edges + (s,)) for g in layer for s in slots)
-            out.extend(layer)
+            layer = sorted({_smallest_edges(n, e + (s,)) for e in layer for s in slots})
+            out.extend(MultiGraph(n, e) for e in layer)
     return tuple(out)

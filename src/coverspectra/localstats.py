@@ -74,9 +74,7 @@ def enumerate_cycles(g: MultiGraph, length: int) -> list[Cycle]:
     above s in between, so each cycle appears exactly at its minimum vertex;
     runs of the same cycle in both directions collapse in the edge-set dedup.
     """
-    require_integer(length, "cycle length")
-    if length < 1:
-        raise ValueError("cycle length must be at least 1")
+    require_integer(length, "cycle length", 1)
     found: dict[frozenset[int], Cycle] = {}
 
     def extend(s: int, u: int, walk: list[int], seen: set[int], used: set[int]) -> None:
@@ -166,9 +164,7 @@ def _balls(g: MultiGraph, r: int) -> np.ndarray:
 
 def tree_fraction(g: MultiGraph, r: int) -> float:
     """Fraction of vertices whose induced radius-r ball is a tree, off the sweep's mask."""
-    require_integer(r, "radius")
-    if r < 1:
-        raise ValueError("radius must be at least 1")
+    require_integer(r, "radius", 1)
     return int(_balls(g, r).sum()) / g.n
 
 
@@ -223,9 +219,7 @@ def mass_transport_check(g: MultiGraph, R: int, length: int) -> MassTransportRep
     F(v, o)) count the same pairs, so on a finite graph the balance is an
     identity, counted once and reported as both lhs and rhs. The
     mass-transport principle has content only on infinite unimodular networks."""
-    require_integer(R, "radius")
-    if R < 0:
-        raise ValueError("radius must be nonnegative")
+    require_integer(R, "radius", 0)
     require_connected(g, "mass_transport_check")
     n = g.n
     stats = cycle_stats(g, length)
@@ -398,9 +392,7 @@ def bs_histogram(g: MultiGraph, r: int) -> dict[str, int]:
     (depths and (a, b, multiplicity) edges in an order from refining the
     batch): equal keys are equal depth-coloured multigraphs, so
     canonical_code runs once per key."""
-    require_integer(r, "radius")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    require_integer(r, "radius", 0)
     q = quotient(g)
     tree = _balls(g, r)
     hist: dict[str, int] = defaultdict(int)

@@ -121,7 +121,7 @@ class MultiGraph:
     def distances_from(self, starts) -> list[int]:
         """BFS distance from a vertex or an iterable of source vertices.
         Unreachable vertices get -1."""
-        if isinstance(starts, numbers.Integral):
+        if isinstance(starts, numbers.Number):
             starts = (starts,)
         dist = _bfs(self, starts)
         return [dist.get(u, -1) for u in range(self.n)]
@@ -147,8 +147,7 @@ def _bfs(g: MultiGraph, starts, radius: int | None = None) -> dict[int, int]:
     that of the ball, not of g."""
     dist: dict[int, int] = {}
     for s in starts:
-        if not 0 <= s < g.n:
-            raise ValueError(f"vertex {s} out of range")
+        require_vertex(g, s)
         dist.setdefault(s, 0)
     queue = deque(dist)
     while queue:
@@ -169,11 +168,22 @@ def require_connected(g: MultiGraph, what: str = "this operation") -> None:
         raise ValueError(f"{what} requires a connected graph")
 
 
-def require_integer(value, what: str) -> None:
+def require_integer(value, what: str, least: int | None = None) -> None:
     """Refuse a count that is not an integer (NumPy integers pass), so that
-    1.5 is not misread and 2.0 does not share a cache entry with 2."""
+    1.5 is not misread and 2.0 does not share a cache entry with 2, and one
+    below least (0 or 1) when that is given."""
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}")
+
+
+def require_vertex(g: MultiGraph, v) -> None:
+    """Refuse a vertex that is not an integer in 0..n-1 (NumPy integers pass)."""
+    require_integer(v, "vertex")
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range")
 
 
 def cyclomatic_class(g: MultiGraph) -> CyclomaticClass:
@@ -193,9 +203,7 @@ def cyclomatic_class(g: MultiGraph) -> CyclomaticClass:
 def ball(g: MultiGraph, v: int, r: int) -> dict[int, int]:
     """B_r(v) as its depth map: each vertex within distance r of v, mapped to
     that distance, in BFS order. r = 0 gives {v: 0}."""
-    require_integer(r, "radius")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    require_integer(r, "radius", 0)
     return _bfs(g, (v,), r)
 
 

@@ -97,7 +97,7 @@ from functools import cache
 import numpy as np
 
 from .cover import _DENSE_SOLVE_CAP, Quotient, backtracking_walk_profile, count_matrix, quotient
-from .multigraph import MultiGraph, require_connected, require_integer
+from .multigraph import MultiGraph, require_connected, require_integer, require_vertex
 
 DEFAULT_TOL = 1e-9
 
@@ -400,8 +400,9 @@ def _perron_ratio(q: Quotient):
 
 
 def rho_tree(g: MultiGraph, tol: float = DEFAULT_TOL) -> RhoResult:
-    """Bracket the cover tree's spectral radius to width at most tol / 2,
-    wider only where a check failed.
+    """Bracket the cover tree's spectral radius to width tol / 2, wider only
+    where a check failed. The ends est * (1 + pad) and est * (1 - pad) are
+    rounded floats, so the width can pass tol / 2 by up to one ulp at each end.
 
     The module docstring has the steps: an estimate at the fold (lambda1
     when m <= n), then hi and lo a quarter of tol either side of it, doubling
@@ -481,9 +482,7 @@ def rho_lower_sequence(g: MultiGraph, v: int, depth: int) -> list[float]:
     sequence converges to rho(T) from below.
     """
     require_connected(g, "rho_lower_sequence")
-    require_integer(depth, "depth")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    require_integer(depth, "depth", 1)
     profile = backtracking_walk_profile(g, v, 2 * depth)
     out = []
     for k in range(1, depth + 1):
@@ -507,11 +506,8 @@ def rho_ball_power(g: MultiGraph, v: int, radius: int) -> float:
     have a non-positive pivot of its own.
     """
     require_connected(g, "rho_ball_power")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    require_integer(radius, "radius")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    require_vertex(g, v)
+    require_integer(radius, "radius", 0)
     if radius == 0 or g.m == 0:  # a single node
         return 0.0
 

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .cover import quotient
-from .multigraph import MultiGraph, require_connected, require_integer
+from .multigraph import MultiGraph, require_connected, require_integer, require_vertex
 
 DENSE_EIGEN_CAP = 4096
 PERRON_RESIDUAL_FACTOR = 1e-10
@@ -197,11 +197,8 @@ def closed_walk_profile(g: MultiGraph, v: int, k_max: int) -> list[int]:
     step picks a half-edge at the current vertex, so a loop offers two
     continuations per visit."""
     require_connected(g, "closed_walk_profile")
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    require_integer(k_max, "walk length")
-    if k_max < 0:
-        raise ValueError("walk length must be nonnegative")
+    require_vertex(g, v)
+    require_integer(k_max, "walk length", 0)
     targets = g.targets
     x = [0] * g.n
     x[v] = 1

@@ -15,8 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from coverspectra.cover import quotient
-from coverspectra.generators import canonical_key, random_lift
-from coverspectra.multigraph import MultiGraph, ball, induced_subgraph, require_connected
+from coverspectra.generators import random_lift
+from coverspectra.multigraph import (
+    MultiGraph,
+    ball,
+    canonical_code,
+    induced_subgraph,
+    require_connected,
+)
 from coverspectra.rho import (
     _is_supersolution,
     _newton,
@@ -715,6 +721,14 @@ def connected_lift(base: MultiGraph, k: int) -> MultiGraph:
         if lift.is_connected:
             return lift
     raise AssertionError("no connected lift")  # pragma: no cover
+
+
+def canonical_key(g: MultiGraph) -> tuple[int, int, str]:
+    """Isomorphism-invariant key (n, m, canonical code from the uniform
+    colouring); equal keys iff the graphs are isomorphic. No size limit: the
+    individualization-refinement search is cheap unless g is highly
+    symmetric (see multigraph.canonical_code)."""
+    return g.n, g.m, canonical_code(g, [0] * g.n)
 
 
 def corpus_by_scan(max_vertices: int = 5, max_edges: int = 7) -> tuple[MultiGraph, ...]:

@@ -13,7 +13,6 @@ from coverspectra.generators import (
     RANDOM_REGULAR_RETRIES,
     biregular,
     bowtie,
-    canonical_key,
     complete,
     cycle,
     make,
@@ -25,7 +24,7 @@ from coverspectra.generators import (
     theta,
     two_cycles_glued,
 )
-from oracles import corpus_by_scan
+from oracles import canonical_key, corpus_by_scan
 
 
 # -- fixed families ---------------------------------------------------------------
@@ -249,16 +248,31 @@ def test_corpus_equals_the_edge_multiset_scan(bounds):
 
 
 def test_corpus_canonical_key_calls(monkeypatch):
-    # one call per augmentation candidate; the edge-multiset scan makes 53,886
+    # one smallest-labelling search per augmentation candidate; the
+    # edge-multiset scan makes 53,886 canonical_key calls
     calls = []
+    search = generators._smallest_edges
 
-    def counting(g):
-        calls.append(g)
-        return canonical_key(g)
+    def counting(n, edges):
+        calls.append(edges)
+        return search(n, edges)
 
-    monkeypatch.setattr(generators, "canonical_key", counting)
+    monkeypatch.setattr(generators, "_smallest_edges", counting)
     assert len(small_connected_multigraphs(5, 7)) == 1177
     assert len(calls) == 4001
+
+
+def test_corpus_pin_on_six_vertices():
+    # the scan oracle reaches only (6, 4), so this pins the six-vertex
+    # classes with cycles; each representative is its class's smallest
+    # sorted edge list over all 6! labellings, which a direct minimum over
+    # the permutations gives too
+    corpus = small_connected_multigraphs(6, 8)
+    assert len(corpus) == 5081
+    listing = repr([(g.n, g.edges) for g in corpus]).encode()
+    assert hashlib.sha256(listing).hexdigest() == (
+        "ecc3608ce3f48df105661e17f6594f4221fc8f9737ba30c078c841470189b190"
+    )
 
 
 def test_corpus_contains_the_named_small_graphs(corpus, small_corpus):

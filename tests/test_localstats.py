@@ -214,6 +214,14 @@ def test_statistics_validate_arguments():
         (lambda x: rho_ball_power(cycle(5), 0, x), 2.5, 2, "radius"),
         (lambda x: rho_lower_sequence(cycle(5), 0, x), 1.5, 2, "depth"),
         (lambda x: find_bouquet(bowtie(), 0, x, 3), 3.5, 3, "k"),
+        (lambda x: closed_walk_profile(bowtie(), x, 4), 1.5, 1, "vertex"),
+        (lambda x: backtracking_walk_profile(bowtie(), x, 4), 1.5, 1, "vertex"),
+        (lambda x: rho_ball_power(bowtie(), x, 2), 1.5, 1, "vertex"),
+        (lambda x: rho_lower_sequence(bowtie(), x, 2), 1.5, 1, "vertex"),
+        (lambda x: ball(bowtie(), x, 2), 1.5, 1, "vertex"),
+        (lambda x: ball_code(bowtie(), x, 2), 1.5, 1, "vertex"),
+        (lambda x: find_bouquet(bowtie(), x, 4, 3), 1.5, 1, "vertex"),
+        (lambda x: bowtie().distances_from(x), 1.5, 1, "vertex"),
     ],
     ids=[
         "ball",
@@ -228,13 +236,21 @@ def test_statistics_validate_arguments():
         "rho_ball_power",
         "rho_lower_sequence",
         "find_bouquet",
+        "closed_walk_profile-vertex",
+        "backtracking_walk_profile-vertex",
+        "rho_ball_power-vertex",
+        "rho_lower_sequence-vertex",
+        "ball-vertex",
+        "ball_code-vertex",
+        "find_bouquet-vertex",
+        "distances_from-vertex",
     ],
 )
 def test_integer_arguments_reject_fractions(call, bad, good, what):
-    """A radius, length, depth or copy count that is not an integer is
-    refused under its own name, not misread or refused as the value derived
-    from it (rho_lower_sequence's depth once failed as the walk length 2 *
-    depth); NumPy integers are accepted."""
+    """A radius, length, depth, copy count or vertex that is not an integer
+    is refused under its own name, not misread or refused as the value
+    derived from it (rho_lower_sequence's depth once failed as the walk
+    length 2 * depth); NumPy integers are accepted."""
     for x in (bad, float(good), Fraction(good)):
         with pytest.raises(ValueError, match=f"^{what} must be an integer"):
             call(x)
